@@ -1,0 +1,100 @@
+"""Golden snapshots of small pathway models at a fixed seed.
+
+The initial parameters and a 3-epoch loss history of a PAAE and a PAVAE are
+frozen in ``golden_pathway_models.json``.  The masks are unequal and
+overlapping, the pathway stage has two hidden layers and dropout is on, so
+the snapshot pins the order in which ``build_model`` draws the initial
+weights and ``fit`` draws the dropout masks, whatever the parameter storage.
+
+Parameters are keyed by their checkpoint tensor names and read through the
+per-pathway ``pathway_encoders`` stacks.  Regenerate the file with
+``PYTHONPATH=src python tests/test_golden.py`` only when a change is meant
+to alter the random draws.
+"""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from pathae.models import (
+    ArchitectureConfig,
+    PathwayMask,
+    TrainConfig,
+    build_model,
+    fit,
+    flat_params,
+)
+from pathae.ndcore import RngStream
+
+GOLDEN = Path(__file__).with_name("golden_pathway_models.json")
+GENES = 9
+KINDS = ("paae", "pavae")
+
+
+def _model(kind):
+    masks = [
+        PathwayMask("P0", [0, 1, 2, 3]),
+        PathwayMask("P1", [2, 5]),
+        PathwayMask("P2", [1, 4, 6, 7, 8]),
+        PathwayMask("P3", [8, 0, 3]),
+    ]
+    arch = ArchitectureConfig(
+        kind=kind, encoder_layer_sizes=[4, 2], pathway_hidden_sizes=[3, 2],
+        dropout_rate=0.3, beta=0.5, schedule="step", t_start=1,
+    )
+    return build_model(arch, GENES, masks, RngStream(7))
+
+
+def _named_params(model):
+    named = {}
+    for j, stack in enumerate(model.params.pathway_encoders):
+        for i, (W, b) in enumerate(stack):
+            named[f"pathway/{j}/{i}/W"] = W
+            named[f"pathway/{j}/{i}/b"] = b
+    for section in ("encoder", "decoder"):
+        for i, (W, b) in enumerate(getattr(model.params, section)):
+            named[f"{section}/{i}/W"] = W
+            named[f"{section}/{i}/b"] = b
+    return named
+
+
+def _history(model):
+    X = RngStream(5).normal(size=(20, GENES))  # batches of 8, 8 and 4
+    return fit(model, X, TrainConfig(epochs=3, learning_rate=1e-2, batch_size=8), RngStream(11))
+
+
+def _snapshot(kind):
+    model = _model(kind)
+    params = {name: t.tolist() for name, t in _named_params(model).items()}
+    return {"params": params, "history": _history(model)}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(GOLDEN.read_text())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_initial_params_match_golden(golden, kind):
+    expected = golden[kind]["params"]
+    model = _model(kind)
+    named = _named_params(model)
+    assert sorted(named) == sorted(expected)
+    for name, t in named.items():
+        np.testing.assert_array_equal(t, np.array(expected[name]), err_msg=name)
+    # flat_params holds exactly these values, whatever its grouping
+    flat = np.sort(np.concatenate([p.ravel() for p in flat_params(model)]))
+    frozen = np.sort(np.concatenate([np.ravel(v) for v in expected.values()]))
+    np.testing.assert_array_equal(flat, frozen)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_loss_history_matches_golden(golden, kind):
+    history = _history(_model(kind))
+    np.testing.assert_allclose(history, golden[kind]["history"], rtol=1e-9, atol=0)
+
+
+if __name__ == "__main__":
+    GOLDEN.write_text(json.dumps({kind: _snapshot(kind) for kind in KINDS}, indent=1) + "\n")
