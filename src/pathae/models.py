@@ -4,6 +4,9 @@ variants PAAE/PAVAE.
 A pathway model routes each pathway's gene columns through a small encoder
 stack ending in a single activity score; the concatenated activity vector is
 compressed by a latent encoder and decoded back to the full gene vector.
+All pathways share ``pathway_hidden_sizes``, so the pathway stage is stored
+and run as a few stacked tensors (see ModelParams), never one small network
+per pathway.
 Dense models skip the pathway stage.  Variational kinds emit (mu, logvar)
 and sample z with the reparameterization trick during training; at inference
 they use mu and dropout is disabled everywhere.
@@ -14,12 +17,15 @@ autodiff anywhere in the package.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, NumericError, ShapeError, TrainingDiverged
+from .errors import ConfigError, DataError, NumericError, PathaeError, ShapeError, TrainingDiverged
 from .ndcore import (
     AdamState,
     RngStream,
@@ -101,6 +107,12 @@ class ArchitectureConfig:
             raise ConfigError(f"unknown schedule {self.schedule!r}; expected one of {SCHEDULES}")
         if not self.encoder_layer_sizes or any(s < 1 for s in self.encoder_layer_sizes):
             raise ConfigError("encoder_layer_sizes must be a non-empty list of positive sizes")
+        if any(s < 1 for s in self.pathway_hidden_sizes):
+            raise ConfigError("pathway_hidden_sizes must hold positive sizes")
+        if self.decoder_layer_sizes is not None and (
+            not self.decoder_layer_sizes or any(s < 1 for s in self.decoder_layer_sizes)
+        ):
+            raise ConfigError("decoder_layer_sizes must be a non-empty list of positive sizes")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
         if self.beta < 0:
@@ -119,11 +131,62 @@ class ArchitectureConfig:
 
 @dataclass
 class ModelParams:
-    """Per-layer (W, b) stacks. pathway_encoders is empty for dense kinds."""
+    """Parameter storage: one (W, b) pair per layer.
 
-    pathway_encoders: list[list[tuple[np.ndarray, np.ndarray]]]
+    ``pathway`` packs the pathway stage of all P pathways and is empty for
+    dense kinds.  Layer 0 is one unpadded (N, h1) weight with a row per
+    (pathway, member gene) in pathway order, N the summed pathway sizes, and
+    a (P, h1) bias; pathway j owns rows ``pathway_offsets[j]`` to
+    ``pathway_offsets[j + 1]``.  Every later layer is a (P, h_in, h_out)
+    weight stack and a (P, 1, h_out) bias stack.  ``encoder`` and
+    ``decoder`` are dense stacks of (in, out) weights and (1, out) biases.
+    """
+
+    pathway: list[tuple[np.ndarray, np.ndarray]]
     encoder: list[tuple[np.ndarray, np.ndarray]]
     decoder: list[tuple[np.ndarray, np.ndarray]]
+    pathway_offsets: tuple[int, ...] = (0,)
+
+    @property
+    def pathway_encoders(self) -> list[list[tuple[np.ndarray, np.ndarray]]]:
+        """Per-pathway [(W, b), ...] stacks of views into ``pathway``.
+
+        Writing into a view writes the parameter.  The lists are rebuilt on
+        every access, so replacing an entry in them changes nothing."""
+        if not self.pathway:
+            return []
+        (W0, b0), later = self.pathway[0], self.pathway[1:]
+        off = self.pathway_offsets
+        return [
+            [(W0[off[j] : off[j + 1]], b0[j : j + 1])] + [(W[j], b[j]) for W, b in later]
+            for j in range(b0.shape[0])
+        ]
+
+
+class _Bucket(NamedTuple):
+    """Pathways whose sizes fall in one power-of-two range, padded to the
+    largest of them so that layer 0 runs as one batched matmul."""
+
+    pathways: np.ndarray  # (P_b,) pathway indices
+    genes: np.ndarray  # (P_b, m_b) gene columns; pad slots name the zero column gene_count
+    rows: np.ndarray  # (P_b, m_b) layer-0 weight rows; pad slots name the zero row N
+
+
+def _layer0_buckets(masks: list[PathwayMask], gene_count: int) -> list[_Bucket]:
+    sizes = [m.size for m in masks]
+    offsets = np.cumsum([0] + sizes)
+    keys = [(s - 1).bit_length() for s in sizes]
+    buckets = []
+    for key in sorted(set(keys)):
+        members = [j for j, k in enumerate(keys) if k == key]
+        width = max(sizes[j] for j in members)
+        genes = np.full((len(members), width), gene_count, dtype=np.intp)
+        rows = np.full((len(members), width), offsets[-1], dtype=np.intp)
+        for r, j in enumerate(members):
+            genes[r, : sizes[j]] = masks[j].indices
+            rows[r, : sizes[j]] = np.arange(offsets[j], offsets[j + 1])
+        buckets.append(_Bucket(np.asarray(members, dtype=np.intp), genes, rows))
+    return buckets
 
 
 @dataclass
@@ -139,6 +202,10 @@ class Model:
         if self.pathway_names is None:
             self.pathway_names = [m.name for m in self.masks]
 
+    @cached_property
+    def _buckets(self) -> list[_Bucket]:
+        return _layer0_buckets(self.masks, self.gene_count)
+
 
 @dataclass
 class ForwardOutputs:
@@ -150,13 +217,63 @@ class ForwardOutputs:
     caches: dict | None = None
 
 
-def _build_stack(sizes: list[int], rng: RngStream) -> list[tuple[np.ndarray, np.ndarray]]:
-    layers = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        W = init_weights(fan_in, fan_out, rng)
-        b = np.zeros((1, fan_out))
-        layers.append((W, b))
-    return layers
+def _allocate(arch: ArchitectureConfig, gene_count: int, masks: list[PathwayMask]) -> ModelParams:
+    """Zero-filled parameters of the shapes the architecture and masks fix."""
+
+    def dense(sizes):
+        return [(np.zeros((i, o)), np.zeros((1, o))) for i, o in zip(sizes[:-1], sizes[1:])]
+
+    pathway = []
+    offsets = (0,)
+    if is_pathway_kind(arch.kind):
+        offsets = tuple(int(o) for o in np.cumsum([0] + [m.size for m in masks]))
+        widths = list(arch.pathway_hidden_sizes) + [1]
+        n_pw = len(masks)
+        pathway.append((np.zeros((offsets[-1], widths[0])), np.zeros((n_pw, widths[0]))))
+        for h_in, h_out in zip(widths[:-1], widths[1:]):
+            pathway.append((np.zeros((n_pw, h_in, h_out)), np.zeros((n_pw, 1, h_out))))
+
+    enc_in = len(masks) if is_pathway_kind(arch.kind) else gene_count
+    enc_sizes = [enc_in] + list(arch.encoder_layer_sizes)
+    if is_variational(arch.kind):
+        enc_sizes[-1] = 2 * arch.latent_dim
+
+    if arch.decoder_layer_sizes is not None:
+        dec_sizes = [arch.latent_dim] + list(arch.decoder_layer_sizes)
+        if dec_sizes[-1] != gene_count:
+            raise ConfigError(
+                f"decoder must end at the gene count ({gene_count}), "
+                f"got {dec_sizes[-1]}"
+            )
+    else:
+        dec_sizes = [arch.latent_dim] + list(reversed(arch.encoder_layer_sizes[:-1])) + [gene_count]
+    return ModelParams(pathway, dense(enc_sizes), dense(dec_sizes), offsets)
+
+
+def _walk(params: ModelParams, per_pathway: bool):
+    """The one walk over a model's parameters: (name, tensor) pairs, pathway
+    stage then encoder then decoder, per layer W then b.
+
+    With ``per_pathway`` the pathway stage is walked as each pathway's views
+    under the checkpoint's ``pathway/{j}/{i}`` names, pathway by pathway:
+    the order build_model draws initial weights in.  Without it the packed
+    tensors are walked; those are what training updates."""
+    if per_pathway:
+        pathway = (
+            (f"pathway/{j}/{i}", W, b)
+            for j, stack in enumerate(params.pathway_encoders)
+            for i, (W, b) in enumerate(stack)
+        )
+    else:
+        pathway = ((f"pathway/{i}", W, b) for i, (W, b) in enumerate(params.pathway))
+    dense = (
+        (f"{section}/{i}", W, b)
+        for section in ("encoder", "decoder")
+        for i, (W, b) in enumerate(getattr(params, section))
+    )
+    for prefix, W, b in itertools.chain(pathway, dense):
+        yield f"{prefix}/W", W
+        yield f"{prefix}/b", b
 
 
 def build_model(
@@ -177,31 +294,10 @@ def build_model(
             m.check_bounds(gene_count)
     else:
         masks = []
-
-    pathway_encoders = []
-    if is_pathway_kind(arch.kind):
-        for m in masks:
-            sizes = [m.size] + list(arch.pathway_hidden_sizes) + [1]
-            pathway_encoders.append(_build_stack(sizes, rng))
-
-    enc_in = len(masks) if is_pathway_kind(arch.kind) else gene_count
-    enc_sizes = [enc_in] + list(arch.encoder_layer_sizes)
-    if is_variational(arch.kind):
-        enc_sizes[-1] = 2 * arch.latent_dim
-    encoder = _build_stack(enc_sizes, rng)
-
-    if arch.decoder_layer_sizes is not None:
-        dec_sizes = [arch.latent_dim] + list(arch.decoder_layer_sizes)
-        if dec_sizes[-1] != gene_count:
-            raise ConfigError(
-                f"decoder must end at the gene count ({gene_count}), "
-                f"got {dec_sizes[-1]}"
-            )
-    else:
-        dec_sizes = [arch.latent_dim] + list(reversed(arch.encoder_layer_sizes[:-1])) + [gene_count]
-    decoder = _build_stack(dec_sizes, rng)
-
-    params = ModelParams(pathway_encoders=pathway_encoders, encoder=encoder, decoder=decoder)
+    params = _allocate(arch, gene_count, masks)
+    for name, t in _walk(params, per_pathway=True):
+        if name.endswith("/W"):
+            t[...] = init_weights(*t.shape, rng)
     return Model(arch=arch, gene_count=gene_count, masks=masks, params=params, gene_names=gene_names)
 
 
@@ -250,19 +346,75 @@ def pathway_activity_forward(model: Model, x, training=False, rng=None):
 
 
 def _pathway_forward_cached(model, x, training, rng):
+    """Pathway stage on the packed tensors: one batched matmul per layer, and
+    per size bucket for layer 0.  Dropout for the whole stage is one uniform
+    draw, sliced so that each pathway and layer gets the values the
+    pathway-by-pathway, layer-by-layer order would give it."""
     if not is_pathway_kind(model.arch.kind):
         raise ConfigError(f"{model.arch.kind} has no pathway activity space")
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[1] != model.gene_count:
-        raise ShapeError(f"input has {x.shape[1]} genes, model expects {model.gene_count}")
-    cols = []
+    if x.ndim != 2 or x.shape[1] != model.gene_count:
+        raise ShapeError(f"input has shape {x.shape}, model expects {model.gene_count} genes")
+    layers = model.params.pathway
+    rate = model.arch.dropout_rate
+    n, n_pw = x.shape[0], len(model.masks)
+    draws = None
+    if training and rate > 0.0 and len(layers) > 1:
+        draws = rng.uniform(size=(n_pw, n * sum(model.arch.pathway_hidden_sizes)))
+    used = 0
+
     caches = []
-    for mask, layers in zip(model.masks, model.params.pathway_encoders):
-        xj = x[:, mask.indices]
-        aj, cache = _stack_forward(xj, layers, model.arch.dropout_rate, training, rng)
-        cols.append(aj)
-        caches.append(cache)
-    return np.concatenate(cols, axis=1), caches
+    last = len(layers) - 1
+    for i, (W, b) in enumerate(layers):
+        if i == 0:
+            x_pad = np.concatenate([x, np.zeros((n, 1))], axis=1)
+            W_pad = np.concatenate([W, np.zeros((1, W.shape[1]))])
+            lin_in = [x_pad[:, bk.genes].transpose(1, 0, 2) for bk in model._buckets]
+            h = np.empty((n_pw, n, W.shape[1]))
+            for bk, xb in zip(model._buckets, lin_in):
+                h[bk.pathways] = xb @ W_pad[bk.rows]
+            h += b[:, None, :]
+        else:
+            lin_in = h
+            h = h @ W + b
+        if i < last:
+            pre = h
+            h = np.maximum(0.0, h)
+            mask = None
+            if draws is not None:
+                width = h.shape[2]
+                u = draws[:, used : used + n * width].reshape(n_pw, n, width)
+                used += n * width
+                mask = (u >= rate) / (1.0 - rate)
+                h = h * mask
+            caches.append((lin_in, pre, mask))
+        else:
+            caches.append((lin_in, None, None))
+    return np.ascontiguousarray(h[:, :, 0].T), caches
+
+
+def _pathway_backward(model, grad_a, caches):
+    """Gradients of the packed pathway tensors given dL/da of shape (B, P)."""
+    layers = model.params.pathway
+    grads = [None] * len(layers)
+    g = np.ascontiguousarray(grad_a.T)[:, :, None]
+    last = len(layers) - 1
+    for i in range(last, -1, -1):
+        W, _b = layers[i]
+        lin_in, pre, mask = caches[i]
+        if i < last:
+            if mask is not None:
+                g = g * mask
+            g = g * (pre > 0.0)
+        if i > 0:
+            grads[i] = (lin_in.transpose(0, 2, 1) @ g, g.sum(axis=1, keepdims=True))
+            g = g @ W.transpose(0, 2, 1)
+        else:
+            gW = np.empty((W.shape[0] + 1, W.shape[1]))  # the last row takes the pad slots
+            for bk, xb in zip(model._buckets, lin_in):
+                gW[bk.rows] = xb.transpose(0, 2, 1) @ g[bk.pathways]
+            grads[0] = (gW[:-1], g.sum(axis=1))
+    return grads
 
 
 def encode(model: Model, inp, training=False, rng=None):
@@ -420,31 +572,15 @@ def loss(model: Model, x, outputs: ForwardOutputs, beta_eff: float = 0.0):
 
 
 def flat_params(model: Model) -> list[np.ndarray]:
-    """Canonical flat parameter order: pathway stacks, encoder, decoder;
-    within a stack per layer W then b."""
-    out = []
-    for stack in model.params.pathway_encoders:
-        for W, b in stack:
-            out.append(W)
-            out.append(b)
-    for W, b in model.params.encoder:
-        out.append(W)
-        out.append(b)
-    for W, b in model.params.decoder:
-        out.append(W)
-        out.append(b)
-    return out
+    """The parameter tensors training updates, in place: the packed pathway
+    stage, then encoder, then decoder, per layer W then b."""
+    return [t for _, t in _walk(model.params, per_pathway=False)]
 
 
 def count_params(model_or_params) -> int:
+    """Number of trainable scalars; the packed storage holds no padding."""
     params = model_or_params.params if isinstance(model_or_params, Model) else model_or_params
-    total = 0
-    for stack in params.pathway_encoders:
-        for W, b in stack:
-            total += W.size + b.size
-    for W, b in params.encoder + params.decoder:
-        total += W.size + b.size
-    return int(total)
+    return int(sum(t.size for _, t in _walk(params, per_pathway=False)))
 
 
 def loss_and_grads(model: Model, x, outputs: ForwardOutputs, beta_eff: float = 0.0):
@@ -473,24 +609,9 @@ def loss_and_grads(model: Model, x, outputs: ForwardOutputs, beta_eff: float = 0
 
     pw_grads = []
     if is_pathway_kind(model.arch.kind):
-        for j, (layers, cache) in enumerate(
-            zip(model.params.pathway_encoders, caches["pathway"])
-        ):
-            upstream_j = grad_enc_in[:, j : j + 1]
-            _, gj = _stack_backward(upstream_j, layers, cache)
-            pw_grads.append(gj)
-
-    flat = []
-    for stack in pw_grads:
-        for gW, gb in stack:
-            flat.append(gW)
-            flat.append(gb)
-    for gW, gb in enc_grads:
-        flat.append(gW)
-        flat.append(gb)
-    for gW, gb in dec_grads:
-        flat.append(gW)
-        flat.append(gb)
+        pw_grads = _pathway_backward(model, grad_enc_in, caches["pathway"])
+    grads = ModelParams(pw_grads, enc_grads, dec_grads)
+    flat = [g for _, g in _walk(grads, per_pathway=False)]
     return total, flat
 
 
@@ -570,29 +691,16 @@ def reconstruct(model: Model, X) -> np.ndarray:
 _CKPT_MAGIC = b"PATHAE-CKPT-v1\n"
 
 
-def _tensor_entries(model: Model):
-    entries = []
-    for j, stack in enumerate(model.params.pathway_encoders):
-        for i, (W, b) in enumerate(stack):
-            entries.append((f"pathway/{j}/{i}/W", W))
-            entries.append((f"pathway/{j}/{i}/b", b))
-    for i, (W, b) in enumerate(model.params.encoder):
-        entries.append((f"encoder/{i}/W", W))
-        entries.append((f"encoder/{i}/b", b))
-    for i, (W, b) in enumerate(model.params.decoder):
-        entries.append((f"decoder/{i}/W", W))
-        entries.append((f"decoder/{i}/b", b))
-    return entries
-
-
 def save_checkpoint(model: Model, path):
     """Self-describing container: JSON header plus raw little-endian float64
-    tensor bytes. Writing the same model twice yields identical bytes."""
-    entries = _tensor_entries(model)
+    tensor bytes. Writing the same model twice yields identical bytes.
+
+    The pathway stage is written pathway by pathway under ``pathway/{j}/{i}``
+    names, so the format does not depend on how the parameters are packed."""
     tensors = []
     offset = 0
     blobs = []
-    for name, arr in entries:
+    for name, arr in _walk(model.params, per_pathway=True):
         raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
         tensors.append({"name": name, "shape": list(arr.shape), "offset": offset})
         blobs.append(raw)
@@ -631,42 +739,74 @@ def save_checkpoint(model: Model, path):
 
 
 def load_checkpoint(path) -> Model:
+    """Read a checkpoint written by save_checkpoint.
+
+    Raises ConfigError when the file is not a checkpoint at all, and
+    DataError naming the path when it is damaged: a truncated or malformed
+    header, an unknown format, an architecture or masks that do not validate,
+    a tensor table that does not match them, or a body of the wrong length."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(_CKPT_MAGIC))
-        if magic != _CKPT_MAGIC:
+        if fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
             raise ConfigError(f"{path}: not a checkpoint file (bad magic)")
-        head_len = int(fh.readline().decode("ascii").strip())
-        header = json.loads(fh.read(head_len).decode("utf-8"))
-        body = fh.read()
+        data = fh.read()
+    try:
+        return _decode_checkpoint(data)
+    except (KeyError, IndexError, TypeError, ValueError, PathaeError) as exc:
+        # ValueError covers JSON and UTF-8 decoding; the rest, a header of
+        # the wrong structure
+        raise DataError(f"{path}: damaged checkpoint: {exc!r}") from exc
+
+
+def _decode_checkpoint(data: bytes) -> Model:
+    head_line, newline, rest = data.partition(b"\n")
+    if not newline or not head_line.isdigit():
+        raise DataError("truncated header length")
+    head_len = int(head_line)
+    if len(rest) < head_len:
+        raise DataError(f"header truncated at {len(rest)} of {head_len} bytes")
+    header = json.loads(rest[:head_len].decode("utf-8"))
+    body = rest[head_len:]
+    if header["format"] != 1:
+        raise DataError(f"unsupported format {header['format']!r}")
+
     arch = ArchitectureConfig(**header["arch"])
-    masks = [PathwayMask(m["name"], np.asarray(m["indices"])) for m in header["masks"]]
-    named = {}
-    for t in header["tensors"]:
-        shape = tuple(t["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = t["offset"]
-        arr = np.frombuffer(body, dtype="<f8", count=count, offset=start).reshape(shape)
-        named[t["name"]] = arr.astype(np.float64)
+    gene_count = header["gene_count"]
+    if not _is_int(gene_count) or gene_count < 1:
+        raise DataError(f"gene_count {gene_count!r} is not a positive integer")
+    gene_names = header["gene_names"]
+    if gene_names is not None and len(gene_names) != gene_count:
+        raise DataError(f"{len(gene_names)} gene names for {gene_count} genes")
+    masks = []
+    for m in header["masks"]:
+        if not all(_is_int(i) for i in m["indices"]):
+            raise DataError(f"pathway {m['name']!r} has non-integer indices")
+        mask = PathwayMask(m["name"], np.asarray(m["indices"], dtype=np.intp))
+        mask.check_bounds(gene_count)
+        masks.append(mask)
+    if bool(masks) != is_pathway_kind(arch.kind):
+        raise DataError(f"{len(masks)} pathway masks for a {arch.kind} model")
+    params = _allocate(arch, gene_count, masks)
 
-    def stack_for(prefix, n_layers):
-        return [(named[f"{prefix}/{i}/W"], named[f"{prefix}/{i}/b"]) for i in range(n_layers)]
-
-    n_pw_layers = len(arch.pathway_hidden_sizes) + 1
-    pathway_encoders = [
-        stack_for(f"pathway/{j}", n_pw_layers) for j in range(len(masks))
-    ]
-    n_enc = len(arch.encoder_layer_sizes)
-    encoder = stack_for("encoder", n_enc)
-    if arch.decoder_layer_sizes is not None:
-        n_dec = len(arch.decoder_layer_sizes)
-    else:
-        n_dec = len(arch.encoder_layer_sizes[:-1]) + 1
-    decoder = stack_for("decoder", n_dec)
-    params = ModelParams(pathway_encoders=pathway_encoders, encoder=encoder, decoder=decoder)
+    table = {t["name"]: t for t in header["tensors"]}
+    views = list(_walk(params, per_pathway=True))
+    if len(table) != len(header["tensors"]) or sorted(table) != sorted(n for n, _ in views):
+        raise DataError("tensor table does not match the architecture")
+    expected = sum(v.nbytes for _, v in views)
+    if len(body) != expected:
+        raise DataError(f"body has {len(body)} bytes, the tensors need {expected}")
+    for name, view in views:
+        shape, offset = table[name]["shape"], table[name]["offset"]
+        if shape != list(view.shape):
+            raise DataError(f"tensor {name} has shape {shape}, expected {list(view.shape)}")
+        if not _is_int(offset) or offset < 0 or offset + view.nbytes > len(body):
+            raise DataError(f"tensor {name} offset {offset!r} outside the body")
+        view[...] = np.frombuffer(body, dtype="<f8", count=view.size, offset=offset).reshape(
+            view.shape
+        )
     return Model(
-        arch=arch,
-        gene_count=header["gene_count"],
-        masks=masks,
-        params=params,
-        gene_names=header["gene_names"],
+        arch=arch, gene_count=gene_count, masks=masks, params=params, gene_names=gene_names
     )
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)

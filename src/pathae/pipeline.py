@@ -52,7 +52,10 @@ def extract_representation(model: Model, X, space: str) -> np.ndarray:
         raise ConfigError(f"space 'mu' unavailable for {kind}")
     if space == "z" and models.is_variational(kind):
         raise ConfigError(f"space 'z' is stochastic for {kind}; use 'mu'")
-    outs = models.forward(model, X, training=False)
+    return _pick_space(models.forward(model, X, training=False), space)
+
+
+def _pick_space(outs: models.ForwardOutputs, space: str) -> np.ndarray:
     if space == "a":
         return outs.a
     if space == "mu":
@@ -297,13 +300,14 @@ def _one_repeat(
         log.warning("repeat %d (seed %d) diverged: %s", r, seed, exc)
         return MetricsReport(param_count=n_params, seed=seed, diverged=True)
     rep_train = extract_representation(model, X_train, space)
-    rep_test = extract_representation(model, X_test, space)
+    test_outs = models.forward(model, X_test, training=False)
+    rep_test = _pick_space(test_outs, space)
     clf = fit_classifier(classifier, rep_train, y_train, stream)
     y_pred = predict_labels(clf, rep_test)
     scores = predict_proba(clf, rep_test)
     cm = confusion_metrics(y_test, y_pred, vocabulary=list(clf.classes))
     auc = roc_auc_macro(y_test, scores, vocabulary=list(clf.classes))
-    mse, _ = models.mse_loss(X_test, models.reconstruct(model, X_test))
+    mse, _ = models.mse_loss(X_test, test_outs.x_hat)
     return MetricsReport(
         accuracy=cm["accuracy"],
         precision=cm["precision"],

@@ -219,6 +219,16 @@ class TestInterpret:
         cfg2 = write_config(tmp_path / "c2.ini", fixture_dir, tmp_path / "run2")
         assert main(["interpret", "-c", cfg2, "--checkpoint", ckpt]) == 1
 
+    @pytest.mark.parametrize("command", ["interpret", "survival"])
+    def test_truncated_checkpoint_is_data_error(self, fixture_dir, trained_checkpoint, tmp_path,
+                                                command):
+        _, ckpt = trained_checkpoint
+        data = Path(ckpt).read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        cut.write_bytes(data[: len(data) // 2])
+        cfg = write_config(tmp_path / "c.ini", fixture_dir, tmp_path / "run")
+        assert main([command, "-c", cfg, "--checkpoint", str(cut)]) == 2
+
 
 class TestSurvival:
     def test_summary_matches_emitted_plots(self, fixture_dir, trained_checkpoint, tmp_path):

@@ -1,7 +1,11 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from pathae.errors import ConfigError, ShapeError, TrainingDiverged
+from pathae.errors import ConfigError, DataError, ShapeError, TrainingDiverged
 from pathae.models import (
     ArchitectureConfig,
     ModelParams,
@@ -76,6 +80,15 @@ class TestBuildModel:
         arch = ArchitectureConfig(kind="paae", encoder_layer_sizes=[4])
         with pytest.raises(ShapeError):
             build_model(arch, 3, [PathwayMask("P", np.array([0, 5]))], RngStream(0))
+
+    @pytest.mark.parametrize(
+        "sizes",
+        [{"pathway_hidden_sizes": [3, 0]}, {"decoder_layer_sizes": []},
+         {"decoder_layer_sizes": [-1, 5]}],
+    )
+    def test_nonpositive_layer_sizes_rejected(self, sizes):
+        with pytest.raises(ConfigError):
+            ArchitectureConfig(kind="paae", encoder_layer_sizes=[4], **sizes)
 
     def test_empty_model_counts_zero(self):
         assert count_params(ModelParams([], [], [])) == 0
@@ -275,6 +288,89 @@ class TestBetaSchedule:
             beta_schedule(0, "smooth", 1.0, 100, 100)
 
 
+def loop_pathway_activity(model, x, rng=None):
+    """Reference pathway stage: each pathway's stack on its own, drawing
+    dropout (when rng is given) pathway by pathway, layer by layer."""
+    rate = model.arch.dropout_rate
+    cols = []
+    for mask, stack in zip(model.masks, model.params.pathway_encoders):
+        h = x[:, mask.indices]
+        for i, (W, b) in enumerate(stack):
+            h = h @ W + b
+            if i < len(stack) - 1:
+                h = np.maximum(0.0, h)
+                if rng is not None:
+                    h = h * ((rng.uniform(size=h.shape) >= rate) / (1.0 - rate))
+        cols.append(h)
+    return np.concatenate(cols, axis=1)
+
+
+class TestPackedPathwayStage:
+    # sizes 1..17 fall in five power-of-two buckets, most of them padded;
+    # masks overlap and are unsorted, and gene 24 is in no pathway
+    SIZES = [1, 2, 3, 5, 9, 17, 4, 12, 3]
+    GENES = 25
+
+    def _model(self, hidden, dropout=0.3, kind="paae"):
+        rng = RngStream(21)
+        masks = [
+            PathwayMask(f"P{j}", rng.choice(self.GENES - 1, size=s, replace=False))
+            for j, s in enumerate(self.SIZES)
+        ]
+        arch = ArchitectureConfig(
+            kind=kind, encoder_layer_sizes=[3], pathway_hidden_sizes=hidden, dropout_rate=dropout
+        )
+        model = build_model(arch, self.GENES, masks, RngStream(22))
+        randomize_params(model, RngStream(23))
+        return model
+
+    @pytest.mark.parametrize("hidden", [[], [4], [3, 2]])
+    def test_matches_per_pathway_loop(self, hidden):
+        model = self._model(hidden)
+        x = RngStream(24).normal(size=(6, self.GENES))
+        x[:, -1] = np.nan  # out-of-mask values never reach an activity
+        np.testing.assert_allclose(
+            pathway_activity_forward(model, x), loop_pathway_activity(model, x),
+            rtol=1e-12, atol=1e-12,
+        )
+        a = forward(model, x, training=True, rng=RngStream(25)).a
+        np.testing.assert_allclose(
+            a, loop_pathway_activity(model, x, RngStream(25)), rtol=1e-12, atol=1e-12
+        )
+
+    def test_pathway_gradients_match_finite_differences(self):
+        model = self._model([3, 2], kind="pavae")
+        x = RngStream(26).normal(size=(4, self.GENES))
+        outs = forward(model, x, training=True, rng=RngStream(27))
+        _, grads = loss_and_grads(model, x, outs, 0.5)
+        n_pathway = 2 * len(model.params.pathway)
+        for p, g in list(zip(flat_params(model), grads))[:n_pathway]:
+            def f(v, p=p):
+                old = p.copy()
+                p[...] = v
+                value = loss(model, x, forward(model, x, training=True, rng=RngStream(27)), 0.5)
+                p[...] = old
+                return value
+
+            assert max_rel_err(g, finite_diff_grad(f, p.copy())) < 1e-3
+
+    def test_tensor_count_independent_of_pathway_count(self):
+        arch = ArchitectureConfig(kind="pavae", encoder_layer_sizes=[4], pathway_hidden_sizes=[3, 2])
+        few = build_model(arch, 60, make_masks([3, 5], 60), RngStream(0))
+        many = build_model(arch, 60, make_masks([2, 3, 4, 5] * 4, 60), RngStream(0))
+        assert len(flat_params(few)) == len(flat_params(many)) == 10
+
+    def test_pathway_encoders_are_views(self):
+        model = self._model([3])
+        W, b = model.params.pathway_encoders[4][0]
+        assert W.shape == (self.SIZES[4], 3) and b.shape == (1, 3)
+        W[...] = 7.0
+        W0 = model.params.pathway[0][0]
+        start = sum(self.SIZES[:4])
+        assert np.all(W0[start : start + self.SIZES[4]] == 7.0)
+        assert np.count_nonzero(W0 == 7.0) == W.size
+
+
 class TestCompositeLoss:
     def test_vae_beta_zero_equals_mse(self):
         arch = ArchitectureConfig(kind="vae", encoder_layer_sizes=[3, 2], dropout_rate=0.0)
@@ -288,8 +384,9 @@ class TestCompositeLoss:
         arch = ArchitectureConfig(kind="pavae", encoder_layer_sizes=[2], dropout_rate=0.0)
         model = build_model(arch, 4, make_masks([2, 2], 4), RngStream(0))
         for stack in model.params.pathway_encoders:
-            for i, (W, b) in enumerate(stack):
-                stack[i] = (np.zeros_like(W), np.zeros_like(b))
+            for W, b in stack:
+                W[...] = 0.0
+                b[...] = 0.0
         model.params.encoder[0] = tuple(np.zeros_like(t) for t in model.params.encoder[0])
         model.params.decoder[0] = tuple(np.zeros_like(t) for t in model.params.decoder[0])
         x = np.zeros((3, 4))
@@ -419,3 +516,74 @@ class TestCheckpoint:
         path.write_bytes(b"not a checkpoint")
         with pytest.raises(ConfigError):
             load_checkpoint(path)
+
+    def test_truncation_at_every_offset_is_config_or_data_error(self, tmp_path):
+        path, cut = tmp_path / "m.ckpt", tmp_path / "cut.ckpt"
+        save_checkpoint(self._model(), path)
+        data = path.read_bytes()
+        for n in range(len(data)):
+            cut.write_bytes(data[:n])
+            with pytest.raises((ConfigError, DataError)) as err:
+                load_checkpoint(cut)
+            if n >= len(MAGIC):
+                assert isinstance(err.value, DataError) and str(cut) in str(err.value)
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            lambda h, body: ({**h, "format": 2}, body),
+            lambda h, body: ([h], body),
+            lambda h, body: (h, body + bytes(8)),
+            lambda h, body: ({**h, "gene_count": 3}, body),
+            lambda h, body: ({**h, "gene_names": ["G0"]}, body),
+            lambda h, body: ({**h, "arch": {**h["arch"], "dropout_rate": 2.0}}, body),
+            lambda h, body: ({**h, "arch": {**h["arch"], "encoder_layer_sizes": [5, 2]}}, body),
+            lambda h, body: ({**h, "masks": [{"name": "P0", "indices": [0, 9]}] + h["masks"][1:]},
+                             body),
+            lambda h, body: ({**h, "masks": [{"name": "P0", "indices": [0, 1.0, 2]}]
+                              + h["masks"][1:]}, body),
+            lambda h, body: ({**h, "tensors": h["tensors"][:-1]}, body),
+            lambda h, body: ({**h, "tensors": [{**h["tensors"][0], "shape": [2, 3]}]
+                              + h["tensors"][1:]}, body),
+            lambda h, body: ({**h, "tensors": [{**h["tensors"][0], "offset": len(body)}]
+                              + h["tensors"][1:]}, body),
+        ],
+        ids=["format", "not-a-dict", "trailing-bytes", "gene-count", "gene-names", "arch-value",
+             "arch-shapes", "mask-bounds", "float-index", "missing-tensor", "tensor-shape",
+             "offset"],
+    )
+    def test_damaged_header_is_data_error_naming_path(self, tmp_path, damage):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(self._model(), path)
+        header, body = split_checkpoint(path.read_bytes())
+        header, body = damage(header, body)
+        head = json.dumps(header).encode()
+        path.write_bytes(MAGIC + f"{len(head)}\n".encode() + head + body)
+        with pytest.raises(DataError, match="m.ckpt"):
+            load_checkpoint(path)
+
+    @settings(max_examples=300, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.data())
+    def test_any_header_byte_damage_is_config_or_data_error(self, tmp_path, data):
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(self._model(), path)
+        raw = bytearray(path.read_bytes())
+        header, body = split_checkpoint(bytes(raw))
+        pos = data.draw(st.integers(0, len(raw) - len(body) - 1))
+        raw[pos] = data.draw(st.integers(0, 255))
+        path.write_bytes(bytes(raw))
+        try:
+            load_checkpoint(path)
+        except (ConfigError, DataError):
+            pass
+
+
+MAGIC = b"PATHAE-CKPT-v1\n"
+
+
+def split_checkpoint(data):
+    """(header dict, body bytes) of a checkpoint file's contents."""
+    line, _, rest = data[len(MAGIC):].partition(b"\n")
+    n = int(line)
+    return json.loads(rest[:n]), rest[n:]
