@@ -754,7 +754,7 @@ def load_checkpoint(path) -> Model:
     except (KeyError, IndexError, TypeError, ValueError, PathaeError) as exc:
         # ValueError covers JSON and UTF-8 decoding; the rest, a header of
         # the wrong structure
-        raise DataError(f"{path}: damaged checkpoint: {exc!r}") from exc
+        raise DataError(f"{path}: damaged checkpoint: {type(exc).__name__}: {exc}") from exc
 
 
 def _decode_checkpoint(data: bytes) -> Model:
@@ -778,11 +778,9 @@ def _decode_checkpoint(data: bytes) -> Model:
         raise DataError(f"{len(gene_names)} gene names for {gene_count} genes")
     masks = []
     for m in header["masks"]:
-        if not all(_is_int(i) for i in m["indices"]):
-            raise DataError(f"pathway {m['name']!r} has non-integer indices")
-        mask = PathwayMask(m["name"], np.asarray(m["indices"], dtype=np.intp))
-        mask.check_bounds(gene_count)
-        masks.append(mask)
+        if not all(_is_int(i) and 0 <= i < gene_count for i in m["indices"]):
+            raise DataError(f"pathway {m['name']!r} has indices outside 0..{gene_count - 1}")
+        masks.append(PathwayMask(m["name"], np.asarray(m["indices"], dtype=np.intp)))
     if bool(masks) != is_pathway_kind(arch.kind):
         raise DataError(f"{len(masks)} pathway masks for a {arch.kind} model")
     params = _allocate(arch, gene_count, masks)
