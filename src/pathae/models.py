@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -217,21 +218,18 @@ class ForwardOutputs:
     caches: dict | None = None
 
 
-def _allocate(arch: ArchitectureConfig, gene_count: int, masks: list[PathwayMask]) -> ModelParams:
-    """Zero-filled parameters of the shapes the architecture and masks fix."""
-
-    def dense(sizes):
-        return [(np.zeros((i, o)), np.zeros((1, o))) for i, o in zip(sizes[:-1], sizes[1:])]
-
+def _layer_shapes(arch: ArchitectureConfig, gene_count: int, masks: list[PathwayMask]):
+    """(pathway, encoder, decoder, pathway_offsets): the (W, b) shapes of
+    each section's layers, as the architecture and masks fix them."""
     pathway = []
     offsets = (0,)
     if is_pathway_kind(arch.kind):
         offsets = tuple(int(o) for o in np.cumsum([0] + [m.size for m in masks]))
         widths = list(arch.pathway_hidden_sizes) + [1]
         n_pw = len(masks)
-        pathway.append((np.zeros((offsets[-1], widths[0])), np.zeros((n_pw, widths[0]))))
+        pathway.append(((offsets[-1], widths[0]), (n_pw, widths[0])))
         for h_in, h_out in zip(widths[:-1], widths[1:]):
-            pathway.append((np.zeros((n_pw, h_in, h_out)), np.zeros((n_pw, 1, h_out))))
+            pathway.append(((n_pw, h_in, h_out), (n_pw, 1, h_out)))
 
     enc_in = len(masks) if is_pathway_kind(arch.kind) else gene_count
     enc_sizes = [enc_in] + list(arch.encoder_layer_sizes)
@@ -247,7 +245,20 @@ def _allocate(arch: ArchitectureConfig, gene_count: int, masks: list[PathwayMask
             )
     else:
         dec_sizes = [arch.latent_dim] + list(reversed(arch.encoder_layer_sizes[:-1])) + [gene_count]
-    return ModelParams(pathway, dense(enc_sizes), dense(dec_sizes), offsets)
+
+    def dense(sizes):
+        return [((i, o), (1, o)) for i, o in zip(sizes[:-1], sizes[1:])]
+
+    return pathway, dense(enc_sizes), dense(dec_sizes), offsets
+
+
+def _allocate(arch: ArchitectureConfig, gene_count: int, masks: list[PathwayMask]) -> ModelParams:
+    """Zero-filled parameters of the shapes the architecture and masks fix."""
+    *sections, offsets = _layer_shapes(arch, gene_count, masks)
+    pathway, encoder, decoder = (
+        [(np.zeros(w), np.zeros(b)) for w, b in layers] for layers in sections
+    )
+    return ModelParams(pathway, encoder, decoder, offsets)
 
 
 def _walk(params: ModelParams, per_pathway: bool):
@@ -783,15 +794,18 @@ def _decode_checkpoint(data: bytes) -> Model:
         masks.append(PathwayMask(m["name"], np.asarray(m["indices"], dtype=np.intp)))
     if bool(masks) != is_pathway_kind(arch.kind):
         raise DataError(f"{len(masks)} pathway masks for a {arch.kind} model")
+    # sized from the header alone, before anything is allocated, so a damaged
+    # layer size cannot ask for more memory than the file holds
+    *sections, _ = _layer_shapes(arch, gene_count, masks)
+    expected = 8 * sum(math.prod(s) for layers in sections for pair in layers for s in pair)
+    if len(body) != expected:
+        raise DataError(f"body has {len(body)} bytes, the tensors need {expected}")
     params = _allocate(arch, gene_count, masks)
 
     table = {t["name"]: t for t in header["tensors"]}
     views = list(_walk(params, per_pathway=True))
     if len(table) != len(header["tensors"]) or sorted(table) != sorted(n for n, _ in views):
         raise DataError("tensor table does not match the architecture")
-    expected = sum(v.nbytes for _, v in views)
-    if len(body) != expected:
-        raise DataError(f"body has {len(body)} bytes, the tensors need {expected}")
     for name, view in views:
         shape, offset = table[name]["shape"], table[name]["offset"]
         if shape != list(view.shape):
