@@ -15,8 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize
 
-from .errors import DataError, ShapeError
+from .errors import ConfigError, DataError, ShapeError
 from .ndcore import RngStream, as_stream
+
+CLASSIFIERS = ("lr", "rf")
 
 
 def _encode_labels(y):
@@ -243,12 +245,12 @@ def predict_labels(model, X) -> np.ndarray:
 
 
 def fit_classifier(name: str, X, y, rng=None):
-    """Dispatch by short name: 'lr' or 'rf'."""
+    """Dispatch by short name, one of CLASSIFIERS."""
     if name == "lr":
         return lr_fit(X, y, rng=rng)
     if name == "rf":
         return rf_fit(X, y, rng=rng)
-    raise ValueError(f"unknown classifier {name!r}; expected 'lr' or 'rf'")
+    raise ConfigError(f"unknown classifier {name!r}; expected one of {CLASSIFIERS}")
 
 
 def predict_proba(model, X) -> np.ndarray:

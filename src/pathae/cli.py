@@ -8,6 +8,8 @@ the output directory, and finishes by writing a manifest.json listing the
 emitted files and a hash of the resolved configuration.
 
 Exit codes: 0 success, 1 usage/configuration, 2 data, 3 numeric/divergence.
+Any other exception is a bug: it exits 1 with a one-line "internal error"
+message, and prints its traceback only under --verbose.
 """
 
 from __future__ import annotations
@@ -20,12 +22,15 @@ import json
 import logging
 import os
 import sys
+import traceback
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from . import __version__
 from . import dataio, interpret, models, pipeline
+from .atomic import atomic_open
+from .classifiers import CLASSIFIERS
 from .errors import ConfigError, DataError, NumericError, PathaeError
 from .models import ArchitectureConfig, TrainConfig
 from .ndcore import RngStream
@@ -138,7 +143,9 @@ _SECTION_FIELDS = {
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
-    """Read the INI file and apply overrides (flags win)."""
+    """Read the INI file and apply overrides (flags win).
+
+    A value that does not parse is a ConfigError naming its section and key."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -148,64 +155,39 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         raise ConfigError(f"{path}: {exc}") from None
     cfg = ExperimentConfig()
 
-    def get(section, option, default=None):
-        if parser.has_option(section, option):
+    def read(section, options, cast=str, prefix="", keep_empty=False):
+        """Set cfg.<prefix><option> from each option present, and non-empty
+        unless keep_empty."""
+        for option in options:
+            if not parser.has_option(section, option):
+                continue
             value = parser.get(section, option).strip()
-            return value if value != "" else default
-        return default
+            if value == "" and not keep_empty:
+                continue
+            try:
+                setattr(cfg, prefix + option, cast(value))
+            except ValueError as exc:
+                raise ConfigError(f"{path}: [{section}] {option} = {value!r}: {exc}") from None
 
     for section, names in _SECTION_FIELDS.items():
-        for name in names:
-            value = get(section, name)
-            if value is not None:
-                setattr(cfg, name, value)
-    raw = get("data", "drop_label_values")
-    if raw is not None:
-        cfg.drop_label_values = _parse_str_list(raw)
-    if get("data", "log_offset") is not None:
-        cfg.log_offset = float(get("data", "log_offset"))
-    if get("data", "renormalize_test") is not None:
-        cfg.renormalize_test = get("data", "renormalize_test").lower() in ("1", "true", "yes")
-    for name in ("encoder_layer_sizes", "pathway_hidden_sizes", "decoder_layer_sizes"):
-        value = get("model", name)
-        if value is not None:
-            setattr(cfg, name, _parse_int_list(value))
-    for name, cast in (("dropout", float), ("beta", float), ("t_start", int), ("t_end", int)):
-        value = get("model", name)
-        if value is not None:
-            setattr(cfg, name, cast(value))
-    for name, cast in (
-        ("epochs", int), ("learning_rate", float), ("batch_size", int), ("seed", int),
-    ):
-        value = get("train", name)
-        if value is not None:
-            setattr(cfg, name, cast(value))
-    for name, cast in (("repeats", int), ("folds", int)):
-        value = get("evaluate", name)
-        if value is not None:
-            setattr(cfg, name, cast(value))
-    if get("grid", "encoder_layer_sizes") is not None:
-        cfg.grid_encoder_layer_sizes = _parse_grid_axis(get("grid", "encoder_layer_sizes"))
-    if parser.has_option("grid", "pathway_hidden_sizes"):
-        cfg.grid_pathway_hidden_sizes = _parse_grid_axis(
-            parser.get("grid", "pathway_hidden_sizes")
-        )
-    if get("grid", "betas") is not None:
-        cfg.grid_betas = _parse_float_list(get("grid", "betas"))
-    if get("grid", "schedules") is not None:
-        cfg.grid_schedules = _parse_str_list(get("grid", "schedules"))
-    if get("grid", "classifiers") is not None:
-        cfg.grid_classifiers = _parse_str_list(get("grid", "classifiers"))
-    for name, cast in (
-        ("top_pathways", int), ("top_genes", int), ("clustermap_pathways", int),
-        ("survival_window_days", float),
-    ):
-        value = get("interpret", name)
-        if value is not None:
-            setattr(cfg, name, cast(value))
-    value = get("output", "dir")
-    if value is not None:
-        cfg.output_dir = value
+        read(section, names)
+    read("data", ["drop_label_values"], _parse_str_list)
+    read("data", ["log_offset"], float)
+    read("data", ["renormalize_test"], lambda v: v.lower() in ("1", "true", "yes"))
+    read("model", ["encoder_layer_sizes", "pathway_hidden_sizes", "decoder_layer_sizes"],
+         _parse_int_list)
+    read("model", ["dropout", "beta"], float)
+    read("model", ["t_start", "t_end"], int)
+    read("train", ["epochs", "batch_size", "seed"], int)
+    read("train", ["learning_rate"], float)
+    read("evaluate", ["repeats", "folds"], int)
+    read("grid", ["encoder_layer_sizes"], _parse_grid_axis, "grid_")
+    read("grid", ["pathway_hidden_sizes"], _parse_grid_axis, "grid_", keep_empty=True)
+    read("grid", ["betas"], _parse_float_list, "grid_")
+    read("grid", ["schedules", "classifiers"], _parse_str_list, "grid_")
+    read("interpret", ["top_pathways", "top_genes", "clustermap_pathways"], int)
+    read("interpret", ["survival_window_days"], float)
+    read("output", ["dir"], prefix="output_")
 
     for key, val in (overrides or {}).items():
         if val is not None:
@@ -230,7 +212,7 @@ def validate_config(cfg: ExperimentConfig, command: str):
         raise ConfigError(f"unknown normalization {cfg.normalization!r}")
     if cfg.space not in pipeline.SPACES:
         raise ConfigError(f"unknown space {cfg.space!r}")
-    if cfg.classifier not in ("lr", "rf"):
+    if cfg.classifier not in CLASSIFIERS:
         raise ConfigError(f"unknown classifier {cfg.classifier!r}")
     if cfg.threads < 1:
         raise ConfigError("threads must be >= 1")
@@ -257,6 +239,8 @@ def validate_config(cfg: ExperimentConfig, command: str):
     # construct these early so bad values fail before side effects
     _arch_from(cfg)
     _train_config_from(cfg)
+    if command == "gridsearch":
+        _grid_from(cfg)
 
 
 def _arch_from(cfg: ExperimentConfig) -> ArchitectureConfig:
@@ -281,6 +265,16 @@ def _train_config_from(cfg: ExperimentConfig) -> TrainConfig:
         learning_rate=cfg.learning_rate,
         batch_size=cfg.batch_size,
         seed=cfg.seed,
+    )
+
+
+def _grid_from(cfg: ExperimentConfig) -> GridSpec:
+    return GridSpec(
+        encoder_layer_sizes=cfg.grid_encoder_layer_sizes,
+        pathway_hidden_sizes=cfg.grid_pathway_hidden_sizes,
+        betas=cfg.grid_betas,
+        schedules=cfg.grid_schedules,
+        classifiers=cfg.grid_classifiers,
     )
 
 
@@ -353,7 +347,7 @@ class _RunDir:
             "files": sorted(set(self.files)),
             "version": __version__,
         }
-        with open(os.path.join(self.dir, "manifest.json"), "w", encoding="utf-8") as fh:
+        with atomic_open(os.path.join(self.dir, "manifest.json"), "w", encoding="utf-8") as fh:
             json.dump(manifest, fh, indent=2, sort_keys=True)
         return manifest
 
@@ -404,18 +398,10 @@ def cmd_gridsearch(cfg: ExperimentConfig) -> int:
     table, y = _align_labeled(table, label_table)
     norm = dataio.fit_normalizer(table, cfg.normalization, offset=cfg.log_offset)
     X = dataio.apply_normalizer(norm, table).values
-    grid = GridSpec(
-        encoder_layer_sizes=cfg.grid_encoder_layer_sizes,
-        pathway_hidden_sizes=cfg.grid_pathway_hidden_sizes,
-        betas=cfg.grid_betas,
-        schedules=cfg.grid_schedules,
-        classifiers=cfg.grid_classifiers,
-    )
     best, rows = pipeline.cross_validate(
-        X, y, cfg.kind, grid, _train_config_from(cfg),
+        X, y, cfg.kind, _grid_from(cfg), _train_config_from(cfg),
         masks=masks, folds=cfg.folds, rng=RngStream(cfg.seed),
         dropout_rate=cfg.dropout, t_start=cfg.t_start, t_end=cfg.t_end,
-        threads=cfg.threads,
     )
     run = _RunDir(cfg, "gridsearch")
     out = run.path(f"gridsearch-{cfg.dataset_name}-{cfg.kind}.csv")
@@ -459,7 +445,7 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
         _arch_from(cfg), _train_config_from(cfg),
         classifier=cfg.classifier, space=cfg.space, masks=masks,
         norm_kind=cfg.normalization, renormalize_test=cfg.renormalize_test,
-        repeats=cfg.repeats, base_seed=cfg.seed, threads=cfg.threads,
+        repeats=cfg.repeats, base_seed=cfg.seed,
     )
     run = _RunDir(cfg, "validate")
     stem = f"report-{cfg.dataset_name}-{cfg.kind}-{cfg.space}"
@@ -688,8 +674,10 @@ def _add_common(sub):
     sub.add_argument("--output", help="output directory (overrides [output] dir)")
     sub.add_argument("--seed", type=int, help="master seed override")
     sub.add_argument("--epochs", type=int, help="training epochs override")
-    sub.add_argument("--threads", type=int, default=None, help="worker threads (1 = serial)")
-    sub.add_argument("--verbose", action="store_true")
+    sub.add_argument("--threads", type=int, default=None,
+                     help="accepted for compatibility; has no effect, work runs serially")
+    sub.add_argument("--verbose", action="store_true",
+                     help="debug logging, and a traceback on an internal error")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -718,7 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "validate":
             sub.add_argument("--repeats", type=int)
             sub.add_argument("--space", choices=pipeline.SPACES)
-            sub.add_argument("--classifier", choices=("lr", "rf"))
+            sub.add_argument("--classifier", choices=CLASSIFIERS)
 
     for name, help_text in (
         ("interpret", "clustermaps, featuremaps, MI ranking and NPW tables"),
@@ -781,6 +769,11 @@ def main(argv=None) -> int:
         return 3
     except PathaeError as exc:
         print(f"pathae: error: {exc}", file=sys.stderr)
+        return 1
+    except Exception as exc:  # last resort: a bug, reported without a raw traceback
+        if getattr(args, "verbose", False):
+            traceback.print_exc(file=sys.stderr)
+        print(f"pathae: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -26,20 +26,9 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import ConfigError, DataError, NumericError, PathaeError, ShapeError, TrainingDiverged
-from .ndcore import (
-    AdamState,
-    RngStream,
-    adam_step,
-    affine_backward,
-    affine_forward,
-    as_stream,
-    dropout_backward,
-    dropout_forward,
-    init_weights,
-    relu_backward,
-    relu_forward,
-)
+from .ndcore import AdamState, RngStream, adam_step, as_stream, init_weights
 
 KINDS = ("ae", "vae", "paae", "pavae")
 SCHEDULES = ("none", "step", "smooth")
@@ -317,41 +306,77 @@ def build_model(
 # ---------------------------------------------------------------------------
 
 
-def _stack_forward(x, layers, dropout_rate, training, rng):
-    """Hidden layers: affine -> ReLU -> dropout. Final layer: affine only."""
-    cache = []
-    h = x
+def _affine(x, W, b):
+    return x @ W + b, x
+
+
+def _affine_grads(lin_in, g):
+    return np.swapaxes(lin_in, -1, -2) @ g, g.sum(axis=-2, keepdims=True)
+
+
+def _layers_forward(h, layers, rate, uniform, layer0=_affine):
+    """Hidden layers: affine -> ReLU -> dropout. Final layer: affine only.
+
+    Runs dense (B, in) and pathway (P, B, in) stacks alike.  ``uniform(shape)``
+    draws the dropout uniforms, None when dropout is off; ``layer0(x, W, b)``
+    is layer 0's affine map, returning (output, input for the gradient)."""
+    caches = []
     last = len(layers) - 1
     for i, (W, b) in enumerate(layers):
-        lin_in = h
-        h = affine_forward(h, W, b)
+        h, lin_in = (layer0 if i == 0 else _affine)(h, W, b)
         if i < last:
             pre = h
-            h = relu_forward(h)
-            h, mask = dropout_forward(h, dropout_rate, training, rng)
-            cache.append((lin_in, pre, mask))
+            h = np.maximum(0.0, h)
+            mask = None
+            if uniform is not None:
+                mask = (uniform(h.shape) >= rate) / (1.0 - rate)
+                h = h * mask
+            caches.append((lin_in, pre, mask))
         else:
-            cache.append((lin_in, None, None))
-    return h, cache
+            caches.append((lin_in, None, None))
+    return h, caches
 
 
-def _stack_backward(upstream, layers, cache):
+def _layers_backward(g, layers, caches, layer0_grads=None):
+    """(input gradient, [(gW, gb), ...]) of a _layers_forward stack.  A given
+    ``layer0_grads(lin_in, g)`` computes layer 0's pair instead, and no input
+    gradient is formed (None is returned for it)."""
     grads = [None] * len(layers)
-    g = upstream
     last = len(layers) - 1
     for i in range(last, -1, -1):
         W, _b = layers[i]
-        lin_in, pre, mask = cache[i]
+        lin_in, pre, mask = caches[i]
         if i < last:
-            g = dropout_backward(g, mask)
-            g = relu_backward(g, pre)
-        g, gW, gb = affine_backward(lin_in, W, g)
-        grads[i] = (gW, gb)
+            if mask is not None:
+                g = g * mask
+            g = g * (pre > 0.0)
+        if i == 0 and layer0_grads is not None:
+            grads[0] = layer0_grads(lin_in, g)
+            return None, grads
+        grads[i] = _affine_grads(lin_in, g)
+        g = g @ np.swapaxes(W, -1, -2)
     return g, grads
+
+
+def _dense_uniform(model: Model, training, rng):
+    """Dropout source of the dense stacks: a fresh draw per layer."""
+    if training and model.arch.dropout_rate > 0.0:
+        return lambda shape: rng.uniform(size=shape)
+    return None
+
+
+def _as_input(x, width: int, what: str) -> np.ndarray:
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != width:
+        raise ShapeError(f"{what} has shape {x.shape}, model expects (n, {width})")
+    return x
 
 
 def pathway_activity_forward(model: Model, x, training=False, rng=None):
     """Concatenated pathway activity scores, one column per pathway."""
+    if not is_pathway_kind(model.arch.kind):
+        raise ConfigError(f"{model.arch.kind} has no pathway activity space")
+    x = _as_input(x, model.gene_count, "input")
     a, _ = _pathway_forward_cached(model, x, training, as_stream(rng))
     return a
 
@@ -361,88 +386,52 @@ def _pathway_forward_cached(model, x, training, rng):
     per size bucket for layer 0.  Dropout for the whole stage is one uniform
     draw, sliced so that each pathway and layer gets the values the
     pathway-by-pathway, layer-by-layer order would give it."""
-    if not is_pathway_kind(model.arch.kind):
-        raise ConfigError(f"{model.arch.kind} has no pathway activity space")
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != model.gene_count:
-        raise ShapeError(f"input has shape {x.shape}, model expects {model.gene_count} genes")
-    layers = model.params.pathway
-    rate = model.arch.dropout_rate
     n, n_pw = x.shape[0], len(model.masks)
-    draws = None
-    if training and rate > 0.0 and len(layers) > 1:
-        draws = rng.uniform(size=(n_pw, n * sum(model.arch.pathway_hidden_sizes)))
-    used = 0
+    widths = model.arch.pathway_hidden_sizes
+    uniform = None
+    if training and model.arch.dropout_rate > 0.0 and widths:
+        draws = rng.uniform(size=(n_pw, n * sum(widths)))
+        per_layer = iter(np.split(draws, np.cumsum([n * w for w in widths[:-1]]), axis=1))
+        uniform = lambda shape: next(per_layer).reshape(shape)
 
-    caches = []
-    last = len(layers) - 1
-    for i, (W, b) in enumerate(layers):
-        if i == 0:
-            x_pad = np.concatenate([x, np.zeros((n, 1))], axis=1)
-            W_pad = np.concatenate([W, np.zeros((1, W.shape[1]))])
-            lin_in = [x_pad[:, bk.genes].transpose(1, 0, 2) for bk in model._buckets]
-            h = np.empty((n_pw, n, W.shape[1]))
-            for bk, xb in zip(model._buckets, lin_in):
-                h[bk.pathways] = xb @ W_pad[bk.rows]
-            h += b[:, None, :]
-        else:
-            lin_in = h
-            h = h @ W + b
-        if i < last:
-            pre = h
-            h = np.maximum(0.0, h)
-            mask = None
-            if draws is not None:
-                width = h.shape[2]
-                u = draws[:, used : used + n * width].reshape(n_pw, n, width)
-                used += n * width
-                mask = (u >= rate) / (1.0 - rate)
-                h = h * mask
-            caches.append((lin_in, pre, mask))
-        else:
-            caches.append((lin_in, None, None))
+    def layer0(x, W, b):
+        x_pad = np.concatenate([x, np.zeros((n, 1))], axis=1)
+        W_pad = np.concatenate([W, np.zeros((1, W.shape[1]))])
+        blocks = [x_pad[:, bk.genes].transpose(1, 0, 2) for bk in model._buckets]
+        h = np.empty((n_pw, n, W.shape[1]))
+        for bk, xb in zip(model._buckets, blocks):
+            h[bk.pathways] = xb @ W_pad[bk.rows]
+        h += b[:, None, :]
+        return h, blocks
+
+    h, caches = _layers_forward(x, model.params.pathway, model.arch.dropout_rate, uniform, layer0)
     return np.ascontiguousarray(h[:, :, 0].T), caches
 
 
 def _pathway_backward(model, grad_a, caches):
     """Gradients of the packed pathway tensors given dL/da of shape (B, P)."""
-    layers = model.params.pathway
-    grads = [None] * len(layers)
+    W0 = model.params.pathway[0][0]
+
+    def layer0_grads(blocks, g):
+        gW = np.empty((W0.shape[0] + 1, W0.shape[1]))  # the last row takes the pad slots
+        for bk, xb in zip(model._buckets, blocks):
+            gW[bk.rows] = xb.transpose(0, 2, 1) @ g[bk.pathways]
+        return gW[:-1], g.sum(axis=1)
+
     g = np.ascontiguousarray(grad_a.T)[:, :, None]
-    last = len(layers) - 1
-    for i in range(last, -1, -1):
-        W, _b = layers[i]
-        lin_in, pre, mask = caches[i]
-        if i < last:
-            if mask is not None:
-                g = g * mask
-            g = g * (pre > 0.0)
-        if i > 0:
-            grads[i] = (lin_in.transpose(0, 2, 1) @ g, g.sum(axis=1, keepdims=True))
-            g = g @ W.transpose(0, 2, 1)
-        else:
-            gW = np.empty((W.shape[0] + 1, W.shape[1]))  # the last row takes the pad slots
-            for bk, xb in zip(model._buckets, lin_in):
-                gW[bk.rows] = xb.transpose(0, 2, 1) @ g[bk.pathways]
-            grads[0] = (gW[:-1], g.sum(axis=1))
-    return grads
+    return _layers_backward(g, model.params.pathway, caches, layer0_grads)[1]
 
 
 def encode(model: Model, inp, training=False, rng=None):
     """Latent encoder. Returns z for deterministic kinds, (mu, logvar) for
     variational kinds (the final layer is split into halves)."""
-    out, _ = _encode_cached(model, inp, training, as_stream(rng))
+    inp = _as_input(inp, model.params.encoder[0][0].shape[0], "encoder input")
+    out, _ = _encode_cached(model, inp, _dense_uniform(model, training, as_stream(rng)))
     return out
 
 
-def _encode_cached(model, inp, training, rng):
-    h, cache = _stack_forward(
-        np.asarray(inp, dtype=np.float64),
-        model.params.encoder,
-        model.arch.dropout_rate,
-        training,
-        rng,
-    )
+def _encode_cached(model, inp, uniform):
+    h, cache = _layers_forward(inp, model.params.encoder, model.arch.dropout_rate, uniform)
     if is_variational(model.arch.kind):
         d = model.arch.latent_dim
         return (h[:, :d], h[:, d:]), cache
@@ -465,14 +454,9 @@ def reparameterize(mu, logvar, rng=None, eps=None):
 
 
 def decode(model: Model, z, training=False, rng=None):
-    out, _ = _stack_forward(
-        np.asarray(z, dtype=np.float64),
-        model.params.decoder,
-        model.arch.dropout_rate,
-        training,
-        as_stream(rng),
-    )
-    return out
+    z = _as_input(z, model.arch.latent_dim, "latent input")
+    uniform = _dense_uniform(model, training, as_stream(rng))
+    return _layers_forward(z, model.params.decoder, model.arch.dropout_rate, uniform)[0]
 
 
 def forward(model: Model, x, training=False, rng=None) -> ForwardOutputs:
@@ -482,17 +466,15 @@ def forward(model: Model, x, training=False, rng=None) -> ForwardOutputs:
     variational kinds, so repeated calls are deterministic.
     """
     rng = as_stream(rng)
-    x = np.asarray(x, dtype=np.float64)
+    x = _as_input(x, model.gene_count, "input")
+    uniform = _dense_uniform(model, training, rng)
     caches = {}
+    a = None
+    enc_in = x
     if is_pathway_kind(model.arch.kind):
         a, caches["pathway"] = _pathway_forward_cached(model, x, training, rng)
         enc_in = a
-    else:
-        if x.shape[1] != model.gene_count:
-            raise ShapeError(f"input has {x.shape[1]} genes, model expects {model.gene_count}")
-        a = None
-        enc_in = x
-    enc_out, caches["encoder"] = _encode_cached(model, enc_in, training, rng)
+    enc_out, caches["encoder"] = _encode_cached(model, enc_in, uniform)
     if is_variational(model.arch.kind):
         mu, logvar = enc_out
         if training:
@@ -503,8 +485,8 @@ def forward(model: Model, x, training=False, rng=None) -> ForwardOutputs:
     else:
         mu = logvar = None
         z = enc_out
-    x_hat, caches["decoder"] = _stack_forward(
-        z, model.params.decoder, model.arch.dropout_rate, training, rng
+    x_hat, caches["decoder"] = _layers_forward(
+        z, model.params.decoder, model.arch.dropout_rate, uniform
     )
     return ForwardOutputs(x_hat=x_hat, z=z, a=a, mu=mu, logvar=logvar, caches=caches)
 
@@ -603,7 +585,7 @@ def loss_and_grads(model: Model, x, outputs: ForwardOutputs, beta_eff: float = 0
     x = np.asarray(x, dtype=np.float64)
 
     total, grad_xhat = mse_loss(x, outputs.x_hat)
-    grad_z, dec_grads = _stack_backward(grad_xhat, model.params.decoder, caches["decoder"])
+    grad_z, dec_grads = _layers_backward(grad_xhat, model.params.decoder, caches["decoder"])
 
     if is_variational(model.arch.kind):
         kl, kl_gmu, kl_glogvar = kl_gaussian(outputs.mu, outputs.logvar)
@@ -616,11 +598,12 @@ def loss_and_grads(model: Model, x, outputs: ForwardOutputs, beta_eff: float = 0
     else:
         enc_upstream = grad_z
 
-    grad_enc_in, enc_grads = _stack_backward(enc_upstream, model.params.encoder, caches["encoder"])
-
-    pw_grads = []
-    if is_pathway_kind(model.arch.kind):
-        pw_grads = _pathway_backward(model, grad_enc_in, caches["pathway"])
+    pathway = is_pathway_kind(model.arch.kind)
+    # only the pathway stage needs the gradient of the encoder's input
+    grad_enc_in, enc_grads = _layers_backward(
+        enc_upstream, model.params.encoder, caches["encoder"], None if pathway else _affine_grads
+    )
+    pw_grads = _pathway_backward(model, grad_enc_in, caches["pathway"]) if pathway else []
     grads = ModelParams(pw_grads, enc_grads, dec_grads)
     flat = [g for _, g in _walk(grads, per_pathway=False)]
     return total, flat
@@ -655,7 +638,7 @@ def fit(model: Model, X, config: TrainConfig, rng=None) -> list[float]:
     the epoch.
     """
     rng = as_stream(rng if rng is not None else config.seed)
-    X = np.asarray(X, dtype=np.float64)
+    X = _as_input(X, model.gene_count, "training matrix")
     n = X.shape[0]
     if n == 0:
         raise ShapeError("fit: empty training matrix")
@@ -704,7 +687,8 @@ _CKPT_MAGIC = b"PATHAE-CKPT-v1\n"
 
 def save_checkpoint(model: Model, path):
     """Self-describing container: JSON header plus raw little-endian float64
-    tensor bytes. Writing the same model twice yields identical bytes.
+    tensor bytes. Writing the same model twice yields identical bytes, and
+    the file is replaced atomically, never left half-written.
 
     The pathway stage is written pathway by pathway under ``pathway/{j}/{i}``
     names, so the format does not depend on how the parameters are packed."""
@@ -741,7 +725,7 @@ def save_checkpoint(model: Model, path):
         "tensors": tensors,
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(f"{len(head)}\n".encode("ascii"))
         fh.write(head)

@@ -2,22 +2,22 @@
 external validation, representation extraction and report aggregation.
 
 Work units (grid cells, folds, repeats) each derive their own RNG stream
-from the master seed, so results are identical whether they run serially
-or on a thread pool, and aggregation is order independent.
+from the master seed and run serially, one after another.  The ``threads``
+arguments are accepted for compatibility and have no effect: a thread pool
+over these GIL-bound small matmuls ran slower than the serial loop.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import product
 
 import numpy as np
 
 from . import models
-from .classifiers import fit_classifier, predict_labels, predict_proba
+from .classifiers import CLASSIFIERS, fit_classifier, predict_labels, predict_proba
 from .dataio import ExpressionTable, fit_normalizer, apply_normalizer
 from .errors import ConfigError, DataError, TrainingDiverged
 from .metrics import MetricsReport, confusion_metrics, median_iqr, roc_auc_macro, wilcoxon_rank_sum
@@ -79,6 +79,12 @@ class GridSpec:
     betas: list[float] = field(default_factory=lambda: [1.0])
     schedules: list[str] = field(default_factory=lambda: ["step"])
     classifiers: list[str] = field(default_factory=lambda: ["lr"])
+
+    def __post_init__(self):
+        for axis, known in (("schedules", models.SCHEDULES), ("classifiers", CLASSIFIERS)):
+            unknown = [v for v in getattr(self, axis) if v not in known]
+            if unknown:
+                raise ConfigError(f"[grid] {axis}: unknown {unknown}; expected some of {known}")
 
     def cells(self, kind: str):
         enc = self.encoder_layer_sizes
@@ -149,21 +155,19 @@ def cross_validate(
 
     Returns (best_cell, rows) where rows carry one dict per cell with its
     mean AUC and parameter count, in grid order. Ties prefer fewer
-    parameters, then earlier grid order.
+    parameters, then earlier grid order. ``threads`` has no effect.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     rng = as_stream(rng)
     cells = grid.cells(kind)
     fold_splits = stratified_folds(y, folds, rng)
-    cell_streams = rng.spawn(len(cells))
-
-    def run_cell(args):
-        ci, cell = args
+    rows = []
+    for ci, (cell, cell_stream) in enumerate(zip(cells, rng.spawn(len(cells)))):
         arch = _arch_for_cell(kind, cell, dropout_rate, t_start, t_end)
         n_params = None
         aucs = []
-        fold_streams = cell_streams[ci].spawn(len(fold_splits))
+        fold_streams = cell_stream.spawn(len(fold_splits))
         for (train_idx, val_idx), fstream in zip(fold_splits, fold_streams):
             model = build_model(arch, X.shape[1], masks, fstream)
             if n_params is None:
@@ -181,14 +185,7 @@ def cross_validate(
             scores = predict_proba(clf, rep_val)
             aucs.append(roc_auc_macro(y[val_idx], scores, vocabulary=list(clf.classes)))
         mean_auc = float(np.mean(aucs))  # NaN if any fold diverged
-        return {**cell, "mean_roc_auc": mean_auc, "param_count": n_params, "cell_index": ci}
-
-    work = list(enumerate(cells))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run_cell, work))
-    else:
-        rows = [run_cell(w) for w in work]
+        rows.append({**cell, "mean_roc_auc": mean_auc, "param_count": n_params, "cell_index": ci})
 
     scored = [r for r in rows if np.isfinite(r["mean_roc_auc"])]
     if not scored:
@@ -340,6 +337,7 @@ def external_validate(
     """Repeat r trains on the full training table with seed base_seed+r,
     fits the classifier on the chosen representation, and evaluates on the
     (re)normalized test table. Diverged repeats are recorded, not dropped.
+    ``threads`` has no effect.
     """
     if list(train_table.gene_names) != list(test_table.gene_names):
         raise DataError("external_validate: gene axes differ; intersect first")
@@ -352,17 +350,13 @@ def external_validate(
     y_train = np.asarray(train_labels)
     y_test = np.asarray(test_labels)
 
-    def worker(r):
-        return _one_repeat(
+    reps = [
+        _one_repeat(
             r, base_seed, arch, masks, X_train, y_train, X_test, y_test,
             train_config, classifier, space,
         )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            reps = list(pool.map(worker, range(repeats)))
-    else:
-        reps = [worker(r) for r in range(repeats)]
+        for r in range(repeats)
+    ]
     return RunReport(
         model_kind=arch.kind,
         schedule=arch.schedule if models.is_variational(arch.kind) else "none",

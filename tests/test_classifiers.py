@@ -13,7 +13,7 @@ from pathae.classifiers import (
     rf_predict_proba,
     softmax_rows,
 )
-from pathae.errors import DataError, ShapeError
+from pathae.errors import ConfigError, DataError, ShapeError
 from pathae.ndcore import RngStream
 
 
@@ -133,5 +133,5 @@ class TestDispatch:
         y = np.array(["a", "b", "a", "b"])
         assert isinstance(fit_classifier("lr", X, y), LogisticModel)
         assert isinstance(fit_classifier("rf", X, y, rng=RngStream(0)), ForestModel)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             fit_classifier("svm", X, y)

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from pathae.cli import main
+import pathae.cli
+from pathae.cli import ExperimentConfig, _RunDir, main
 from pathae.pipeline import REPORT_CSV_COLUMNS
 
 
@@ -133,6 +134,24 @@ class TestTrain:
             assert "epoch" in captured.err
 
 
+class TestConfigValues:
+    @pytest.mark.parametrize("line,bad,where", [
+        ("epochs = 30", "epochs = abc", "[train] epochs"),
+        ("dropout = 0.5", "dropout = x", "[model] dropout"),
+        ("encoder_layer_sizes = 8", "encoder_layer_sizes = 8,y", "[model] encoder_layer_sizes"),
+        ("betas = 1", "betas = 1,high", "[grid] betas"),
+    ])
+    def test_unparsable_value_exits_1_naming_key(self, fixture_dir, tmp_path, capsys,
+                                                 line, bad, where):
+        out = tmp_path / "never"
+        cfg = write_config(tmp_path / "c.ini", fixture_dir, out)
+        Path(cfg).write_text(Path(cfg).read_text().replace(line, bad))
+        assert main(["train", "-c", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pathae: config error:") and where in err
+        assert not out.exists()
+
+
 class TestGridsearch:
     def test_two_cell_report_single_winner(self, fixture_dir, tmp_path):
         cfg = write_config(tmp_path / "c.ini", fixture_dir, tmp_path / "run")
@@ -144,6 +163,20 @@ class TestGridsearch:
         assert winners.count("yes") == 1
         aucs = [float(r[-2]) for r in rows[1:]]
         assert aucs == sorted(aucs, reverse=True)
+
+
+    @pytest.mark.parametrize("line,bad", [
+        ("classifiers = lr", "classifiers = lr,svm"),
+        ("schedules = step", "schedules = step,ramp"),
+    ])
+    def test_unknown_grid_entry_exits_1_before_work(self, fixture_dir, tmp_path, capsys,
+                                                    line, bad):
+        out = tmp_path / "never"
+        cfg = write_config(tmp_path / "c.ini", fixture_dir, out)
+        Path(cfg).write_text(Path(cfg).read_text().replace(line, bad))
+        assert main(["gridsearch", "-c", cfg]) == 1
+        assert bad.split(",")[-1] in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestValidate:
@@ -272,3 +305,33 @@ class TestManifest:
         Path(cfg).write_text(text)
         assert main(["train", "-c", cfg]) == 0
         assert (tmp_path / "envout" / "checkpoint-synth-paae.ckpt").exists()
+
+    def test_failed_write_leaves_no_partial_manifest(self, tmp_path, break_writes):
+        run = _RunDir(ExperimentConfig(output_dir=str(tmp_path / "run")), "train")
+        run.finish()
+        manifest = tmp_path / "run" / "manifest.json"
+        before = manifest.read_bytes()
+        run.files.append("more.csv")
+        break_writes()
+        with pytest.raises(OSError):
+            run.finish()
+        assert manifest.read_bytes() == before
+        assert [p.name for p in (tmp_path / "run").iterdir()] == ["manifest.json"]
+
+
+class TestInternalError:
+    @pytest.mark.parametrize("verbose", [False, True])
+    def test_unexpected_exception_exits_1(self, fixture_dir, tmp_path, monkeypatch, capsys,
+                                          verbose):
+        def broken(cfg):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(pathae.cli, "cmd_train", broken)
+        cfg = write_config(tmp_path / "c.ini", fixture_dir, tmp_path / "run")
+        assert main(["train", "-c", cfg] + (["--verbose"] if verbose else [])) == 1
+        err = capsys.readouterr().err
+        line = "pathae: internal error: RuntimeError: boom\n"
+        if verbose:
+            assert err.startswith("Traceback") and err.endswith(line)
+        else:
+            assert err == line

@@ -1,10 +1,11 @@
-"""Golden snapshots of small pathway models at a fixed seed.
+"""Golden snapshots of small models of every kind at a fixed seed.
 
-The initial parameters and a 3-epoch loss history of a PAAE and a PAVAE are
-frozen in ``golden_pathway_models.json``.  The masks are unequal and
-overlapping, the pathway stage has two hidden layers and dropout is on, so
-the snapshot pins the order in which ``build_model`` draws the initial
-weights and ``fit`` draws the dropout masks, whatever the parameter storage.
+The initial parameters and a 3-epoch loss history of an AE, a VAE, a PAAE
+and a PAVAE are frozen in ``golden_pathway_models.json``.  The masks are
+unequal and overlapping, the pathway stage and the dense stacks have hidden
+layers and dropout is on, so the snapshot pins the order in which
+``build_model`` draws the initial weights and ``fit`` draws the dropout
+masks, whatever the parameter storage or layer loop.
 
 Parameters are keyed by their checkpoint tensor names and read through the
 per-pathway ``pathway_encoders`` stacks.  Regenerate the file with
@@ -30,7 +31,7 @@ from pathae.ndcore import RngStream
 
 GOLDEN = Path(__file__).with_name("golden_pathway_models.json")
 GENES = 9
-KINDS = ("paae", "pavae")
+KINDS = ("ae", "vae", "paae", "pavae")
 
 
 def _model(kind):

@@ -26,7 +26,16 @@ from pathae.models import (
     reparameterize,
     save_checkpoint,
 )
-from pathae.ndcore import RngStream, finite_diff_grad
+from pathae.ndcore import (
+    RngStream,
+    affine_backward,
+    affine_forward,
+    dropout_backward,
+    dropout_forward,
+    finite_diff_grad,
+    relu_backward,
+    relu_forward,
+)
 
 from conftest import max_rel_err
 
@@ -184,6 +193,112 @@ class TestEncodeDecode:
         model.params.decoder[0] = (Q.T, np.zeros((1, 2)))
         x = RngStream(5).normal(size=(6, 2))
         np.testing.assert_allclose(forward(model, x).x_hat, x, atol=1e-12)
+
+
+def reference_dense_step(model, x, rng, beta_eff):
+    """forward + loss_and_grads of a dense kind composed from ndcore's checked
+    layer ops, drawing dropout masks and eps from rng in forward's order.
+    Returns (x_hat, loss, grads in flat_params order)."""
+    rate = model.arch.dropout_rate
+
+    def stack_forward(h, layers):
+        cache = []
+        for i, (W, b) in enumerate(layers):
+            lin_in, h = h, affine_forward(h, W, b)
+            pre, mask = h, None
+            if i < len(layers) - 1:
+                h, mask = dropout_forward(relu_forward(h), rate, True, rng)
+            cache.append((lin_in, pre, mask))
+        return h, cache
+
+    def stack_backward(g, layers, cache):
+        grads = []
+        for i in reversed(range(len(layers))):
+            lin_in, pre, mask = cache[i]
+            if i < len(layers) - 1:
+                g = relu_backward(dropout_backward(g, mask), pre)
+            g, gW, gb = affine_backward(lin_in, layers[i][0], g)
+            grads = [gW, gb] + grads
+        return g, grads
+
+    h, enc_cache = stack_forward(x, model.params.encoder)
+    if model.arch.kind == "vae":
+        d = model.arch.latent_dim
+        mu, logvar = h[:, :d], h[:, d:]
+        z, eps = reparameterize(mu, logvar, rng)
+    else:
+        z = h
+    x_hat, dec_cache = stack_forward(z, model.params.decoder)
+    total, g = mse_loss(x, x_hat)
+    grad_z, dec_grads = stack_backward(g, model.params.decoder, dec_cache)
+    if model.arch.kind == "vae":
+        kl, kl_mu, kl_logvar = kl_gaussian(mu, logvar)
+        total += beta_eff * kl
+        upstream = np.concatenate(
+            [grad_z + beta_eff * kl_mu,
+             0.5 * grad_z * eps * np.exp(0.5 * logvar) + beta_eff * kl_logvar],
+            axis=1,
+        )
+    else:
+        upstream = grad_z
+    _, enc_grads = stack_backward(upstream, model.params.encoder, enc_cache)
+    return x_hat, total, enc_grads + dec_grads
+
+
+class TestLayerLoop:
+    @pytest.mark.parametrize("kind", ["ae", "vae"])
+    def test_dense_step_equals_ndcore_reference(self, kind):
+        arch = ArchitectureConfig(kind=kind, encoder_layer_sizes=[7, 5, 3], dropout_rate=0.4)
+        model = build_model(arch, 11, rng=RngStream(30))
+        randomize_params(model, RngStream(31))
+        x = RngStream(32).normal(size=(9, 11))
+        outs = forward(model, x, training=True, rng=RngStream(33))
+        value, grads = loss_and_grads(model, x, outs, 0.6)
+        x_hat, ref_value, ref_grads = reference_dense_step(model, x, RngStream(33), 0.6)
+        np.testing.assert_array_equal(outs.x_hat, x_hat)
+        assert value == ref_value
+        assert len(grads) == len(ref_grads) == len(flat_params(model))
+        for g, ref in zip(grads, ref_grads):
+            np.testing.assert_array_equal(g, ref)
+
+
+class TestInputChecks:
+    GENES = 6
+
+    def _model(self, kind):
+        masks = make_masks([3, 2], self.GENES) if kind in ("paae", "pavae") else None
+        arch = ArchitectureConfig(
+            kind=kind, encoder_layer_sizes=[4, 2], pathway_hidden_sizes=[3], dropout_rate=0.2
+        )
+        return build_model(arch, self.GENES, masks, RngStream(0))
+
+    @pytest.mark.parametrize("kind", ["ae", "vae", "paae", "pavae"])
+    @pytest.mark.parametrize(
+        "shape", [(3, 5), (3, 7), (6,), (2, 3, 6)], ids=["narrow", "wide", "1-D", "3-D"]
+    )
+    def test_wrong_gene_axis_is_shape_error(self, kind, shape):
+        model = self._model(kind)
+        bad = np.ones(shape)
+        with pytest.raises(ShapeError):
+            forward(model, bad)
+        with pytest.raises(ShapeError):
+            fit(model, bad, TrainConfig(epochs=1))
+        if kind in ("paae", "pavae"):
+            with pytest.raises(ShapeError):
+                pathway_activity_forward(model, bad)
+
+    @pytest.mark.parametrize("kind", ["ae", "vae", "paae", "pavae"])
+    def test_encode_and_decode_check_their_widths(self, kind):
+        model = self._model(kind)
+        enc_width = 2 if kind in ("paae", "pavae") else self.GENES
+        encode(model, np.ones((3, enc_width)))
+        decode(model, np.ones((3, 2)))
+        for bad in (np.ones((3, enc_width + 1)), np.ones(enc_width), np.ones((1, 3, enc_width))):
+            with pytest.raises(ShapeError):
+                encode(model, bad)
+        for bad in (np.ones((3, 3)), np.ones((3, 1)), np.ones(2), np.ones((1, 3, 2))):
+            with pytest.raises(ShapeError):
+                decode(model, bad, training=True, rng=RngStream(2))
 
 
 class TestReparameterize:
@@ -508,6 +623,18 @@ class TestCheckpoint:
         save_checkpoint(model, p1)
         save_checkpoint(model, p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, break_writes):
+        model = self._model()
+        kept, fresh = tmp_path / "kept.ckpt", tmp_path / "fresh.ckpt"
+        save_checkpoint(model, kept)
+        before = kept.read_bytes()
+        break_writes()
+        for path in (kept, fresh):
+            with pytest.raises(OSError):
+                save_checkpoint(model, path)
+        assert kept.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.ckpt"]
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

@@ -134,6 +134,12 @@ class TestGridSpec:
         assert len(grid.cells("ae")) == 1
 
 
+    @pytest.mark.parametrize("axis", [{"classifiers": ["lr", "svm"]}, {"schedules": ["ramp"]}])
+    def test_unknown_entries_rejected(self, axis):
+        with pytest.raises(ConfigError):
+            GridSpec(encoder_layer_sizes=[[4]], **axis)
+
+
 class TestCrossValidate:
     def test_single_cell_selected(self):
         X, y = signal_data()
