@@ -3,6 +3,8 @@ import pytest
 
 from pathae.classifiers import (
     ForestModel,
+    _best_split,
+    _gini,
     LogisticModel,
     fit_classifier,
     lr_data_loss,
@@ -125,6 +127,60 @@ class TestRandomForest:
         model = rf_fit(X, y, n_trees=3, rng=RngStream(0))
         with pytest.raises(ShapeError):
             rf_predict_proba(model, np.ones((2, 5)))
+
+
+def _reference_best_split(X, codes, idx, features, k):
+    """The per-threshold scan the vectorized split search replaced: one
+    threshold at a time, strict improvement only, features in the given
+    order, so ties keep the lowest feature, then the lowest threshold."""
+    best = None  # (impurity, feature, threshold)
+    n = len(idx)
+    for f in features:
+        col = X[idx, f]
+        order = np.argsort(col, kind="stable")
+        sorted_vals = col[order]
+        sorted_codes = codes[idx][order]
+        left_counts = np.zeros(k)
+        right_counts = np.bincount(sorted_codes, minlength=k).astype(float)
+        for i in range(n - 1):
+            c = sorted_codes[i]
+            left_counts[c] += 1
+            right_counts[c] -= 1
+            if sorted_vals[i] == sorted_vals[i + 1]:
+                continue
+            thr = 0.5 * (sorted_vals[i] + sorted_vals[i + 1])
+            nl, nr = i + 1, n - i - 1
+            impurity = (nl * _gini(left_counts) + nr * _gini(right_counts)) / n
+            if best is None or impurity < best[0]:
+                best = (impurity, f, thr)
+    return best
+
+
+class TestSplitSearch:
+    def test_equals_per_threshold_reference(self):
+        rng = RngStream(17)
+        checked = 0
+        for trial in range(400):
+            n_rows, d = int(rng.integers(2, 14)), int(rng.integers(1, 7))
+            k = int(rng.integers(1, 11))  # past 8 classes numpy sums pairwise
+            X = rng.integers(0, 4, size=(n_rows, d)).astype(float)  # many ties
+            if d > 2:
+                X[:, 1] = X[:, 0]  # identical columns
+                X[:, 2] = 1.5  # constant column
+            if trial % 3 == 0:
+                X += 0.1 * np.round(rng.normal(size=(n_rows, d)), 1)
+            codes = rng.integers(0, k, size=n_rows)
+            idx = rng.integers(0, n_rows, size=int(rng.integers(2, 2 * n_rows + 1)))
+            features = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
+            got = _best_split(X, codes, idx, features, k)
+            want = _reference_best_split(X, codes, idx, features, k)
+            if want is None:
+                assert got is None
+                continue
+            assert got is not None
+            assert (got[0], int(got[1]), got[2]) == (want[0], int(want[1]), want[2])
+            checked += 1
+        assert checked > 300
 
 
 class TestDispatch:

@@ -1,4 +1,5 @@
-"""Golden snapshots of small models of every kind at a fixed seed.
+"""Golden snapshots of small models of every kind and of a small random
+forest at a fixed seed.
 
 The initial parameters and a 3-epoch loss history of an AE, a VAE, a PAAE
 and a PAVAE are frozen in ``golden_pathway_models.json``.  The masks are
@@ -8,9 +9,17 @@ layers and dropout is on, so the snapshot pins the order in which
 masks, whatever the parameter storage or layer loop.
 
 Parameters are keyed by their checkpoint tensor names and read through the
-per-pathway ``pathway_encoders`` stacks.  Regenerate the file with
-``PYTHONPATH=src python tests/test_golden.py`` only when a change is meant
-to alter the random draws.
+per-pathway ``pathway_encoders`` stacks.
+
+``golden_forest.json`` freezes every tree of a small forest in pre-order,
+as (feature, threshold.hex(), class counts) per node, and its predicted
+probabilities as float.hex strings.  Its input has repeated values within
+a column, two identical columns, a constant column and three unequal
+classes, so the snapshot pins the split search's tie-break (lowest feature,
+then lowest threshold) as well as its arithmetic.
+
+Regenerate both files with ``PYTHONPATH=src python tests/test_golden.py``
+only when a change is meant to alter the random draws or the trees.
 """
 
 import json
@@ -19,6 +28,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pathae.classifiers import rf_fit, rf_predict_proba
 from pathae.models import (
     ArchitectureConfig,
     PathwayMask,
@@ -30,6 +40,7 @@ from pathae.models import (
 from pathae.ndcore import RngStream
 
 GOLDEN = Path(__file__).with_name("golden_pathway_models.json")
+GOLDEN_FOREST = Path(__file__).with_name("golden_forest.json")
 GENES = 9
 KINDS = ("ae", "vae", "paae", "pavae")
 
@@ -97,5 +108,49 @@ def test_loss_history_matches_golden(golden, kind):
     np.testing.assert_allclose(history, golden[kind]["history"], rtol=1e-9, atol=0)
 
 
+def _forest_data():
+    rng = RngStream(3)
+    n = 36
+    codes = np.repeat([0, 1, 2], [18, 12, 6])  # three unequal classes
+    X = np.empty((n, 6))
+    X[:, 0] = rng.integers(0, 4, size=n)  # few distinct values
+    X[:, 1] = np.round(rng.normal(size=n) + 0.5 * codes, 1)  # ties
+    X[:, 2] = X[:, 1]  # identical to column 1
+    X[:, 3] = 2.5  # constant
+    X[:, 4] = np.round(rng.uniform(size=n), 1)
+    X[:, 5] = rng.normal(size=n) - 0.7 * codes
+    y = np.array(["low", "mid", "high"])[codes]
+    return X, y
+
+
+def _preorder(node):
+    if node.is_leaf:
+        return [[None, None, node.counts.tolist()]]
+    return ([[node.feature, node.threshold.hex(), node.counts.tolist()]]
+            + _preorder(node.left) + _preorder(node.right))
+
+
+def _forest_snapshot():
+    X, y = _forest_data()
+    model = rf_fit(X, y, n_trees=8, rng=RngStream(21))
+    proba = rf_predict_proba(model, X)
+    return {
+        "classes": model.classes.tolist(),
+        "trees": [_preorder(tree) for tree in model.trees],
+        "proba": [[float(v).hex() for v in row] for row in proba],
+    }
+
+
+def test_forest_matches_golden():
+    expected = json.loads(GOLDEN_FOREST.read_text())
+    got = _forest_snapshot()
+    assert got["classes"] == expected["classes"]
+    assert len(got["trees"]) == len(expected["trees"])
+    for t, (tree, frozen) in enumerate(zip(got["trees"], expected["trees"])):
+        assert tree == frozen, f"tree {t}"
+    assert got["proba"] == expected["proba"]
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(json.dumps({kind: _snapshot(kind) for kind in KINDS}, indent=1) + "\n")
+    GOLDEN_FOREST.write_text(json.dumps(_forest_snapshot(), indent=1) + "\n")
