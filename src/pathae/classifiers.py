@@ -4,7 +4,9 @@ logistic regression and a random forest.
 The logistic regression minimizes 0.5*||W||^2 + C * sum-of-cross-entropies
 (bias unregularized) with L-BFGS; the forest is hand-built CART with Gini
 impurity, sqrt(d) candidate features per node and bootstrapped samples, with
-fully deterministic tie-breaking so a fixed seed reproduces the forest.
+fully deterministic tie-breaking so a fixed seed reproduces the forest.  The
+split search scores every (feature, threshold) pair of a node in one array
+expression, and prediction sends all rows down each tree at once.
 """
 
 from __future__ import annotations
@@ -27,6 +29,15 @@ def _encode_labels(y):
     lookup = {c: i for i, c in enumerate(classes)}
     codes = np.array([lookup[v] for v in y], dtype=np.intp)
     return classes, codes
+
+
+def _as_rows(X, n_features: int, who: str) -> np.ndarray:
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2:
+        raise ShapeError(f"{who}: need a 2-D matrix, got shape {X.shape}")
+    if X.shape[1] != n_features:
+        raise ShapeError(f"{who}: {X.shape[1]} features, model expects {n_features}")
+    return X
 
 
 def softmax_rows(logits: np.ndarray) -> np.ndarray:
@@ -95,11 +106,7 @@ def lr_fit(X, y, C: float = 1.0, max_iter: int = 100, tol: float = 1e-6, rng=Non
 
 
 def lr_predict_proba(model: LogisticModel, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.shape[1] != model.weights.shape[0]:
-        raise ShapeError(
-            f"lr_predict_proba: {X.shape[1]} features, model expects {model.weights.shape[0]}"
-        )
+    X = _as_rows(X, model.weights.shape[0], "lr_predict_proba")
     return softmax_rows(X @ model.weights + model.bias)
 
 
@@ -135,56 +142,59 @@ class ForestModel:
     n_features: int
 
 
-def _gini(counts: np.ndarray) -> float:
-    n = counts.sum()
-    if n == 0:
-        return 0.0
-    p = counts / n
-    return 1.0 - float(np.sum(p * p))
+def _best_split(X, onehot, idx, features):
+    """Lowest weighted child Gini impurity over candidate features; ties
+    resolve to the lowest feature index, then the lowest threshold.
+
+    ``onehot`` holds every sample's class as a one-hot row.  Presort
+    splitter: each candidate column of the node is sorted once, the left
+    child's class counts at every threshold are a cumulative sum of one-hot
+    rows in that order, and the impurity of every (feature, threshold) pair
+    is one array expression.  The float operations are those of a
+    one-threshold-at-a-time scan (p = counts / size, 1 - sum(p * p),
+    (nl * gl + nr * gr) / n), so the result is bit-identical to it.
+
+    Returns (impurity, feature, threshold), or None when every candidate
+    column is constant on the node."""
+    n, m = len(idx), len(features)  # n >= 2
+    cols = X[idx[:, None], features].T  # (m, n), one row per candidate feature
+    order = cols.argsort(axis=1, kind="stable")
+    vals = cols[np.arange(m)[:, None], order]
+    node_onehot = onehot[idx]
+    left = node_onehot[order[:, :-1]].cumsum(axis=1)  # (m, n-1, k)
+    right = node_onehot.sum(axis=0) - left
+    nl = np.arange(1.0, n)  # left size at each threshold
+    nr = n - nl
+    p = left / nl[:, None]
+    gl = 1.0 - (p * p).sum(axis=-1)
+    p = right / nr[:, None]
+    gr = 1.0 - (p * p).sum(axis=-1)
+    impurity = (nl * gl + nr * gr) / n  # (m, n-1)
+    impurity[vals[:, :-1] == vals[:, 1:]] = np.inf  # no threshold between equal values
+    # row-major over (feature, threshold): the first minimum has the lowest
+    # feature, then the lowest threshold
+    fi, ti = divmod(int(impurity.argmin()), n - 1)
+    if impurity[fi, ti] == np.inf:
+        return None
+    return impurity[fi, ti], features[fi], 0.5 * (vals[fi, ti] + vals[fi, ti + 1])
 
 
-def _best_split(X, codes, idx, features, k):
-    """Lowest weighted child impurity over candidate features; ties resolve
-    to the lowest feature index, then the lowest threshold."""
-    best = None  # (impurity, feature, threshold)
-    n = len(idx)
-    for f in features:
-        col = X[idx, f]
-        order = np.argsort(col, kind="stable")
-        sorted_vals = col[order]
-        sorted_codes = codes[idx][order]
-        left_counts = np.zeros(k)
-        right_counts = np.bincount(sorted_codes, minlength=k).astype(float)
-        for i in range(n - 1):
-            c = sorted_codes[i]
-            left_counts[c] += 1
-            right_counts[c] -= 1
-            if sorted_vals[i] == sorted_vals[i + 1]:
-                continue
-            thr = 0.5 * (sorted_vals[i] + sorted_vals[i + 1])
-            nl, nr = i + 1, n - i - 1
-            impurity = (nl * _gini(left_counts) + nr * _gini(right_counts)) / n
-            if best is None or impurity < best[0]:
-                best = (impurity, f, thr)
-    return best
-
-
-def _grow(X, codes, idx, k, m_features, rng: RngStream):
-    counts = np.bincount(codes[idx], minlength=k).astype(float)
+def _grow(X, onehot, idx, m_features, rng: RngStream):
+    counts = onehot[idx].sum(axis=0)
     node = TreeNode(counts=counts)
-    if len(idx) < 2 or _gini(counts) == 0.0:
+    if len(idx) < 2 or np.count_nonzero(counts) < 2:  # too small or pure
         return node
     d = X.shape[1]
     features = np.sort(rng.choice(d, size=min(m_features, d), replace=False))
-    best = _best_split(X, codes, idx, features, k)
+    best = _best_split(X, onehot, idx, features)
     if best is None:
         return node
     _, f, thr = best
     mask = X[idx, f] <= thr
     node.feature = int(f)
     node.threshold = float(thr)
-    node.left = _grow(X, codes, idx[mask], k, m_features, rng)
-    node.right = _grow(X, codes, idx[~mask], k, m_features, rng)
+    node.left = _grow(X, onehot, idx[mask], m_features, rng)
+    node.right = _grow(X, onehot, idx[~mask], m_features, rng)
     return node
 
 
@@ -198,36 +208,36 @@ def rf_fit(X, y, n_trees: int = 100, rng=None) -> ForestModel:
     if len(codes) != X.shape[0]:
         raise ShapeError(f"rf_fit: {len(codes)} labels for {X.shape[0]} rows")
     n, d = X.shape
-    k = len(classes)
+    onehot = np.eye(len(classes))[codes]
     m_features = int(math.ceil(math.sqrt(d)))
     rng = as_stream(rng)
     trees = []
     for tree_rng in rng.spawn(n_trees):
         boot = tree_rng.integers(0, n, size=n)
-        trees.append(_grow(X, codes, np.asarray(boot), k, m_features, tree_rng))
+        trees.append(_grow(X, onehot, np.asarray(boot), m_features, tree_rng))
     return ForestModel(trees=trees, classes=classes, n_features=d)
 
 
-def _leaf_for(node: TreeNode, row) -> TreeNode:
-    while not node.is_leaf:
-        node = node.left if row[node.feature] <= node.threshold else node.right
-    return node
+def _add_leaf_proba(node: TreeNode, X, rows, acc):
+    """Send ``rows`` down the tree, splitting them at each node, and add each
+    leaf's class frequencies to its rows of ``acc``."""
+    if not rows.size:
+        return
+    if node.is_leaf:
+        acc[rows] += node.counts / node.counts.sum()
+        return
+    goes_left = X[rows, node.feature] <= node.threshold
+    _add_leaf_proba(node.left, X, rows[goes_left], acc)
+    _add_leaf_proba(node.right, X, rows[~goes_left], acc)
 
 
 def rf_predict_proba(model: ForestModel, X) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.shape[1] != model.n_features:
-        raise ShapeError(
-            f"rf_predict_proba: {X.shape[1]} features, model expects {model.n_features}"
-        )
-    out = np.zeros((X.shape[0], len(model.classes)))
-    for i in range(X.shape[0]):
-        acc = np.zeros(len(model.classes))
-        for tree in model.trees:
-            leaf = _leaf_for(tree, X[i])
-            acc += leaf.counts / leaf.counts.sum()
-        out[i] = acc / len(model.trees)
-    return out
+    X = _as_rows(X, model.n_features, "rf_predict_proba")
+    acc = np.zeros((X.shape[0], len(model.classes)))
+    rows = np.arange(X.shape[0])
+    for tree in model.trees:
+        _add_leaf_proba(tree, X, rows, acc)
+    return acc / len(model.trees)
 
 
 # ---------------------------------------------------------------------------
@@ -237,11 +247,7 @@ def rf_predict_proba(model: ForestModel, X) -> np.ndarray:
 
 def predict_labels(model, X) -> np.ndarray:
     """Argmax class prediction for either classifier."""
-    if isinstance(model, LogisticModel):
-        proba = lr_predict_proba(model, X)
-    else:
-        proba = rf_predict_proba(model, X)
-    return model.classes[np.argmax(proba, axis=1)]
+    return model.classes[np.argmax(predict_proba(model, X), axis=1)]
 
 
 def fit_classifier(name: str, X, y, rng=None):

@@ -62,6 +62,17 @@ def _parse_float_list(text: str) -> list[float]:
     return [float(t) for t in text.split(",") if t.strip()]
 
 
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return _BOOLEANS[text.lower()]
+    except KeyError:
+        raise ValueError(f"expected one of {', '.join(_BOOLEANS)}") from None
+
+
 @dataclass
 class ExperimentConfig:
     """Resolved configuration for one run."""
@@ -173,7 +184,7 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         read(section, names)
     read("data", ["drop_label_values"], _parse_str_list)
     read("data", ["log_offset"], float)
-    read("data", ["renormalize_test"], lambda v: v.lower() in ("1", "true", "yes"))
+    read("data", ["renormalize_test"], _parse_bool)
     read("model", ["encoder_layer_sizes", "pathway_hidden_sizes", "decoder_layer_sizes"],
          _parse_int_list)
     read("model", ["dropout", "beta"], float)
@@ -381,7 +392,7 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     ckpt = run.path(f"checkpoint-{cfg.dataset_name}-{cfg.kind}.ckpt")
     models.save_checkpoint(model, ckpt)
     losses = run.path(f"losses-{cfg.dataset_name}-{cfg.kind}.csv")
-    with open(losses, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(losses, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "loss"])
         for e, value in enumerate(history):
@@ -410,7 +421,7 @@ def cmd_gridsearch(cfg: ExperimentConfig) -> int:
         key=lambda r: (-(r["mean_roc_auc"]) if np.isfinite(r["mean_roc_auc"]) else np.inf,
                        r["cell_index"]),
     )
-    with open(out, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["encoder_layer_sizes", "pathway_hidden_sizes", "beta",
                          "schedule", "classifier", "param_count", "mean_roc_auc", "winner"])
@@ -450,10 +461,10 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
     run = _RunDir(cfg, "validate")
     stem = f"report-{cfg.dataset_name}-{cfg.kind}-{cfg.space}"
     jpath = run.path(stem + ".json")
-    with open(jpath, "w", encoding="utf-8") as fh:
+    with atomic_open(jpath, "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
     cpath = run.path(stem + ".csv")
-    with open(cpath, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(cpath, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(REPORT_CSV_COLUMNS)
         writer.writerow(report.csv_row())
@@ -493,14 +504,14 @@ def cmd_interpret(cfg: ExperimentConfig, checkpoint) -> int:
 
     ranked = interpret.rank_pathways_by_mi(a, y, names)
     mi_path = run.path(f"mi-{base}-a.csv")
-    with open(mi_path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(mi_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["pathway", "mutual_information"])
         for name, mi in ranked:
             writer.writerow([name, repr(mi)])
 
     npw_path = run.path(f"anpw-{base}.csv")
-    with open(npw_path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(npw_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["pathway", "rank", "gene", "npw"])
         for mask, layers in zip(model.masks, model.params.pathway_encoders):
@@ -596,7 +607,7 @@ def cmd_survival(cfg: ExperimentConfig, checkpoint) -> int:
                 )
 
     all_path = run.path(f"survival-tests-{base}.csv")
-    with open(all_path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(all_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["pathway", "gene", "n_low", "n_high", "logrank_chi2", "p", "significant",
                          "note"])
@@ -604,7 +615,7 @@ def cmd_survival(cfg: ExperimentConfig, checkpoint) -> int:
             writer.writerow([row[0], row[1], row[2], row[3], repr(row[4]), repr(row[5]),
                              "yes" if row[6] else "no", row[7]])
     summary_path = run.path(f"survival-summary-{base}.csv")
-    with open(summary_path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(summary_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["pathway", "gene", "logrank_chi2", "p"])
         for row in results:
@@ -629,7 +640,7 @@ def cmd_synth(args) -> int:
     )
     paths = write_fixture(args.out, data)
     config_path = os.path.join(args.out, "config.ini")
-    with open(config_path, "w", encoding="utf-8") as fh:
+    with atomic_open(config_path, "w", encoding="utf-8") as fh:
         fh.write(
             "[data]\n"
             f"train_expression = {paths['train_expression']}\n"

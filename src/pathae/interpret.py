@@ -19,6 +19,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import DataError, ShapeError
 from .metrics import mutual_information
 from .dataio import SurvivalTable
@@ -382,10 +383,10 @@ def emit_clustermap(values, row_labels, col_names, path, row_tree=None, col_tree
         parts.append(_text(x0 + (j + 0.7) * cell_w, y_lab, name, size=8,
                            anchor="start", rotate=90))
     svg_path = str(path)
-    with open(svg_path, "w", encoding="utf-8") as fh:
+    with atomic_open(svg_path, "w", encoding="utf-8") as fh:
         fh.write(_svg_doc(width, height, parts))
     csv_path = re.sub(r"\.svg$", "", svg_path) + ".csv"
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["label"] + list(names))
         for i in range(n):
@@ -428,7 +429,7 @@ def emit_featuremap(coords, labels, a, pathway_names, out_dir, prefix):
     written = []
     fills = [class_color(l, vocabulary) for l in labels]
     path = f"{out_dir}/{prefix}-class.svg"
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write(_scatter_panel(coords, fills, "classes", "PCA 2-D map (PCA substitutes for UMAP)"))
     written.append(path)
     name_to_col = {n: j for j, n in enumerate(pathway_names)}
@@ -437,7 +438,7 @@ def emit_featuremap(coords, labels, a, pathway_names, out_dir, prefix):
         vmax = float(np.max(np.abs(col))) or 1.0
         fills = [_diverging_color(v, vmax) for v in col]
         path = f"{out_dir}/{prefix}-{safe_filename(name)}.svg"
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path, "w", encoding="utf-8") as fh:
             fh.write(_scatter_panel(coords, fills, name,
                                     "activity intensity (symmetric about 0)"))
         written.append(path)
@@ -471,6 +472,6 @@ def emit_km_plot(groups, title, path, subtitle=""):
         d = " ".join(f"{sx(t):.2f},{sy(s):.2f}" for t, s in pts)
         parts.append(f'<polyline points="{d}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(_text(width - margin - 100, margin + 12 * gi, name, size=9, color=color))
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write(_svg_doc(width, height, parts))
     return str(path)

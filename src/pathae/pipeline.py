@@ -17,7 +17,7 @@ from itertools import product
 import numpy as np
 
 from . import models
-from .classifiers import CLASSIFIERS, fit_classifier, predict_labels, predict_proba
+from .classifiers import CLASSIFIERS, fit_classifier, predict_proba
 from .dataio import ExpressionTable, fit_normalizer, apply_normalizer
 from .errors import ConfigError, DataError, TrainingDiverged
 from .metrics import MetricsReport, confusion_metrics, median_iqr, roc_auc_macro, wilcoxon_rank_sum
@@ -300,8 +300,8 @@ def _one_repeat(
     test_outs = models.forward(model, X_test, training=False)
     rep_test = _pick_space(test_outs, space)
     clf = fit_classifier(classifier, rep_train, y_train, stream)
-    y_pred = predict_labels(clf, rep_test)
     scores = predict_proba(clf, rep_test)
+    y_pred = clf.classes[np.argmax(scores, axis=1)]  # as predict_labels
     cm = confusion_metrics(y_test, y_pred, vocabulary=list(clf.classes))
     auc = roc_auc_macro(y_test, scores, vocabulary=list(clf.classes))
     mse, _ = models.mse_loss(X_test, test_outs.x_hat)

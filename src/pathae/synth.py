@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import atomic_open
 from .dataio import ExpressionTable, LabelTable, PathwaySet, Scale, SurvivalTable
 from .ndcore import RngStream, as_stream
 
@@ -122,7 +123,7 @@ def make_synthetic(
 
 
 def _write_expression(table: ExpressionTable, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write("sample_id\t" + "\t".join(table.gene_names) + "\n")
         for i, sid in enumerate(table.sample_ids):
             row = "\t".join(repr(float(v)) for v in table.values[i])
@@ -141,15 +142,15 @@ def write_fixture(out_dir, data: SyntheticData) -> dict:
     }
     _write_expression(data.train, paths["train_expression"])
     _write_expression(data.test, paths["test_expression"])
-    with open(paths["labels"], "w", encoding="utf-8") as fh:
+    with atomic_open(paths["labels"], "w", encoding="utf-8") as fh:
         fh.write("sample_id\tsubtype\n")
         for sid, lab in data.labels.labels.items():
             fh.write(f"{sid}\t{lab}\n")
-    with open(paths["survival"], "w", encoding="utf-8") as fh:
+    with atomic_open(paths["survival"], "w", encoding="utf-8") as fh:
         fh.write("sample_id\ttime\tevent\n")
         for sid, (t, e) in data.survival.records.items():
             fh.write(f"{sid}\t{t}\t{1 if e else 0}\n")
-    with open(paths["pathways"], "w", encoding="utf-8") as fh:
+    with atomic_open(paths["pathways"], "w", encoding="utf-8") as fh:
         for name, genes in data.pathways.pathways:
             fh.write(name + "\tsynthetic\t" + "\t".join(genes) + "\n")
     return paths

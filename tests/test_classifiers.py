@@ -4,7 +4,6 @@ import pytest
 from pathae.classifiers import (
     ForestModel,
     _best_split,
-    _gini,
     LogisticModel,
     fit_classifier,
     lr_data_loss,
@@ -67,6 +66,12 @@ class TestLogisticRegression:
         with pytest.raises(ShapeError):
             lr_predict_proba(model, np.ones((2, 3)))
 
+    @pytest.mark.parametrize("shape", [(2,), (1,), (2, 1, 1), ()])
+    def test_non_matrix_input_rejected(self, shape):
+        model = lr_fit(np.array([[0.0], [1.0]]), np.array(["a", "b"]))
+        with pytest.raises(ShapeError):
+            lr_predict_proba(model, np.ones(shape))
+
 
 def xor_data(n=200, seed=0):
     rng = RngStream(seed)
@@ -128,6 +133,26 @@ class TestRandomForest:
         with pytest.raises(ShapeError):
             rf_predict_proba(model, np.ones((2, 5)))
 
+    @pytest.mark.parametrize("shape", [(2,), (5,), (2, 2, 1), ()])
+    def test_non_matrix_input_rejected(self, shape):
+        X, y = xor_data(n=20, seed=1)
+        model = rf_fit(X, y, n_trees=3, rng=RngStream(0))
+        with pytest.raises(ShapeError):
+            rf_predict_proba(model, np.ones(shape))
+
+    def test_empty_rows_give_empty_proba(self):
+        X, y = xor_data(n=20, seed=1)
+        model = rf_fit(X, y, n_trees=3, rng=RngStream(0))
+        assert rf_predict_proba(model, np.ones((0, 2))).shape == (0, 2)
+
+
+def _gini(counts):
+    n = counts.sum()
+    if n == 0:
+        return 0.0
+    p = counts / n
+    return 1.0 - float(np.sum(p * p))
+
 
 def _reference_best_split(X, codes, idx, features, k):
     """The per-threshold scan the vectorized split search replaced: one
@@ -172,7 +197,7 @@ class TestSplitSearch:
             codes = rng.integers(0, k, size=n_rows)
             idx = rng.integers(0, n_rows, size=int(rng.integers(2, 2 * n_rows + 1)))
             features = np.sort(rng.choice(d, size=int(rng.integers(1, d + 1)), replace=False))
-            got = _best_split(X, codes, idx, features, k)
+            got = _best_split(X, np.eye(k)[codes], idx, features)
             want = _reference_best_split(X, codes, idx, features, k)
             if want is None:
                 assert got is None

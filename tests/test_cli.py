@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 import pathae.cli
-from pathae.cli import ExperimentConfig, _RunDir, main
+from pathae.cli import ExperimentConfig, _RunDir, load_config, main
 from pathae.pipeline import REPORT_CSV_COLUMNS
 
 
@@ -68,6 +68,12 @@ dir = {out_dir}
         encoding="utf-8",
     )
     return str(path)
+
+
+def _with_renormalize_test(cfg, word):
+    text = Path(cfg).read_text()
+    Path(cfg).write_text(text.replace("[data]\n", f"[data]\nrenormalize_test = {word}\n"))
+    return cfg
 
 
 class TestSynth:
@@ -149,6 +155,24 @@ class TestConfigValues:
         assert main(["train", "-c", cfg]) == 1
         err = capsys.readouterr().err
         assert err.startswith("pathae: config error:") and where in err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("word,value", [
+        ("on", True), ("YES", True), ("1", True), ("True", True),
+        ("off", False), ("No", False), ("0", False), ("false", False),
+    ])
+    def test_renormalize_test_words(self, fixture_dir, tmp_path, word, value):
+        cfg = _with_renormalize_test(write_config(tmp_path / "c.ini", fixture_dir, tmp_path), word)
+        assert load_config(cfg).renormalize_test is value
+
+    @pytest.mark.parametrize("word", ["maybe", "enabled", "2", "tru"])
+    def test_unknown_renormalize_test_exits_1(self, fixture_dir, tmp_path, capsys, word):
+        out = tmp_path / "never"
+        cfg = _with_renormalize_test(write_config(tmp_path / "c.ini", fixture_dir, out), word)
+        assert main(["validate", "-c", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pathae: config error:") and "[data] renormalize_test" in err
         assert not out.exists()
 
 
@@ -317,6 +341,35 @@ class TestManifest:
             run.finish()
         assert manifest.read_bytes() == before
         assert [p.name for p in (tmp_path / "run").iterdir()] == ["manifest.json"]
+
+
+class TestAtomicArtifacts:
+    """A write that fails partway through any one artifact, as on a full
+    disk, leaves every artifact of an earlier run byte for byte and no
+    temporary file."""
+
+    @pytest.mark.parametrize("command", [
+        "synth", "train", "gridsearch", "validate", "interpret", "survival",
+    ])
+    def test_failed_write_leaves_no_partial_file(self, fixture_dir, trained_checkpoint,
+                                                 tmp_path, break_writes, command):
+        out = tmp_path / "run"
+        if command == "synth":
+            argv = ["synth", "--out", str(out), "--seed", "3", "--classes", "3",
+                    "--pathways", "4", "--genes", "30", "--background", "5",
+                    "--n-train", "12", "--n-test", "9"]
+        else:
+            argv = [command, "-c", write_config(tmp_path / "c.ini", fixture_dir, out)]
+        if command in ("interpret", "survival"):
+            argv += ["--checkpoint", trained_checkpoint[1]]
+        assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        for name in before:
+            for writes_ok in (0, 1):  # an artifact written in one piece fails only at 0
+                break_writes(writes_ok, name)
+                rc = main(argv)
+                assert rc == 1 or writes_ok, name
+                assert {p.name: p.read_bytes() for p in out.iterdir()} == before, name
 
 
 class TestInternalError:
