@@ -7,9 +7,10 @@ values. Every subcommand validates its full configuration before touching
 the output directory, and finishes by writing a manifest.json listing the
 emitted files and a hash of the resolved configuration.
 
-Exit codes: 0 success, 1 usage/configuration, 2 data, 3 numeric/divergence.
-Any other exception is a bug: it exits 1 with a one-line "internal error"
-message, and prints its traceback only under --verbose.
+Exit codes: 0 success, 1 usage/configuration or I/O, 2 data, 3
+numeric/divergence. A failed read or write (OSError) exits 1 with a one-line
+"I/O error" message; any other exception is a bug and exits 1 with a one-line
+"internal error" message. Tracebacks are printed only under --verbose.
 """
 
 from __future__ import annotations
@@ -223,6 +224,8 @@ def validate_config(cfg: ExperimentConfig, command: str):
         raise ConfigError(f"unknown normalization {cfg.normalization!r}")
     if cfg.space not in pipeline.SPACES:
         raise ConfigError(f"unknown space {cfg.space!r}")
+    if command == "validate":
+        pipeline.check_space(cfg.kind, cfg.space)
     if cfg.classifier not in CLASSIFIERS:
         raise ConfigError(f"unknown classifier {cfg.classifier!r}")
     if cfg.threads < 1:
@@ -477,10 +480,7 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
 
 def _interpret_inputs(cfg: ExperimentConfig, checkpoint):
     model = models.load_checkpoint(checkpoint)
-    if not models.is_pathway_kind(model.arch.kind):
-        raise ConfigError(
-            f"pathway space unavailable for {model.arch.kind} checkpoints"
-        )
+    pipeline.check_space(model.arch.kind, "a")
     table = _load_expression(cfg, cfg.train_expression)
     if model.gene_names:
         table = _reindex_genes(table, model.gene_names)
@@ -781,10 +781,11 @@ def main(argv=None) -> int:
     except PathaeError as exc:
         print(f"pathae: error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # last resort: a bug, reported without a raw traceback
+    except Exception as exc:  # a failed read or write, or a bug: one line, no raw traceback
         if getattr(args, "verbose", False):
             traceback.print_exc(file=sys.stderr)
-        print(f"pathae: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        what = "I/O error" if isinstance(exc, OSError) else f"internal error: {type(exc).__name__}"
+        print(f"pathae: {what}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError, ParseError
+from .metrics import tie_groups
 from .models import PathwayMask
 
 log = logging.getLogger(__name__)
@@ -321,12 +322,9 @@ def fit_normalizer(table: ExpressionTable, kind: str, offset: float = 1e-3) -> N
     if kind == "percentile":
         refs = []
         n = table.n_samples
-        for j in range(table.n_genes):
-            col = np.sort(table.values[:, j])
-            uniq, start = np.unique(col, return_index=True)
-            counts = np.diff(np.append(start, n))
-            midrank = start + (counts - 1) / 2.0
-            frac = midrank / (n - 1) if n > 1 else np.full(uniq.shape, 0.5)
+        for col in table.values.T:
+            uniq, _, _, midrank = tie_groups(col)
+            frac = (midrank - 1) / (n - 1) if n > 1 else np.full(uniq.shape, 0.5)
             refs.append((uniq, frac))
         return Normalizer(kind, list(table.gene_names), sorted_ref=refs)
     return Normalizer(kind, list(table.gene_names), offset=offset)

@@ -104,11 +104,9 @@ def _pairwise_distance(rows: np.ndarray, metric: str) -> np.ndarray:
     raise ValueError(f"unknown metric {metric!r}; expected 'cosine' or 'euclidean'")
 
 
-def hierarchical_cluster(rows, metric: str = "cosine", linkage: str = "average") -> ClusterTree:
+def hierarchical_cluster(rows, metric: str = "cosine") -> ClusterTree:
     """Average-linkage agglomeration with deterministic tie-breaking: among
     equidistant pairs, the lexicographically smallest (i, j) merges first."""
-    if linkage != "average":
-        raise ValueError(f"unsupported linkage {linkage!r}")
     rows = np.asarray(rows, dtype=np.float64)
     n = rows.shape[0]
     if n < 2:
@@ -196,6 +194,18 @@ class KMCurve:
         return float(self.survival[max(idx, 0)])
 
 
+def _risk_table(times, events, at):
+    """Number at risk (time >= t) and number of deaths (an event at time t)
+    for each t in ``at``."""
+    if np.isnan(times).any():
+        raise DataError("survival times must not be NaN")
+    at_risk = times.size - np.searchsorted(np.sort(times), at, side="left")
+    event_times = np.sort(times[events])
+    deaths = (np.searchsorted(event_times, at, side="right")
+              - np.searchsorted(event_times, at, side="left"))
+    return at_risk, deaths
+
+
 def km_estimate(times, events) -> KMCurve:
     times = np.asarray(times, dtype=np.float64)
     events = np.asarray(events, dtype=bool)
@@ -205,30 +215,14 @@ def km_estimate(times, events) -> KMCurve:
         raise ShapeError("km_estimate: times and events lengths differ")
     if np.any(times < 0):
         raise DataError("km_estimate: negative times")
-    order = np.argsort(times, kind="stable")
-    t_sorted = times[order]
-    e_sorted = events[order]
-    grid = [0.0]
-    surv = [1.0]
-    risk = [int(times.size)]
-    s = 1.0
-    i = 0
-    n = times.size
-    while i < n:
-        t = t_sorted[i]
-        j = i
-        deaths = 0
-        while j < n and t_sorted[j] == t:
-            deaths += int(e_sorted[j])
-            j += 1
-        n_at_risk = n - i
-        if deaths > 0:
-            s *= 1.0 - deaths / n_at_risk
-            grid.append(float(t))
-            surv.append(s)
-            risk.append(n_at_risk)
-        i = j
-    return KMCurve(np.asarray(grid), np.asarray(surv), np.asarray(risk, dtype=int))
+    event_times = np.unique(times[events])
+    at_risk, deaths = _risk_table(times, events, event_times)
+    survival = np.cumprod(1.0 - deaths / at_risk)
+    return KMCurve(
+        np.concatenate([[0.0], event_times]),
+        np.concatenate([[1.0], survival]),
+        np.concatenate([[times.size], at_risk]),
+    )
 
 
 def logrank_test(times_a, events_a, times_b, events_b):
@@ -240,20 +234,16 @@ def logrank_test(times_a, events_a, times_b, events_b):
     if ta.size == 0 or tb.size == 0:
         raise DataError("logrank_test: empty group")
     event_times = np.unique(np.concatenate([ta[ea], tb[eb]]))
-    o_minus_e = 0.0
-    var = 0.0
-    for t in event_times:
-        na = int(np.sum(ta >= t))
-        nb = int(np.sum(tb >= t))
-        n = na + nb
-        if n < 1 or na == 0 or nb == 0:
-            continue
-        da = int(np.sum(ea & (ta == t)))
-        db = int(np.sum(eb & (tb == t)))
-        d = da + db
-        o_minus_e += da - d * na / n
-        if n > 1:
-            var += d * (na / n) * (nb / n) * (n - d) / (n - 1)
+    na, da = _risk_table(ta, ea, event_times)
+    nb, db = _risk_table(tb, eb, event_times)
+    both = (na > 0) & (nb > 0)  # a time where one group is empty adds nothing
+    if not both.any():
+        return 0.0, 1.0
+    na, nb, da, db = na[both], nb[both], da[both], db[both]
+    n, d = na + nb, da + db
+    # running sums in time order, not np.sum's pairwise order
+    o_minus_e = np.cumsum(da - d * na / n)[-1]
+    var = np.cumsum(d * (na / n) * (nb / n) * (n - d) / (n - 1))[-1]
     if var <= 0:
         return 0.0, 1.0
     stat = o_minus_e**2 / var

@@ -51,19 +51,20 @@ class MetricsReport:
         return cls(**d)
 
 
-def _midranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks with ties averaged."""
+def tie_groups(values):
+    """Distinct values in ascending order, each value's group index, the
+    group sizes and each group's 1-based midrank. NaN is a DataError."""
     values = np.asarray(values, dtype=np.float64)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    if np.isnan(values).any():
+        raise DataError("cannot rank NaN values")
+    uniq, inverse, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return uniq, inverse, counts, np.cumsum(counts) - (counts - 1) / 2.0
+
+
+def _midranks(values) -> np.ndarray:
+    """1-based ranks with ties averaged."""
+    _, inverse, _, midrank = tie_groups(values)
+    return midrank[inverse]
 
 
 def confusion_metrics(y_true, y_pred, vocabulary=None) -> dict:
@@ -151,8 +152,8 @@ def wilcoxon_rank_sum(a, b, exact_threshold: int = 12):
     if a.size == 0 or b.size == 0:
         raise DataError("wilcoxon_rank_sum: empty group")
     na, nb = len(a), len(b)
-    pooled = np.concatenate([a, b])
-    ranks = _midranks(pooled)
+    _, inverse, tie_counts, midrank = tie_groups(np.concatenate([a, b]))
+    ranks = midrank[inverse]
     w_a = float(ranks[:na].sum())
     u_a = w_a - na * (na + 1) / 2.0
 
@@ -165,7 +166,6 @@ def wilcoxon_rank_sum(a, b, exact_threshold: int = 12):
         return u_a, p
 
     mean_u = na * nb / 2.0
-    _, tie_counts = np.unique(pooled, return_counts=True)
     tie_term = float(np.sum(tie_counts**3 - tie_counts)) / (n * (n - 1))
     var_u = na * nb / 12.0 * ((n + 1) - tie_term)
     if var_u <= 0:
@@ -186,18 +186,15 @@ def mutual_information(feature, labels, bins: int = 8) -> float:
         raise DataError("mutual_information: need at least 2 samples")
     if len(labels) != n:
         raise DataError(f"mutual_information: {n} feature values vs {len(labels)} labels")
-    if len(set(labels.tolist())) < 2:
+    _, label_codes = np.unique(labels, return_inverse=True)
+    k = label_codes.max() + 1
+    if k < 2:
         warnings.warn("mutual_information: constant labels", stacklevel=2)
         return 0.0
     bins_eff = max(1, min(bins, n))
     rank0 = _midranks(feature) - 1.0
     binned = np.minimum((rank0 * bins_eff / n).astype(int), bins_eff - 1)
-    _, label_codes = np.unique(labels, return_inverse=True)
-    k = label_codes.max() + 1
-    joint = np.zeros((bins_eff, k))
-    for bi, li in zip(binned, label_codes):
-        joint[bi, li] += 1.0
-    joint /= n
+    joint = np.bincount(binned * k + label_codes, minlength=bins_eff * k).reshape(bins_eff, k) / n
     pf = joint.sum(axis=1, keepdims=True)
     pl = joint.sum(axis=0, keepdims=True)
     nz = joint > 0

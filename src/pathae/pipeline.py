@@ -40,10 +40,9 @@ def hidden_space(kind: str) -> str:
     return "mu" if models.is_variational(kind) else "z"
 
 
-def extract_representation(model: Model, X, space: str) -> np.ndarray:
-    """Deterministic inference representation: z, mu, or the pathway
-    activity vector a. Invalid pairings are configuration errors."""
-    kind = model.arch.kind
+def check_space(kind: str, space: str):
+    """Raise ConfigError unless ``kind`` has the representation ``space``:
+    a for pathway kinds, mu for variational kinds, z for deterministic kinds."""
     if space not in SPACES:
         raise ConfigError(f"unknown space {space!r}; expected one of {SPACES}")
     if space == "a" and not models.is_pathway_kind(kind):
@@ -52,15 +51,18 @@ def extract_representation(model: Model, X, space: str) -> np.ndarray:
         raise ConfigError(f"space 'mu' unavailable for {kind}")
     if space == "z" and models.is_variational(kind):
         raise ConfigError(f"space 'z' is stochastic for {kind}; use 'mu'")
-    return _pick_space(models.forward(model, X, training=False), space)
 
 
-def _pick_space(outs: models.ForwardOutputs, space: str) -> np.ndarray:
-    if space == "a":
-        return outs.a
-    if space == "mu":
-        return outs.mu
-    return outs.z
+def extract_representation(model: Model, X, space: str) -> np.ndarray:
+    """Deterministic inference representation: z, mu, or the pathway
+    activity vector a. The model runs only as far as that stage."""
+    check_space(model.arch.kind, space)
+    if models.is_pathway_kind(model.arch.kind):
+        X = models.pathway_activity_forward(model, X)
+        if space == "a":
+            return X
+    out = models.encode(model, X)
+    return out[0] if space == "mu" else out
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +300,7 @@ def _one_repeat(
         return MetricsReport(param_count=n_params, seed=seed, diverged=True)
     rep_train = extract_representation(model, X_train, space)
     test_outs = models.forward(model, X_test, training=False)
-    rep_test = _pick_space(test_outs, space)
+    rep_test = getattr(test_outs, space)
     clf = fit_classifier(classifier, rep_train, y_train, stream)
     scores = predict_proba(clf, rep_test)
     y_pred = clf.classes[np.argmax(scores, axis=1)]  # as predict_labels

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import pathae.cli
+import pathae.pipeline
 from pathae.cli import ExperimentConfig, _RunDir, load_config, main
 from pathae.pipeline import REPORT_CSV_COLUMNS
 
@@ -223,6 +224,18 @@ class TestValidate:
         j2 = (tmp_path / "r2" / "report-synth-paae-z.json").read_text()
         assert j1 == j2
 
+    def test_unavailable_space_exits_1_before_training(self, fixture_dir, tmp_path,
+                                                       monkeypatch, capsys):
+        fits = []
+        monkeypatch.setattr(pathae.pipeline, "fit", lambda *args: fits.append(args))
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "c.ini", fixture_dir, out, kind="ae")
+        Path(cfg).write_text(Path(cfg).read_text().replace("space = z", "space = a"))
+        assert main(["validate", "-c", cfg]) == 1
+        assert "space 'a' unavailable for ae" in capsys.readouterr().err
+        assert fits == []
+        assert not out.exists()
+
     def test_bad_label_column_is_data_error(self, fixture_dir, tmp_path):
         cfg = write_config(tmp_path / "c.ini", fixture_dir, tmp_path / "run")
         text = Path(cfg).read_text().replace("label_column = subtype", "label_column = missing")
@@ -352,7 +365,7 @@ class TestAtomicArtifacts:
         "synth", "train", "gridsearch", "validate", "interpret", "survival",
     ])
     def test_failed_write_leaves_no_partial_file(self, fixture_dir, trained_checkpoint,
-                                                 tmp_path, break_writes, command):
+                                                 tmp_path, break_writes, capsys, command):
         out = tmp_path / "run"
         if command == "synth":
             argv = ["synth", "--out", str(out), "--seed", "3", "--classes", "3",
@@ -369,6 +382,9 @@ class TestAtomicArtifacts:
                 break_writes(writes_ok, name)
                 rc = main(argv)
                 assert rc == 1 or writes_ok, name
+                if rc == 1:
+                    assert capsys.readouterr().err.endswith(
+                        "pathae: I/O error: [Errno 28] No space left on device\n"), name
                 assert {p.name: p.read_bytes() for p in out.iterdir()} == before, name
 
 
@@ -384,6 +400,21 @@ class TestInternalError:
         assert main(["train", "-c", cfg] + (["--verbose"] if verbose else [])) == 1
         err = capsys.readouterr().err
         line = "pathae: internal error: RuntimeError: boom\n"
+        if verbose:
+            assert err.startswith("Traceback") and err.endswith(line)
+        else:
+            assert err == line
+
+    @pytest.mark.parametrize("verbose", [False, True])
+    def test_os_error_is_io_error(self, fixture_dir, tmp_path, monkeypatch, capsys, verbose):
+        def unreadable(cfg):
+            raise PermissionError(13, "Permission denied", "in.tsv")
+
+        monkeypatch.setattr(pathae.cli, "cmd_train", unreadable)
+        cfg = write_config(tmp_path / "c.ini", fixture_dir, tmp_path / "run")
+        assert main(["train", "-c", cfg] + (["--verbose"] if verbose else [])) == 1
+        err = capsys.readouterr().err
+        line = "pathae: I/O error: [Errno 13] Permission denied: 'in.tsv'\n"
         if verbose:
             assert err.startswith("Traceback") and err.endswith(line)
         else:

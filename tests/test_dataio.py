@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathae.dataio import (
     ExpressionTable,
@@ -197,6 +198,25 @@ class TestNormalizers:
             )
             out = apply_normalizer(fit_normalizer(t, "percentile"), t)
             assert out.values.min() >= 0.0 and out.values.max() <= 1.0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 30).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=1, max_size=4)))
+    def test_percentile_midranks_equal_reference(self, columns):
+        """The fitted (value, fraction) pairs equal those of the per-column
+        np.unique start-index code the tie-group routine replaced."""
+        values = np.array(columns, dtype=np.float64).T * 0.75
+        n = values.shape[0]
+        t = ExpressionTable([f"s{i}" for i in range(n)],
+                            [f"g{j}" for j in range(values.shape[1])], values)
+        for j, (uniq, frac) in enumerate(fit_normalizer(t, "percentile").sorted_ref):
+            col = np.sort(values[:, j])
+            ref_uniq, start = np.unique(col, return_index=True)
+            counts = np.diff(np.append(start, n))
+            midrank = start + (counts - 1) / 2.0
+            ref_frac = midrank / (n - 1) if n > 1 else np.full(ref_uniq.shape, 0.5)
+            np.testing.assert_array_equal(uniq, ref_uniq)
+            np.testing.assert_array_equal(frac, ref_frac)
 
     def test_log_offset(self):
         t = ExpressionTable(["a"], ["G"], [[3.0]], Scale("log2", 1.0))

@@ -3,10 +3,12 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathae.dataio import SurvivalTable
 from pathae.errors import DataError
 from pathae.interpret import (
+    KMCurve,
     anpw,
     apply_survival_window,
     emit_clustermap,
@@ -227,6 +229,86 @@ class TestLogrank:
         late = np.arange(100.0, 120.0)
         stat, p = logrank_test(early, [True] * 20, late, [True] * 20)
         assert p < 1e-6
+
+
+def _reference_km(times, events):
+    """The nested scan the risk-set routine replaced: walk the sorted times
+    one tie run at a time, multiplying in each run's deaths."""
+    times = np.asarray(times, dtype=np.float64)
+    events = np.asarray(events, dtype=bool)
+    order = np.argsort(times, kind="stable")
+    t_sorted, e_sorted = times[order], events[order]
+    grid, surv, risk = [0.0], [1.0], [int(times.size)]
+    s, i, n = 1.0, 0, times.size
+    while i < n:
+        t = t_sorted[i]
+        j, deaths = i, 0
+        while j < n and t_sorted[j] == t:
+            deaths += int(e_sorted[j])
+            j += 1
+        if deaths > 0:
+            s *= 1.0 - deaths / (n - i)
+            grid.append(float(t))
+            surv.append(s)
+            risk.append(n - i)
+        i = j
+    return KMCurve(np.asarray(grid), np.asarray(surv), np.asarray(risk, dtype=int))
+
+
+def _reference_logrank(ta, ea, tb, eb):
+    """The per-event-time loop the risk-set routine replaced."""
+    ta, tb = np.asarray(ta, dtype=np.float64), np.asarray(tb, dtype=np.float64)
+    ea, eb = np.asarray(ea, dtype=bool), np.asarray(eb, dtype=bool)
+    o_minus_e = var = 0.0
+    for t in np.unique(np.concatenate([ta[ea], tb[eb]])):
+        na, nb = int(np.sum(ta >= t)), int(np.sum(tb >= t))
+        n = na + nb
+        if n < 1 or na == 0 or nb == 0:
+            continue
+        da, db = int(np.sum(ea & (ta == t))), int(np.sum(eb & (tb == t)))
+        d = da + db
+        o_minus_e += da - d * na / n
+        if n > 1:
+            var += d * (na / n) * (nb / n) * (n - d) / (n - 1)
+    if var <= 0:
+        return 0.0, 1.0
+    stat = o_minus_e**2 / var
+    return float(stat), float(math.erfc(math.sqrt(stat / 2.0)))
+
+
+# integer times, so most draws are tie-heavy; up to 21 distinct times, so
+# a sum in another order than the loop's shows; a scale that makes the
+# times non-integer
+survival_groups = st.integers(1, 40).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 20), min_size=n, max_size=n),
+    st.lists(st.booleans(), min_size=n, max_size=n),
+    st.sampled_from([1.0, 0.5, 7.25, 365.0]),
+)).map(lambda g: (np.array(g[0]) * g[2], np.array(g[1])))
+
+
+class TestRiskSet:
+    """KM and logrank equal the loops they replaced, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(survival_groups)
+    def test_km_equals_scan(self, group):
+        times, events = group
+        got, want = km_estimate(times, events), _reference_km(times, events)
+        for field in ("times", "survival", "at_risk"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
+            assert getattr(got, field).dtype == getattr(want, field).dtype
+
+    @settings(max_examples=60, deadline=None)
+    @given(survival_groups, survival_groups)
+    def test_logrank_equals_loop(self, group_a, group_b):
+        assert logrank_test(*group_a, *group_b) == _reference_logrank(*group_a, *group_b)
+
+    def test_nan_time_is_data_error(self):
+        times, events = [1.0, math.nan, 3.0], [True, True, False]
+        with pytest.raises(DataError, match="NaN"):
+            km_estimate(times, events)
+        with pytest.raises(DataError, match="NaN"):
+            logrank_test(times, events, [2.0], [True])
 
 
 class TestTercileSplit:

@@ -3,9 +3,12 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathae.errors import DataError
 from pathae.metrics import (
+    _auc_binary,
+    _midranks,
     confusion_metrics,
     median_iqr,
     mutual_information,
@@ -216,3 +219,98 @@ class TestMedianIqr:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             median_iqr([])
+
+
+def _reference_midranks(values):
+    """The argsort scan the tie-group routine replaced: walk the sorted
+    values and give each run of equal values the mean of its ranks."""
+    values = np.asarray(values, dtype=np.float64)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(len(values))
+    i = 0
+    while i < len(values):
+        j = i
+        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def _reference_mi(feature, labels, bins=8):
+    """The per-sample joint-table loop the bincount replaced, on the
+    reference midranks."""
+    n = len(feature)
+    bins_eff = max(1, min(bins, n))
+    rank0 = _reference_midranks(feature) - 1.0
+    binned = np.minimum((rank0 * bins_eff / n).astype(int), bins_eff - 1)
+    _, label_codes = np.unique(labels, return_inverse=True)
+    joint = np.zeros((bins_eff, label_codes.max() + 1))
+    for bi, li in zip(binned, label_codes):
+        joint[bi, li] += 1.0
+    joint /= n
+    pf = joint.sum(axis=1, keepdims=True)
+    pl = joint.sum(axis=0, keepdims=True)
+    nz = joint > 0
+    return max(float(np.sum(joint[nz] * np.log(joint[nz] / (pf @ pl)[nz]))), 0.0)
+
+
+def _reference_rank_sum_normal(a, b):
+    """The normal-approximation rank-sum test with tie counts taken from
+    the reference ranks' runs."""
+    na, nb = len(a), len(b)
+    n = na + nb
+    pooled = np.concatenate([a, b])
+    u_a = float(_reference_midranks(pooled)[:na].sum()) - na * (na + 1) / 2.0
+    counts = np.array([np.sum(pooled == v) for v in sorted(set(pooled.tolist()))])
+    tie_term = float(np.sum(counts**3 - counts)) / (n * (n - 1))
+    var_u = na * nb / 12.0 * ((n + 1) - tie_term)
+    if var_u <= 0:
+        return u_a, 1.0
+    z = (abs(u_a - na * nb / 2.0) - 0.5) / math.sqrt(var_u)
+    return u_a, min(1.0, math.erfc(max(z, 0.0) / math.sqrt(2.0)))
+
+
+# few distinct values, so most draws are tie-heavy; infinities rank too
+TIE_VALUES = st.sampled_from([-math.inf, -2.5, -1.0, 0.0, 0.5, 1.0, 3.0, 1e300, math.inf])
+tie_heavy = st.lists(TIE_VALUES, min_size=2, max_size=40).map(np.array)
+LABELS = st.integers(0, 3)
+
+
+class TestTieRanking:
+    """Every rank-based statistic equals the scan and loop it replaced, bit
+    for bit, on tie-heavy inputs."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(tie_heavy)
+    def test_midranks_equal_scan(self, values):
+        np.testing.assert_array_equal(_midranks(values), _reference_midranks(values))
+
+    @settings(max_examples=60, deadline=None)
+    @given(tie_heavy, st.lists(LABELS, min_size=40, max_size=40), st.integers(1, 12))
+    def test_mutual_information_equals_loop(self, feature, labels, bins):
+        labels = np.array(labels[: len(feature)])
+        if len(set(labels.tolist())) < 2:
+            return
+        assert mutual_information(feature, labels, bins) == _reference_mi(feature, labels, bins)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tie_heavy, st.integers(1, 39))
+    def test_rank_sum_and_auc_equal_reference(self, pooled, split):
+        a, b = pooled[:split], pooled[split:]
+        if b.size == 0:
+            return
+        assert wilcoxon_rank_sum(a, b, exact_threshold=0) == _reference_rank_sum_normal(a, b)
+        ranks = _reference_midranks(pooled)
+        auc = (ranks[: len(a)].sum() - len(a) * (len(a) + 1) / 2.0) / (len(a) * len(b))
+        assert _auc_binary(a, b) == float(auc)
+
+    @pytest.mark.parametrize("call", [
+        lambda v: _midranks(v),
+        lambda v: mutual_information(v, [0, 1, 0, 1]),
+        lambda v: wilcoxon_rank_sum(v[:2], v[2:]),
+        lambda v: roc_auc_macro([0, 1, 0, 1], v),
+    ])
+    def test_nan_is_data_error(self, call):
+        with pytest.raises(DataError, match="NaN"):
+            call(np.array([0.5, math.nan, 1.0, 2.0]))

@@ -7,7 +7,7 @@ import pytest
 from pathae.dataio import ExpressionTable
 from pathae.errors import ConfigError, DataError
 from pathae.metrics import MetricsReport
-from pathae.models import ArchitectureConfig, PathwayMask, TrainConfig, build_model
+from pathae.models import ArchitectureConfig, PathwayMask, TrainConfig, build_model, forward
 from pathae.ndcore import RngStream
 from pathae.pipeline import (
     GridSpec,
@@ -84,6 +84,21 @@ class TestExtractRepresentation:
             extract_representation(vae, X, "z")
         with pytest.raises(ConfigError):
             extract_representation(paae, X, "mu")
+
+    @pytest.mark.parametrize("kind,spaces", [
+        ("ae", ["z"]), ("vae", ["mu"]), ("paae", ["a", "z"]), ("pavae", ["a", "mu"]),
+    ])
+    def test_equals_forward_without_decoding(self, kind, spaces):
+        masks = [PathwayMask("P0", np.array([0, 1, 4])), PathwayMask("P1", np.array([2, 3]))]
+        arch = ArchitectureConfig(kind=kind, encoder_layer_sizes=[4, 3],
+                                  pathway_hidden_sizes=[3, 2], dropout_rate=0.5)
+        model = build_model(arch, 5, masks, RngStream(3))
+        X = RngStream(4).normal(size=(9, 5))
+        outs = forward(model, X, training=False)
+        model.params.decoder = None  # the representation must not need the decoder
+        for space in spaces:
+            np.testing.assert_array_equal(extract_representation(model, X, space),
+                                          getattr(outs, space))
 
     def test_hidden_space_rule(self):
         assert hidden_space("ae") == "z"
