@@ -370,6 +370,17 @@ class TestEmission:
             assert r[0] == labels[row_tree.leaf_order[i]]
             np.testing.assert_array_equal([float(v) for v in r[1:]], reordered[i])
 
+    def test_clustermap_csv_bytes(self, tmp_path):
+        values = [[-0.0, 1e-300, 123456789012345.67], [1 / 3, -2.5e300, 7.0]]
+        _, csv_path = emit_clustermap(values, ["a", "b"], ["p0", 'p,"q"', "p2"],
+                                      tmp_path / "cm.svg")
+        with open(csv_path, "rb") as fh:
+            assert fh.read() == (
+                b'label,p0,"p,""q""",p2\r\n'
+                b"a,-0.0,1e-300,123456789012345.67\r\n"
+                b"b,0.3333333333333333,-2.5e+300,7.0\r\n"
+            )
+
     def test_clustermap_colors_stable(self, tmp_path):
         values = np.eye(3)
         svg1, _ = emit_clustermap(values, ["x", "y", "z"], ["a", "b", "c"], tmp_path / "1.svg",
