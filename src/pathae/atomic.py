@@ -5,6 +5,7 @@ that fails or is killed midway, not power loss (nothing is fsynced)."""
 from __future__ import annotations
 
 import contextlib
+import csv
 import os
 
 
@@ -21,3 +22,13 @@ def atomic_open(path, mode: str = "w", **kwargs):
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def write_csv(path, header, rows):
+    """Write a CSV artifact atomically: UTF-8, the csv module's default
+    dialect (comma, quoting only where needed, \\r\\n line ends).  A float
+    cell is written as its repr, so it reads back bit-exactly."""
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

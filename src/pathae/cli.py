@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import hashlib
 import json
 import logging
@@ -30,7 +29,7 @@ import numpy as np
 
 from . import __version__
 from . import dataio, interpret, models, pipeline
-from .atomic import atomic_open
+from .atomic import atomic_open, write_csv
 from .classifiers import CLASSIFIERS
 from .errors import ConfigError, DataError, NumericError, PathaeError
 from .models import ArchitectureConfig, TrainConfig
@@ -165,6 +164,8 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
         parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not valid UTF-8 ({exc.reason})") from None
     cfg = ExperimentConfig()
 
     def read(section, options, cast=str, prefix="", keep_empty=False):
@@ -394,12 +395,8 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     run = _RunDir(cfg, "train")
     ckpt = run.path(f"checkpoint-{cfg.dataset_name}-{cfg.kind}.ckpt")
     models.save_checkpoint(model, ckpt)
-    losses = run.path(f"losses-{cfg.dataset_name}-{cfg.kind}.csv")
-    with atomic_open(losses, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss"])
-        for e, value in enumerate(history):
-            writer.writerow([e, repr(value)])
+    write_csv(run.path(f"losses-{cfg.dataset_name}-{cfg.kind}.csv"), ["epoch", "loss"],
+              enumerate(history))
     run.finish()
     print(f"wrote {ckpt}")
     return 0
@@ -424,18 +421,14 @@ def cmd_gridsearch(cfg: ExperimentConfig) -> int:
         key=lambda r: (-(r["mean_roc_auc"]) if np.isfinite(r["mean_roc_auc"]) else np.inf,
                        r["cell_index"]),
     )
-    with atomic_open(out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["encoder_layer_sizes", "pathway_hidden_sizes", "beta",
-                         "schedule", "classifier", "param_count", "mean_roc_auc", "winner"])
-        for r in ordered:
-            writer.writerow([
-                ",".join(map(str, r["encoder_layer_sizes"])),
-                ",".join(map(str, r["pathway_hidden_sizes"])),
-                r["beta"], r["schedule"], r["classifier"], r["param_count"],
-                repr(r["mean_roc_auc"]),
-                "yes" if r["cell_index"] == best["cell_index"] else "no",
-            ])
+    write_csv(out, ["encoder_layer_sizes", "pathway_hidden_sizes", "beta", "schedule",
+                    "classifier", "param_count", "mean_roc_auc", "winner"], (
+        [",".join(map(str, r["encoder_layer_sizes"])),
+         ",".join(map(str, r["pathway_hidden_sizes"])),
+         r["beta"], r["schedule"], r["classifier"], r["param_count"], r["mean_roc_auc"],
+         "yes" if r["cell_index"] == best["cell_index"] else "no"]
+        for r in ordered
+    ))
     run.finish()
     print(f"best cell: {best}")
     return 0
@@ -466,11 +459,7 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
     jpath = run.path(stem + ".json")
     with atomic_open(jpath, "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
-    cpath = run.path(stem + ".csv")
-    with atomic_open(cpath, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(REPORT_CSV_COLUMNS)
-        writer.writerow(report.csv_row())
+    write_csv(run.path(stem + ".csv"), REPORT_CSV_COLUMNS, [report.csv_row()])
     run.finish()
     agg = report.aggregates()
     print(f"ROC AUC median {agg['roc_auc']['median']:.3f} "
@@ -503,24 +492,17 @@ def cmd_interpret(cfg: ExperimentConfig, checkpoint) -> int:
     base = f"{cfg.dataset_name}-{model.arch.kind}"
 
     ranked = interpret.rank_pathways_by_mi(a, y, names)
-    mi_path = run.path(f"mi-{base}-a.csv")
-    with atomic_open(mi_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pathway", "mutual_information"])
-        for name, mi in ranked:
-            writer.writerow([name, repr(mi)])
+    write_csv(run.path(f"mi-{base}-a.csv"), ["pathway", "mutual_information"], ranked)
 
-    npw_path = run.path(f"anpw-{base}.csv")
-    with atomic_open(npw_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pathway", "rank", "gene", "npw"])
-        for mask, layers in zip(model.masks, model.params.pathway_encoders):
-            gene_names = [model.gene_names[i] for i in mask.indices]
-            for rank, (gene, weight) in enumerate(
-                interpret.top_genes_by_anpw(layers, gene_names, k=min(cfg.top_genes, mask.size)),
-                start=1,
-            ):
-                writer.writerow([mask.name, rank, gene, f"{weight:+.6f}"])
+    npw_rows = []
+    for mask, layers in zip(model.masks, model.params.pathway_encoders):
+        gene_names = [model.gene_names[i] for i in mask.indices]
+        for rank, (gene, weight) in enumerate(
+            interpret.top_genes_by_anpw(layers, gene_names, k=min(cfg.top_genes, mask.size)),
+            start=1,
+        ):
+            npw_rows.append([mask.name, rank, gene, f"{weight:+.6f}"])
+    write_csv(run.path(f"anpw-{base}.csv"), ["pathway", "rank", "gene", "npw"], npw_rows)
 
     top_cols = [names.index(n) for n, _ in ranked[: cfg.clustermap_pathways]]
     sub = a[:, top_cols]
@@ -606,21 +588,11 @@ def cmd_survival(cfg: ExperimentConfig, checkpoint) -> int:
                     subtitle=f"logrank p = {p:.4g}, {cfg.survival_window_days:.0f}-day window",
                 )
 
-    all_path = run.path(f"survival-tests-{base}.csv")
-    with atomic_open(all_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pathway", "gene", "n_low", "n_high", "logrank_chi2", "p", "significant",
-                         "note"])
-        for row in results:
-            writer.writerow([row[0], row[1], row[2], row[3], repr(row[4]), repr(row[5]),
-                             "yes" if row[6] else "no", row[7]])
-    summary_path = run.path(f"survival-summary-{base}.csv")
-    with atomic_open(summary_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["pathway", "gene", "logrank_chi2", "p"])
-        for row in results:
-            if row[6]:
-                writer.writerow([row[0], row[1], repr(row[4]), repr(row[5])])
+    write_csv(run.path(f"survival-tests-{base}.csv"),
+              ["pathway", "gene", "n_low", "n_high", "logrank_chi2", "p", "significant", "note"],
+              ([*row[:6], "yes" if row[6] else "no", row[7]] for row in results))
+    write_csv(run.path(f"survival-summary-{base}.csv"), ["pathway", "gene", "logrank_chi2", "p"],
+              ([*row[:2], *row[4:6]] for row in results if row[6]))
     run.finish()
     n_sig = sum(1 for r in results if r[6])
     print(f"{n_sig} genes significant at p <= 0.05; artifacts in {run.dir}")

@@ -1,14 +1,23 @@
 """Ingestion and normalization for expression matrices, pathway sets, label
 and survival tables.
 
+One routine, ``_read_delimited``, opens every table file: UTF-8 text split
+on tabs, or on commas for a ``.csv`` name, with empty lines skipped.  GMT
+and gene-mapping files are read from it directly.  Expression, label and
+survival tables go through one header step, ``_read_table``: the first
+non-empty line names the columns, the first column holds the row ids, and
+every row is as wide as the header.  MSigDB JSON is read by ``json``.
+
 Tables are immutable values: every operation returns a new table.  Parsers
-reject malformed input with located errors rather than coercing silently.
+reject malformed input, bytes that are not UTF-8 included, with a
+ParseError naming the file and, for line-based formats, the line.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,14 +161,59 @@ def _delimiter_for(path) -> str:
 
 
 def _read_delimited(path, delimiter=None):
-    """Yield (line_number, fields) for non-empty lines."""
+    """Yield (line_number, fields) for the non-empty lines of a UTF-8 text
+    file, split on ``delimiter`` (default: by extension).  This is the only
+    place a table file is opened; bytes that are not UTF-8 raise ParseError
+    naming the line."""
     delimiter = delimiter or _delimiter_for(path)
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:
+                    line.encode("utf-8")
+                except UnicodeEncodeError as exc:  # an escaped undecodable byte
+                    byte = ord(line[exc.start]) - 0xDC00
+                    raise ParseError(
+                        f"{path}:{lineno}: not valid UTF-8 (byte 0x{byte:02x})"
+                    ) from None
             line = line.rstrip("\n").rstrip("\r")
             if not line:
                 continue
             yield lineno, line.split(delimiter)
+
+
+def _read_table(path, columns=(), delimiter=None):
+    """Read a table whose first non-empty line is its header.
+
+    Returns (header, indices, rows): the header fields, the index of each
+    named column (None names the first, identifier column), and an iterator
+    of (line_number, fields) over the data rows, each as wide as the header.
+    """
+    lines = _read_delimited(path, delimiter)
+    first = next(lines, None)
+    if first is None:
+        raise ParseError(f"{path}: empty file")
+    header = first[1]
+    indices = [0 if c is None else _header_index(header, c, path) for c in columns]
+
+    def rows():
+        for lineno, fields in lines:
+            if len(fields) != len(header):
+                raise ParseError(
+                    f"{path}:{lineno}: ragged row ({len(fields)} fields, expected {len(header)})"
+                )
+            yield lineno, fields
+
+    return header, indices, rows()
+
+
+def _header_index(header: list[str], column: str, path) -> int:
+    try:
+        return header.index(column)
+    except ValueError:
+        raise ParseError(
+            f"{path}: column {column!r} not found; available: {header}"
+        ) from None
 
 
 def load_expression_tsv(
@@ -174,18 +228,10 @@ def load_expression_tsv(
         raise ConfigError(f"unknown orientation {orientation!r}")
     if isinstance(scale, str):
         scale = Scale.parse(scale)
+    header, _, lines = _read_table(path, delimiter=delimiter)
+    width = len(header)
     rows = []
-    header = None
-    width = None
-    for lineno, fields in _read_delimited(path, delimiter):
-        if header is None:
-            header = fields
-            width = len(fields)
-            continue
-        if len(fields) != width:
-            raise ParseError(
-                f"{path}:{lineno}: ragged row ({len(fields)} fields, expected {width})"
-            )
+    for lineno, fields in lines:
         row_id = fields[0]
         numeric = np.empty(width - 1)
         for k, cell in enumerate(fields[1:]):
@@ -199,7 +245,7 @@ def load_expression_tsv(
                     f"{path}:{lineno}: non-numeric value {cell!r} in column {k + 2}"
                 ) from None
         rows.append((row_id, numeric))
-    if header is None or not rows:
+    if not rows:
         raise ParseError(f"{path}: no data rows")
     col_ids = header[1:]
     row_ids = [r for r, _ in rows]
@@ -397,38 +443,35 @@ def parse_gmt(path) -> PathwaySet:
     """GMT lines: name<TAB>description<TAB>gene1<TAB>gene2..."""
     pathways = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) < 3:
-                raise ParseError(f"{path}:{lineno}: expected at least 3 tab-separated fields")
-            name = fields[0]
-            if name in seen:
-                raise ParseError(f"{path}:{lineno}: duplicate pathway name {name!r}")
-            seen.add(name)
-            genes = [g for g in fields[2:] if g.strip()]
-            if not genes:
-                raise ParseError(f"{path}:{lineno}: pathway {name!r} lists no genes")
-            pathways.append((name, genes))
+    for lineno, fields in _read_delimited(path, "\t"):
+        if len(fields) < 3:
+            raise ParseError(f"{path}:{lineno}: expected at least 3 tab-separated fields")
+        name = fields[0]
+        if name in seen:
+            raise ParseError(f"{path}:{lineno}: duplicate pathway name {name!r}")
+        seen.add(name)
+        genes = [g for g in fields[2:] if g.strip()]
+        if not genes:
+            raise ParseError(f"{path}:{lineno}: pathway {name!r} lists no genes")
+        pathways.append((name, genes))
     return PathwaySet(pathways)
 
 
 def parse_msigdb_json(path) -> PathwaySet:
     """MSigDB JSON export: {set_name: {..., "geneSymbols": [...]}}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: invalid JSON ({exc})") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not valid UTF-8 (byte 0x{exc.object[exc.start]:02x})") from None
+    except (ValueError, RecursionError) as exc:  # malformed, too-long integer, too deep
+        raise ParseError(f"{path}: invalid JSON ({exc})") from None
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a top-level JSON object")
     pathways = []
     for name, entry in doc.items():
         genes = entry.get("geneSymbols") if isinstance(entry, dict) else None
-        if not genes:
+        if not isinstance(genes, list) or not genes:
             raise ParseError(f"{path}: set {name!r} has no geneSymbols")
         pathways.append((name, [str(g) for g in genes]))
     return PathwaySet(pathways)
@@ -472,35 +515,17 @@ def resolve_pathways(pathway_set: PathwaySet, gene_names: list[str]):
 # ---------------------------------------------------------------------------
 
 
-def _header_index(header: list[str], column: str, path) -> int:
-    try:
-        return header.index(column)
-    except ValueError:
-        raise ParseError(
-            f"{path}: column {column!r} not found; available: {header}"
-        ) from None
-
-
 def load_labels(path, column: str, drop_values=(), id_column: str | None = None) -> LabelTable:
     """Labels per sample from a delimited file; empty labels and values in
     drop_values are removed."""
     drop = set(drop_values)
-    header = None
+    _, (col, idc), rows = _read_table(path, (column, id_column))
     labels = {}
-    for lineno, fields in _read_delimited(path):
-        if header is None:
-            header = fields
-            col = _header_index(header, column, path)
-            idc = _header_index(header, id_column, path) if id_column else 0
-            continue
-        if len(fields) != len(header):
-            raise ParseError(f"{path}:{lineno}: ragged row")
+    for _lineno, fields in rows:
         value = fields[col].strip()
         if not value or value in drop:
             continue
         labels[fields[idc]] = value
-    if header is None:
-        raise ParseError(f"{path}: empty file")
     if not labels:
         raise DataError(f"{path}: no labeled samples remain after filtering")
     return LabelTable(labels)
@@ -513,17 +538,9 @@ _FALSE = {"0", "false", "no", "alive", "censored"}
 def load_survival(
     path, time_column: str, event_column: str, id_column: str | None = None
 ) -> SurvivalTable:
-    header = None
+    _, (tcol, ecol, idc), rows = _read_table(path, (time_column, event_column, id_column))
     records = {}
-    for lineno, fields in _read_delimited(path):
-        if header is None:
-            header = fields
-            tcol = _header_index(header, time_column, path)
-            ecol = _header_index(header, event_column, path)
-            idc = _header_index(header, id_column, path) if id_column else 0
-            continue
-        if len(fields) != len(header):
-            raise ParseError(f"{path}:{lineno}: ragged row")
+    for lineno, fields in rows:
         traw, eraw = fields[tcol].strip(), fields[ecol].strip().lower()
         if not traw or not eraw:
             continue
@@ -531,6 +548,10 @@ def load_survival(
             t = float(traw)
         except ValueError:
             raise ParseError(f"{path}:{lineno}: non-numeric time {traw!r}") from None
+        if not 0.0 <= t < math.inf:  # also rejects nan
+            raise ParseError(
+                f"{path}:{lineno}: survival time {traw!r} is not a finite non-negative number"
+            )
         if eraw in _TRUE:
             e = True
         elif eraw in _FALSE:
@@ -538,8 +559,6 @@ def load_survival(
         else:
             raise ParseError(f"{path}:{lineno}: unrecognized event value {eraw!r}")
         records[fields[idc]] = (t, e)
-    if header is None:
-        raise ParseError(f"{path}: empty file")
     if not records:
         raise DataError(f"{path}: no survival records")
     return SurvivalTable(records)

@@ -9,7 +9,6 @@ for stochastic embedding methods); every emitted map is labeled as such.
 
 from __future__ import annotations
 
-import csv
 import math
 import re
 import warnings
@@ -19,7 +18,7 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
-from .atomic import atomic_open
+from .atomic import atomic_open, write_csv
 from .errors import DataError, ShapeError
 from .metrics import mutual_information
 from .dataio import SurvivalTable
@@ -376,11 +375,8 @@ def emit_clustermap(values, row_labels, col_names, path, row_tree=None, col_tree
     with atomic_open(svg_path, "w", encoding="utf-8") as fh:
         fh.write(_svg_doc(width, height, parts))
     csv_path = re.sub(r"\.svg$", "", svg_path) + ".csv"
-    with atomic_open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + list(names))
-        for i in range(n):
-            writer.writerow([labels[i]] + [repr(float(v)) for v in ordered[i]])
+    write_csv(csv_path, ["label"] + names,
+              ([label] + row for label, row in zip(labels, ordered.tolist())))
     return svg_path, csv_path
 
 

@@ -3,6 +3,11 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# One budget for every property test, small so tier-1 time stays flat.
+settings.register_profile("tier1", max_examples=60, deadline=None)
+settings.load_profile("tier1")
 
 
 def max_rel_err(a, b, floor=1e-8):

@@ -325,6 +325,52 @@ class TestSurvival:
         assert main(["survival", "-c", cfg, "--checkpoint", ckpt]) == 1
 
 
+def _replace_in_config(cfg, old, new):
+    Path(cfg).write_text(Path(cfg).read_text().replace(old, new))
+
+
+class TestInputErrors:
+    """A malformed input file exits 2, or 1 for the INI file, with a message
+    naming the file; never as an internal error."""
+
+    def test_invalid_utf8_labels_exit_2(self, fixture_dir, tmp_path, capsys):
+        labels = tmp_path / "labels.tsv"
+        lines = (fixture_dir / "labels.tsv").read_bytes().split(b"\n")
+        lines[2] += b"\xff"
+        labels.write_bytes(b"\n".join(lines))
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "c.ini", fixture_dir, out)
+        _replace_in_config(cfg, f"labels = {fixture_dir}/labels.tsv", f"labels = {labels}")
+        assert main(["validate", "-c", cfg]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"pathae: data error: {labels}:3: not valid UTF-8 (byte 0xff)\n")
+        assert not out.exists()
+
+    def test_invalid_utf8_config_exit_1(self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path / "c.ini", fixture_dir, out)
+        Path(cfg).write_bytes(Path(cfg).read_bytes().replace(b"= synth", b"= synth\xff"))
+        assert main(["train", "-c", cfg]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"pathae: config error: {cfg}: not valid UTF-8")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-5"])
+    def test_bad_survival_time_exit_2(self, fixture_dir, trained_checkpoint, tmp_path, capsys,
+                                      raw):
+        surv = tmp_path / "survival.tsv"
+        lines = (fixture_dir / "survival.tsv").read_text().split("\n")
+        sid, _time, event = lines[3].split("\t")
+        lines[3] = f"{sid}\t{raw}\t{event}"
+        surv.write_text("\n".join(lines))
+        cfg = write_config(tmp_path / "c.ini", fixture_dir, tmp_path / "run")
+        _replace_in_config(cfg, f"survival = {fixture_dir}/survival.tsv", f"survival = {surv}")
+        assert main(["survival", "-c", cfg, "--checkpoint", trained_checkpoint[1]]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"pathae: data error: {surv}:4: survival time {raw!r} is not a finite "
+            "non-negative number\n")
+
+
 class TestManifest:
     def test_lists_files_and_hash(self, fixture_dir, tmp_path):
         cfg = write_config(tmp_path / "c.ini", fixture_dir, tmp_path / "run")

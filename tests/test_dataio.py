@@ -1,14 +1,16 @@
 import json
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from pathae.dataio import (
     ExpressionTable,
     LabelTable,
     PathwaySet,
     Scale,
+    SurvivalTable,
     apply_normalizer,
     fit_normalizer,
     fpkm_to_tpm_log,
@@ -199,7 +201,6 @@ class TestNormalizers:
             out = apply_normalizer(fit_normalizer(t, "percentile"), t)
             assert out.values.min() >= 0.0 and out.values.max() <= 1.0
 
-    @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 30).flatmap(lambda n: st.lists(
         st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=1, max_size=4)))
     def test_percentile_midranks_equal_reference(self, columns):
@@ -356,6 +357,140 @@ class TestLabelsAndSurvival:
         with pytest.raises(DataError):
             load_survival(p, "time", "event")
 
+    @pytest.mark.parametrize("raw", ["nan", "NaN", "inf", "-inf", "-Infinity", "1e999", "-3",
+                                     "-1e-300"])
+    def test_survival_time_checked_when_read(self, tmp_path, raw):
+        p = write(tmp_path / "s.tsv", f"sample_id\ttime\tevent\nS1\t5\t1\nS2\t{raw}\t0\n")
+        with pytest.raises(ParseError, match=re.escape(f"{p}:3: survival time {raw!r}")):
+            load_survival(p, "time", "event")
+
+    def test_survival_table_rejects_negative_time(self):
+        with pytest.raises(DataError, match="negative survival time"):
+            SurvivalTable({"S1": (-1.0, True)})
+
     def test_label_table_vocabulary_check(self):
         with pytest.raises(DataError):
             LabelTable({"S1": "A"}, vocabulary=["B"])
+
+
+# One small, valid file per loader; line 3 holds a data row.
+_LOADERS = {
+    "expression": ("e.tsv", "id\tG1\nS1\t1.5\nS2\t2.5\n", load_expression_tsv),
+    "labels": ("l.tsv", "sample_id\tsubtype\nS1\tA\nS2\tB\n",
+               lambda p: load_labels(p, "subtype")),
+    "survival": ("s.tsv", "sample_id\ttime\tevent\nS1\t10\t1\nS2\t20\t0\n",
+                 lambda p: load_survival(p, "time", "event")),
+    "gene_mapping": ("m.tsv", "E0\tG0\nE1\tG1\nE2\tG2\n", load_gene_mapping),
+    "gmt": ("p.gmt", "P0\tu\tG0\nP1\tu\tG1\nP2\tu\tG2\n", parse_gmt),
+}
+
+
+class TestTableFiles:
+    @pytest.mark.parametrize("loader", ["expression", "labels", "survival"])
+    def test_wide_row_is_ragged(self, tmp_path, loader):
+        name, text, load = _LOADERS[loader]
+        lines = text.split("\n")
+        lines[2] += "\tx"
+        path = write(tmp_path / name, "\n".join(lines))
+        with pytest.raises(ParseError, match=re.escape(f"{path}:3: ragged row")):
+            load(path)
+
+    @pytest.mark.parametrize("loader", sorted(_LOADERS))
+    def test_invalid_utf8_names_line(self, tmp_path, loader):
+        name, text, load = _LOADERS[loader]
+        lines = text.encode("utf-8").split(b"\n")
+        lines[2] = lines[2][:1] + b"\xff" + lines[2][1:]
+        path = tmp_path / name
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(ParseError, match=re.escape(f"{path}:3: not valid UTF-8 (byte 0xff)")):
+            load(str(path))
+
+    @pytest.mark.parametrize("loader", sorted(_LOADERS))
+    def test_non_ascii_utf8_is_read(self, tmp_path, loader):
+        name, text, load = _LOADERS[loader]
+        accented = text.replace("S2", "S\u00e92").replace("G2", "G\u00e92")
+        assert "\u00e92" in repr(load(write(tmp_path / name, accented)))
+
+    def test_msigdb_json_invalid_utf8(self, tmp_path):
+        path = tmp_path / "s.json"
+        path.write_bytes(b'{"PX": {"geneSymbols": ["G\xff1"]}}')
+        with pytest.raises(ParseError, match=re.escape(f"{path}: not valid UTF-8 (byte 0xff)")):
+            parse_msigdb_json(str(path))
+
+    @pytest.mark.parametrize("doc", [
+        '{"PX": {"geneSymbols": 5}}', '{"PX": {"geneSymbols": "G1"}}', "[" * 100_000,
+        "1" * 5000,
+    ], ids=["number", "string", "too_deep", "too_long_integer"])
+    def test_msigdb_json_malformed_is_parse_error(self, tmp_path, doc):
+        with pytest.raises(ParseError):
+            parse_msigdb_json(write(tmp_path / "s.json", doc))
+
+
+# Property tests: any bytes either load or raise DataError (ParseError is one).
+_CELLS = st.sampled_from([
+    b"", b" ", b"S1", b"S2", b"id", b"sample_id", b"subtype", b"time", b"event", b"u",
+    b"1", b"0", b"-3", b"2.5", b"1e999", b"nan", b"-inf", b"1_0", b"yes", b"dead", b"NA",
+    b"\xc3\xa9", b"\xff", b"\xc3", b"\xed\xa0\x80", b"\x00",
+]) | st.binary(max_size=3)
+
+
+@st.composite
+def _table_bytes(draw):
+    """Lines of cells joined by tab or comma, ended by \\n, \\r\\n or \\r."""
+    lines = draw(st.lists(st.lists(_CELLS, max_size=5), max_size=6))
+    return b"".join(draw(st.sampled_from([b"\t", b","])).join(cells)
+                    + draw(st.sampled_from([b"\n", b"\r\n", b"\r", b"\n\n"]))
+                    for cells in lines)
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8,
+)
+_JSON_BYTES = st.dictionaries(
+    st.text(max_size=3),
+    _JSON_VALUES | st.fixed_dictionaries({"geneSymbols": _JSON_VALUES}),
+    max_size=3,
+).map(lambda doc: json.dumps(doc).encode("utf-8"))
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("parsers")
+
+
+def _loads_or_data_error(load, path, data):
+    path.write_bytes(data)
+    try:
+        load(str(path))
+    except DataError:
+        pass
+
+
+class TestParserProperties:
+    @given(data=_table_bytes() | st.binary(max_size=40), suffix=st.sampled_from([".tsv", ".csv"]))
+    def test_expression(self, scratch, data, suffix):
+        _loads_or_data_error(load_expression_tsv, scratch / ("e" + suffix), data)
+
+    @given(data=_table_bytes() | st.binary(max_size=40), suffix=st.sampled_from([".tsv", ".csv"]))
+    def test_labels(self, scratch, data, suffix):
+        _loads_or_data_error(lambda p: load_labels(p, "subtype"), scratch / ("l" + suffix), data)
+
+    @given(data=_table_bytes() | st.binary(max_size=40), suffix=st.sampled_from([".tsv", ".csv"]))
+    def test_survival(self, scratch, data, suffix):
+        _loads_or_data_error(lambda p: load_survival(p, "time", "event"),
+                             scratch / ("s" + suffix), data)
+
+    @given(data=_table_bytes() | st.binary(max_size=40), suffix=st.sampled_from([".tsv", ".csv"]))
+    def test_gene_mapping(self, scratch, data, suffix):
+        _loads_or_data_error(load_gene_mapping, scratch / ("m" + suffix), data)
+
+    @given(data=_table_bytes() | st.binary(max_size=40))
+    def test_gmt(self, scratch, data):
+        _loads_or_data_error(parse_gmt, scratch / "p.gmt", data)
+
+    @given(data=_JSON_BYTES | _table_bytes() | st.binary(max_size=40))
+    def test_msigdb_json(self, scratch, data):
+        _loads_or_data_error(parse_msigdb_json, scratch / "p.json", data)

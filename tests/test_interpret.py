@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from pathae.dataio import SurvivalTable
 from pathae.errors import DataError
@@ -289,7 +289,6 @@ survival_groups = st.integers(1, 40).flatmap(lambda n: st.tuples(
 class TestRiskSet:
     """KM and logrank equal the loops they replaced, bit for bit."""
 
-    @settings(max_examples=60, deadline=None)
     @given(survival_groups)
     def test_km_equals_scan(self, group):
         times, events = group
@@ -298,7 +297,6 @@ class TestRiskSet:
             np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
             assert getattr(got, field).dtype == getattr(want, field).dtype
 
-    @settings(max_examples=60, deadline=None)
     @given(survival_groups, survival_groups)
     def test_logrank_equals_loop(self, group_a, group_b):
         assert logrank_test(*group_a, *group_b) == _reference_logrank(*group_a, *group_b)

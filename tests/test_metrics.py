@@ -3,7 +3,7 @@ from itertools import combinations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, strategies as st
 
 from pathae.errors import DataError
 from pathae.metrics import (
@@ -281,12 +281,10 @@ class TestTieRanking:
     """Every rank-based statistic equals the scan and loop it replaced, bit
     for bit, on tie-heavy inputs."""
 
-    @settings(max_examples=60, deadline=None)
     @given(tie_heavy)
     def test_midranks_equal_scan(self, values):
         np.testing.assert_array_equal(_midranks(values), _reference_midranks(values))
 
-    @settings(max_examples=60, deadline=None)
     @given(tie_heavy, st.lists(LABELS, min_size=40, max_size=40), st.integers(1, 12))
     def test_mutual_information_equals_loop(self, feature, labels, bins):
         labels = np.array(labels[: len(feature)])
@@ -294,7 +292,6 @@ class TestTieRanking:
             return
         assert mutual_information(feature, labels, bins) == _reference_mi(feature, labels, bins)
 
-    @settings(max_examples=60, deadline=None)
     @given(tie_heavy, st.integers(1, 39))
     def test_rank_sum_and_auc_equal_reference(self, pooled, split):
         a, b = pooled[:split], pooled[split:]
