@@ -161,10 +161,9 @@ def _delimiter_for(path) -> str:
 
 
 def _read_delimited(path, delimiter=None):
-    """Yield (line_number, fields) for the non-empty lines of a UTF-8 text
-    file, split on ``delimiter`` (default: by extension).  This is the only
-    place a table file is opened; bytes that are not UTF-8 raise ParseError
-    naming the line."""
+    """Yield (line_number, fields) for the non-empty lines, split on
+    ``delimiter`` (default: by extension); bytes that are not UTF-8 raise
+    ParseError naming the line."""
     delimiter = delimiter or _delimiter_for(path)
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -229,11 +228,10 @@ def load_expression_tsv(
     if isinstance(scale, str):
         scale = Scale.parse(scale)
     header, _, lines = _read_table(path, delimiter=delimiter)
-    width = len(header)
     rows = []
     for lineno, fields in lines:
         row_id = fields[0]
-        numeric = np.empty(width - 1)
+        numeric = np.empty(len(header) - 1)
         for k, cell in enumerate(fields[1:]):
             cell = cell.strip()
             if cell == "":
