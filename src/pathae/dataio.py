@@ -1,12 +1,18 @@
 """Ingestion and normalization for expression matrices, pathway sets, label
 and survival tables.
 
-One routine, ``_read_delimited``, opens every table file: UTF-8 text split
-on tabs, or on commas for a ``.csv`` name, with empty lines skipped.  GMT
-and gene-mapping files are read from it directly.  Expression, label and
-survival tables go through one header step, ``_read_table``: the first
-non-empty line names the columns, the first column holds the row ids, and
-every row is as wide as the header.  MSigDB JSON is read by ``json``.
+One routine, ``_read_delimited``, opens every table file: UTF-8 text, a
+leading byte-order mark dropped, split on tabs, or on commas for a ``.csv``
+name, with empty lines skipped.  GMT and gene-mapping files are read from
+it directly.  Expression, label and survival tables go through one header
+step, ``_read_table``: the first non-empty line names the columns, the first
+column holds the row ids, and every row is as wide as the header.  MSigDB
+JSON is read by ``json``.
+
+An expression row is converted by one numpy call.  Only a row that call
+rejects, or that holds a non-finite value, is scanned again cell by cell,
+to name the bad cell; the accept set is that of ``float()``, and values
+that are not finite are rejected.
 
 Tables are immutable values: every operation returns a new table.  Parsers
 reject malformed input, bytes that are not UTF-8 included, with a
@@ -162,10 +168,10 @@ def _delimiter_for(path) -> str:
 
 def _read_delimited(path, delimiter=None):
     """Yield (line_number, fields) for the non-empty lines, split on
-    ``delimiter`` (default: by extension); bytes that are not UTF-8 raise
-    ParseError naming the line."""
+    ``delimiter`` (default: by extension); a leading byte-order mark is
+    dropped, and bytes that are not UTF-8 raise ParseError naming the line."""
     delimiter = delimiter or _delimiter_for(path)
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.isascii():
                 try:
@@ -230,19 +236,14 @@ def load_expression_tsv(
     header, _, lines = _read_table(path, delimiter=delimiter)
     rows = []
     for lineno, fields in lines:
-        row_id = fields[0]
-        numeric = np.empty(len(header) - 1)
-        for k, cell in enumerate(fields[1:]):
-            cell = cell.strip()
-            if cell == "":
-                raise ParseError(f"{path}:{lineno}: empty value in column {k + 2}")
-            try:
-                numeric[k] = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"{path}:{lineno}: non-numeric value {cell!r} in column {k + 2}"
-                ) from None
-        rows.append((row_id, numeric))
+        try:
+            numeric = np.array(fields[1:], dtype=np.float64)
+            ok = np.isfinite(numeric).all()
+        except ValueError:
+            ok = False
+        if not ok:
+            numeric = _parse_cells(path, lineno, fields[1:])
+        rows.append((fields[0], numeric))
     if not rows:
         raise ParseError(f"{path}: no data rows")
     col_ids = header[1:]
@@ -257,6 +258,27 @@ def load_expression_tsv(
         dupes = sorted({s for s in sample_ids if sample_ids.count(s) > 1})
         raise ParseError(f"{path}: duplicate sample ids: {dupes[:5]}")
     return ExpressionTable(sample_ids, gene_names, values, scale)
+
+
+def _parse_cells(path, lineno, cells) -> np.ndarray:
+    """Parse a row's value cells one by one, so that the first bad cell
+    raises a ParseError naming the line, the column and the value.
+    Cells are stripped first, and ``str.strip`` also drops U+001C to U+001F,
+    which ``float()`` and numpy reject, so a row padded with them parses here."""
+    numeric = np.empty(len(cells))
+    for k, cell in enumerate(cells):
+        cell = cell.strip()
+        if cell == "":
+            raise ParseError(f"{path}:{lineno}: empty value in column {k + 2}")
+        try:
+            numeric[k] = float(cell)
+        except ValueError:
+            raise ParseError(
+                f"{path}:{lineno}: non-numeric value {cell!r} in column {k + 2}"
+            ) from None
+        if not math.isfinite(numeric[k]):
+            raise ParseError(f"{path}:{lineno}: non-finite value {cell!r} in column {k + 2}")
+    return numeric
 
 
 def load_gene_mapping(path, delimiter=None) -> dict[str, str]:
@@ -458,7 +480,7 @@ def parse_gmt(path) -> PathwaySet:
 def parse_msigdb_json(path) -> PathwaySet:
     """MSigDB JSON export: {set_name: {..., "geneSymbols": [...]}}."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             doc = json.load(fh)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not valid UTF-8 (byte 0x{exc.object[exc.start]:02x})") from None

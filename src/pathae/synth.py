@@ -126,7 +126,7 @@ def _write_expression(table: ExpressionTable, path):
     with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write("sample_id\t" + "\t".join(table.gene_names) + "\n")
         for i, sid in enumerate(table.sample_ids):
-            row = "\t".join(repr(float(v)) for v in table.values[i])
+            row = "\t".join(map(repr, table.values[i].tolist()))
             fh.write(f"{sid}\t{row}\n")
 
 

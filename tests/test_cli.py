@@ -370,6 +370,21 @@ class TestInputErrors:
             f"pathae: data error: {surv}:4: survival time {raw!r} is not a finite "
             "non-negative number\n")
 
+    def test_non_finite_expression_exit_2(self, fixture_dir, trained_checkpoint, tmp_path,
+                                          capsys):
+        expr = tmp_path / "train_expression.tsv"
+        lines = (fixture_dir / "train_expression.tsv").read_text().split("\n")
+        fields = lines[2].split("\t")
+        fields[3] = "nan"
+        lines[2] = "\t".join(fields)
+        expr.write_text("\n".join(lines))
+        cfg = write_config(tmp_path / "c.ini", fixture_dir, tmp_path / "run")
+        _replace_in_config(cfg, f"train_expression = {fixture_dir}/train_expression.tsv",
+                           f"train_expression = {expr}")
+        assert main(["interpret", "-c", cfg, "--checkpoint", trained_checkpoint[1]]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"pathae: data error: {expr}:3: non-finite value 'nan' in column 4\n")
+
 
 class TestManifest:
     def test_lists_files_and_hash(self, fixture_dir, tmp_path):

@@ -1,4 +1,6 @@
+import codecs
 import json
+import math
 import re
 
 import numpy as np
@@ -29,6 +31,7 @@ from pathae.dataio import (
 )
 from pathae.errors import ConfigError, DataError, ParseError
 from pathae.ndcore import RngStream
+from pathae.synth import _write_expression, make_synthetic, write_fixture
 
 
 def write(path, text):
@@ -75,6 +78,141 @@ class TestLoadExpression:
         p = write(tmp_path / "e.csv", "id,G1\nS1,4.5\n")
         t = load_expression_tsv(p)
         assert t.values[0, 0] == 4.5
+
+    @pytest.mark.parametrize("raw", ["nan", "-inf", "1e999"])
+    def test_non_finite_cell_names_line_and_column(self, tmp_path, raw):
+        p = write(tmp_path / "e.tsv", f"id\tG1\tG2\nS1\t1\t2\nS2\t3\t {raw}\n")
+        with pytest.raises(ParseError, match=re.escape(
+                f"{p}:3: non-finite value {raw!r} in column 3")):
+            load_expression_tsv(p)
+
+    def test_table_rejects_non_finite(self):
+        with pytest.raises(DataError, match="finite"):
+            ExpressionTable(["a"], ["G"], [[np.inf]])
+
+
+def _reference_parse(path, lines):
+    """The per-cell loop load_expression_tsv ran before each row became one
+    numpy call: the stacked values, or the first cell's ParseError."""
+    rows = []
+    for lineno, fields in lines:
+        numeric = np.empty(len(fields) - 1)
+        for k, cell in enumerate(fields[1:]):
+            cell = cell.strip()
+            if cell == "":
+                raise ParseError(f"{path}:{lineno}: empty value in column {k + 2}")
+            try:
+                numeric[k] = float(cell)
+            except ValueError:
+                raise ParseError(
+                    f"{path}:{lineno}: non-numeric value {cell!r} in column {k + 2}"
+                ) from None
+        rows.append(numeric)
+    return np.vstack(rows)
+
+
+def _first_non_finite(path, lines):
+    """The error for the first non-finite cell, in file order, that comes
+    before any cell the reference rejects; else None."""
+    for lineno, fields in lines:
+        for k, cell in enumerate(fields[1:]):
+            try:
+                value = float(cell.strip())
+            except ValueError:
+                return None
+            if not math.isfinite(value):
+                return f"{path}:{lineno}: non-finite value {cell.strip()!r} in column {k + 2}"
+    return None
+
+
+def _read_as_reference(path, rows):
+    """Write rows of value cells as an expression file; the reader must give
+    the reference's values bit for bit, or its message.  The one difference:
+    a non-finite cell now raises."""
+    lines = [(n + 2, [f"S{n}", *cells]) for n, cells in enumerate(rows)]
+    header = "id\t" + "\t".join(f"G{k}" for k in range(len(rows[0])))
+    path.write_text("\n".join([header] + ["\t".join(f) for _, f in lines]) + "\n",
+                    encoding="utf-8")
+    expected = _first_non_finite(path, lines)
+    if expected is None:
+        try:
+            expected = _reference_parse(path, lines)
+        except ParseError as exc:
+            expected = str(exc)
+    try:
+        got = load_expression_tsv(str(path)).values
+    except ParseError as exc:
+        got = str(exc)
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert isinstance(got, np.ndarray) and got.tobytes() == expected.tobytes()
+    return got
+
+
+# Cells on which float() and numpy's conversion could differ, with what the
+# reader gives: a value, or the start of its error.
+_EDGE_CELLS = [
+    (" 1.5 ", 1.5), ("\xa01\xa0", 1.0), ("\u20032\x0b", 2.0), ("1_0", 10.0),
+    ("\u0661\u0662", 12.0), ("\uff11\uff12", 12.0), ("1e-400", 0.0), ("-0.0", -0.0),
+    ("5e-324", 5e-324), ("1.5\x1c", 1.5), ("\x1f-2", -2.0),
+    ("nan", "non-finite value 'nan'"), ("+inf", "non-finite value '+inf'"),
+    ("-Infinity", "non-finite value '-Infinity'"), ("1e999", "non-finite value '1e999'"),
+    ("1,5", "non-numeric value '1,5'"), ("0x10", "non-numeric value '0x10'"),
+    ("1__0", "non-numeric value '1__0'"), ("1\x00", "non-numeric value '1\\x00'"),
+    ("", "empty value"), ("\xa0", "empty value"),
+]
+
+_PAD = st.text(alphabet=" \xa0\u2003\x0b\x0c\x1c\x1f\x85\u2028", max_size=2)
+# ASCII, Arabic-Indic, Devanagari and full-width digits
+_DIGITS = ["".join(map(chr, range(zero, zero + 10))) for zero in (0x30, 0x660, 0x966, 0xFF10)]
+_REPR = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_VALUE_CELLS = st.one_of(
+    _REPR,
+    st.tuples(_PAD, _REPR, _PAD).map("".join),
+    st.integers(0, 10**6).map(lambda n: "_".join(str(n))),
+    st.tuples(st.sampled_from(_DIGITS), _REPR).map(
+        lambda d: d[1].translate(str.maketrans("0123456789", d[0]))),
+    st.sampled_from(["", " ", "NA", "1,5", "0x10", "1e", "--1", "1__0", "_1", "nan(1)", "\xb2",
+                     "1\x00", "nan", "-inf", "1e999", " Infinity"]),
+    st.text(st.characters(exclude_characters="\t\n\r"), max_size=3),
+)
+
+
+class TestReaderMatchesReference:
+    @pytest.mark.parametrize("cell, outcome", _EDGE_CELLS, ids=repr)
+    def test_edge_cells(self, tmp_path, cell, outcome):
+        got = _read_as_reference(tmp_path / "e.tsv", [["2.5", cell]])
+        if isinstance(outcome, str):
+            assert got.startswith(f"{tmp_path / 'e.tsv'}:2: {outcome}")
+        else:
+            assert got[0, 1].tobytes() == np.float64(outcome).tobytes()
+
+    @given(st.integers(1, 5).flatmap(
+        lambda width: st.lists(st.lists(_VALUE_CELLS, min_size=width, max_size=width),
+                               min_size=1, max_size=4)))
+    def test_rows(self, scratch, rows):
+        _read_as_reference(scratch / "ref.tsv", rows)
+
+
+class TestFixtureWriter:
+    def test_row_bytes(self, tmp_path):
+        values = [[-0.0, 5e-324, 1e-300, 1 / 3, 1e300]]
+        table = ExpressionTable(["S1"], [f"G{k}" for k in range(5)], values)
+        _write_expression(table, tmp_path / "e.tsv")
+        assert (tmp_path / "e.tsv").read_bytes() == (
+            b"sample_id\tG0\tG1\tG2\tG3\tG4\n"
+            b"S1\t-0.0\t5e-324\t1e-300\t0.3333333333333333\t1e+300\n")
+
+    def test_round_trip_is_bit_equal(self, tmp_path):
+        data = make_synthetic(n_pathways=4, n_genes=40, n_background=8, n_train=30, n_test=20,
+                              seed=5)
+        paths = write_fixture(tmp_path, data)
+        for table, name in ((data.train, "train_expression"), (data.test, "test_expression")):
+            back = load_expression_tsv(paths[name])
+            assert back.sample_ids == table.sample_ids
+            assert back.gene_names == table.gene_names
+            assert back.values.tobytes() == table.values.tobytes()
 
 
 class TestGeneMapping:
@@ -236,6 +374,54 @@ class TestNormalizers:
         t = ExpressionTable(["a"], ["G"], [[1.0]])
         with pytest.raises(ConfigError):
             fit_normalizer(t, "minmax")
+
+
+# Columns of quarter-integers: distinct values differ by at least 0.25, so
+# a column is either constant or far from it.
+_QUARTER_COLUMNS = st.integers(2, 25).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-40, 40), min_size=n, max_size=n), min_size=1, max_size=4))
+
+
+def _columns_table(columns):
+    values = np.array(columns, dtype=np.float64).T * 0.25
+    return ExpressionTable([f"s{i}" for i in range(values.shape[0])],
+                           [f"g{j}" for j in range(values.shape[1])], values)
+
+
+class TestNormalizerProperties:
+    @given(_QUARTER_COLUMNS)
+    def test_zscore_centres_and_scales(self, columns):
+        t = _columns_table(columns)
+        out = apply_normalizer(fit_normalizer(t, "zscore"), t).values
+        for j, col in enumerate(t.values.T):
+            if np.ptp(col) == 0:
+                assert np.all(out[:, j] == 0.0)
+            else:
+                assert abs(out[:, j].mean()) < 1e-12
+                assert abs(out[:, j].std() - 1.0) < 1e-12
+
+    @given(_QUARTER_COLUMNS, st.lists(st.floats(-20, 20), min_size=1, max_size=8))
+    def test_percentile_in_unit_interval_and_monotone(self, columns, fresh):
+        t = _columns_table(columns)
+        norm = fit_normalizer(t, "percentile")
+        other = ExpressionTable([f"x{i}" for i in range(len(fresh))], list(t.gene_names),
+                                np.tile(np.array(fresh)[:, None], (1, t.n_genes)))
+        for table in (t, other):
+            out = apply_normalizer(norm, table).values
+            assert out.min() >= 0.0 and out.max() <= 1.0
+            for j, col in enumerate(table.values.T):
+                assert np.all(np.diff(out[np.argsort(col), j]) >= 0)
+
+    @given(st.lists(st.lists(st.floats(0, 30), min_size=3, max_size=3), min_size=1, max_size=8),
+           st.sampled_from(["linear", "log2+1", "log2+0.5"]), st.sampled_from([1e-3, 0.5, 2.0]))
+    def test_log_offset_is_log2_of_shifted_linear(self, rows, scale, offset):
+        t = ExpressionTable([f"s{i}" for i in range(len(rows))], ["g0", "g1", "g2"], rows,
+                            Scale.parse(scale))
+        out = apply_normalizer(fit_normalizer(t, "log_offset", offset=offset), t)
+        assert out.scale == Scale("log2", offset)
+        linear = t.scale.to_linear(t.values)
+        np.testing.assert_allclose(out.scale.to_linear(out.values) + offset, linear + offset,
+                                   rtol=1e-12, atol=0)
 
 
 class TestPerMillion:
@@ -424,6 +610,37 @@ class TestTableFiles:
     def test_msigdb_json_malformed_is_parse_error(self, tmp_path, doc):
         with pytest.raises(ParseError):
             parse_msigdb_json(write(tmp_path / "s.json", doc))
+
+
+class TestByteOrderMark:
+    """A spreadsheet's "CSV UTF-8" export starts with a byte-order mark; it is
+    not part of the first field."""
+
+    def _write(self, path, text):
+        path.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        return str(path)
+
+    def test_labels_named_first_column(self, tmp_path):
+        p = self._write(tmp_path / "l.csv", "subtype,sample_id\nA,S1\nB,S2\n")
+        assert load_labels(p, "subtype", id_column="sample_id").labels == {"S1": "A", "S2": "B"}
+
+    def test_survival(self, tmp_path):
+        p = self._write(tmp_path / "s.tsv", "time\tevent\tsample_id\n10\t1\tS1\n")
+        assert load_survival(p, "time", "event", id_column="sample_id").records == {
+            "S1": (10.0, True)}
+
+    def test_expression(self, tmp_path):
+        p = self._write(tmp_path / "e.tsv", "id\tS1\tS2\nG1\t1\t2\n")
+        t = load_expression_tsv(p, orientation="genes_as_rows")
+        assert t.sample_ids == ["S1", "S2"] and t.gene_names == ["G1"]
+
+    def test_gmt(self, tmp_path):
+        p = self._write(tmp_path / "p.gmt", "P0\tu\tG0\tG1\n")
+        assert parse_gmt(p).pathways == [("P0", ["G0", "G1"])]
+
+    def test_msigdb_json(self, tmp_path):
+        p = self._write(tmp_path / "s.json", '{"P0": {"geneSymbols": ["G0"]}}')
+        assert parse_msigdb_json(p).pathways == [("P0", ["G0"])]
 
 
 # Property tests: any bytes either load or raise DataError (ParseError is one).
