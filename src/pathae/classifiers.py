@@ -5,8 +5,10 @@ The logistic regression minimizes 0.5*||W||^2 + C * sum-of-cross-entropies
 (bias unregularized) with L-BFGS; the forest is hand-built CART with Gini
 impurity, sqrt(d) candidate features per node and bootstrapped samples, with
 fully deterministic tie-breaking so a fixed seed reproduces the forest.  The
-split search scores every (feature, threshold) pair of a node in one array
-expression, and prediction sends all rows down each tree at once.
+trees of one fit grow in lockstep: each keeps its own depth-first stack and
+its own stream, and on every step one batched split search scores every
+(feature, threshold) pair of the nodes that all trees are working on.
+Prediction sends all rows down each tree at once.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import ConfigError, DataError, ShapeError
-from .ndcore import RngStream, as_stream
+from .ndcore import as_stream
 
 CLASSIFIERS = ("lr", "rf")
 
@@ -29,6 +31,21 @@ def _encode_labels(y):
     lookup = {c: i for i, c in enumerate(classes)}
     codes = np.array([lookup[v] for v in y], dtype=np.intp)
     return classes, codes
+
+
+def _fit_inputs(X, y, who: str):
+    """Check a training set at the fit boundary: a non-empty 2-D matrix of
+    finite values with one label per row.  Returns (X, classes, codes)."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
+        raise DataError(f"{who}: need a non-empty 2-D matrix, got shape {X.shape}")
+    classes, codes = _encode_labels(y)
+    if len(codes) != X.shape[0]:
+        raise ShapeError(f"{who}: {len(codes)} labels for {X.shape[0]} rows")
+    if not np.isfinite(X).all():
+        i, j = np.argwhere(~np.isfinite(X))[0]
+        raise DataError(f"{who}: non-finite value {X[i, j]} at row {i}, column {j}")
+    return X, classes, codes
 
 
 def _as_rows(X, n_features: int, who: str) -> np.ndarray:
@@ -65,8 +82,7 @@ def lr_fit(X, y, C: float = 1.0, max_iter: int = 100, tol: float = 1e-6, rng=Non
     the fit is deterministic and ``rng`` is accepted only for interface
     symmetry with rf_fit.
     """
-    X = np.asarray(X, dtype=np.float64)
-    classes, codes = _encode_labels(y)
+    X, classes, codes = _fit_inputs(X, y, "lr_fit")
     n, d = X.shape
     k = len(classes)
     if k < 2:
@@ -142,79 +158,153 @@ class ForestModel:
     n_features: int
 
 
-def _best_split(X, onehot, idx, features):
-    """Lowest weighted child Gini impurity over candidate features; ties
-    resolve to the lowest feature index, then the lowest threshold.
+# Cap on the elements of one (nodes, features, rows, classes) block of the
+# batched split search: a larger group of nodes is searched in chunks, and
+# only a single node larger than the cap is searched as one block.
+_SEARCH_BLOCK = 1 << 18
 
-    ``onehot`` holds every sample's class as a one-hot row.  Presort
-    splitter: each candidate column of the node is sorted once, the left
-    child's class counts at every threshold are a cumulative sum of one-hot
-    rows in that order, and the impurity of every (feature, threshold) pair
-    is one array expression.  The float operations are those of a
-    one-threshold-at-a-time scan (p = counts / size, 1 - sum(p * p),
-    (nl * gl + nr * gr) / n), so the result is bit-identical to it.
+
+def _split_search(X, onehot, rows, sizes, features):
+    """Best split of every node of a batch; ties resolve to the lowest feature
+    index, then the lowest threshold.
+
+    Node b holds the samples ``rows[b, :sizes[b]]``; the rest of its row is
+    padding, the index of a sentinel row whose features are +inf and whose
+    one-hot row is zero: the fits take finite data only, so the sentinel
+    sorts after every sample, and it adds to no count.  ``features[b]`` are
+    the node's candidate columns.
+
+    Presort splitter: each candidate column of a node is sorted once, the
+    left child's class counts at every threshold are a cumulative sum of
+    one-hot rows in that order, and the impurity of every (node, feature,
+    threshold) triple is one array expression.  The float operations are
+    those of a one-threshold-at-a-time scan (p = counts / size,
+    1 - sum(p * p), (nl * gl + nr * gr) / n), so the result is bit-identical
+    to it.
+
+    Returns, per node: the lowest impurity (inf when every candidate column
+    is constant on the node), its feature, its threshold, the split position
+    ``cut`` (the left child's size), the node's rows sorted along the
+    winning feature, and the left and right children's class counts."""
+    B, N = rows.shape
+    batch = np.arange(B)
+    cols = X[rows[:, None, :], features[:, :, None]]  # (B, m, N)
+    # the order among equal values is free: no threshold falls between them
+    order = cols.argsort(axis=-1)
+    vals = np.take_along_axis(cols, order, axis=-1)
+    sorted_rows = rows[batch[:, None, None], order]
+    left = onehot.take(sorted_rows, axis=0).cumsum(axis=2)  # (B, m, N, k): left counts at each cut
+    right = left[batch, 0, sizes - 1][:, None, None, :] - left
+    nl = np.arange(1.0, N + 1)  # left size at each threshold
+    n = sizes.astype(np.float64)[:, None, None]
+    nr = n - nl
+    with np.errstate(divide="ignore", invalid="ignore"):  # padding thresholds
+        p = left / nl[:, None]
+        gl = 1.0 - (p * p).sum(axis=-1)
+        p = right / nr[..., None]
+        gr = 1.0 - (p * p).sum(axis=-1)
+        impurity = (nl * gl + nr * gr) / n  # (B, m, N)
+    impurity[..., :-1][vals[..., :-1] == vals[..., 1:]] = np.inf  # no threshold between equal values
+    impurity[np.broadcast_to(nl >= n, impurity.shape)] = np.inf  # nor at or past a node's last row
+    # row-major over (feature, threshold): the first minimum has the lowest
+    # feature, then the lowest threshold
+    flat = impurity.reshape(B, -1)
+    best = flat.argmin(axis=1)
+    fi, ti = np.divmod(best, N)
+    a, b = vals[batch, fi, ti], vals[batch, fi, ti + 1]
+    with np.errstate(over="ignore"):
+        thr = 0.5 * (a + b)
+    # the midpoint of two adjacent floats can round up to the upper one, and
+    # that of two huge ones overflows; the lower value splits the same rows
+    thr = np.where((a <= thr) & (thr < b), thr, a)
+    return (flat[batch, best], features[batch, fi], thr, ti + 1, sorted_rows[batch, fi],
+            left[batch, fi, ti], right[batch, fi, ti])
+
+
+def _best_split(X, onehot, idx, features):
+    """``_split_search`` for one node: the rows ``idx``, unpadded.
 
     Returns (impurity, feature, threshold), or None when every candidate
     column is constant on the node."""
-    n, m = len(idx), len(features)  # n >= 2
-    cols = X[idx[:, None], features].T  # (m, n), one row per candidate feature
-    order = cols.argsort(axis=1, kind="stable")
-    vals = cols[np.arange(m)[:, None], order]
-    node_onehot = onehot[idx]
-    left = node_onehot[order[:, :-1]].cumsum(axis=1)  # (m, n-1, k)
-    right = node_onehot.sum(axis=0) - left
-    nl = np.arange(1.0, n)  # left size at each threshold
-    nr = n - nl
-    p = left / nl[:, None]
-    gl = 1.0 - (p * p).sum(axis=-1)
-    p = right / nr[:, None]
-    gr = 1.0 - (p * p).sum(axis=-1)
-    impurity = (nl * gl + nr * gr) / n  # (m, n-1)
-    impurity[vals[:, :-1] == vals[:, 1:]] = np.inf  # no threshold between equal values
-    # row-major over (feature, threshold): the first minimum has the lowest
-    # feature, then the lowest threshold
-    fi, ti = divmod(int(impurity.argmin()), n - 1)
-    if impurity[fi, ti] == np.inf:
+    impurity, feature, threshold, *_ = _split_search(
+        X, onehot, np.asarray(idx)[None, :], np.array([len(idx)]), np.asarray(features)[None, :])
+    if impurity[0] == np.inf:
         return None
-    return impurity[fi, ti], features[fi], 0.5 * (vals[fi, ti] + vals[fi, ti + 1])
+    return impurity[0], feature[0], threshold[0]
 
 
-def _grow(X, onehot, idx, m_features, rng: RngStream):
-    counts = onehot[idx].sum(axis=0)
-    node = TreeNode(counts=counts)
-    if len(idx) < 2 or np.count_nonzero(counts) < 2:  # too small or pure
-        return node
-    d = X.shape[1]
-    features = np.sort(rng.choice(d, size=min(m_features, d), replace=False))
-    best = _best_split(X, onehot, idx, features)
-    if best is None:
-        return node
-    _, f, thr = best
-    mask = X[idx, f] <= thr
-    node.feature = int(f)
-    node.threshold = float(thr)
-    node.left = _grow(X, onehot, idx[mask], m_features, rng)
-    node.right = _grow(X, onehot, idx[~mask], m_features, rng)
-    return node
+def _grow_forest(X, onehot, boots, m_features, rngs):
+    """Grow one tree per bootstrap sample, all trees in lockstep, and return
+    their roots.
+
+    A node is a leaf when it is pure (this covers fewer than two samples) or
+    when its candidate columns are all constant on it.  Each tree keeps a
+    depth-first stack of the nodes it has still to search, left child on
+    top.  On every step, each unfinished tree pops one node and draws its
+    candidate features from the tree's own stream, so every tree draws in
+    pre-order, as a recursive grower would.  One batched search, chunked by
+    node size, then splits all those nodes."""
+    d, k = X.shape[1], onehot.shape[1]
+    X = np.vstack([X, np.full(d, np.inf)])  # the sentinel row, last
+    onehot = np.vstack([onehot, np.zeros(k)])
+    roots = [TreeNode(counts=onehot[boot].sum(axis=0)) for boot in boots]
+    stacks = [[(root, boot)] if np.count_nonzero(root.counts) >= 2 else []
+              for root, boot in zip(roots, boots)]
+    while True:
+        pending = {}  # size class -> [(tree, node, rows, features)]
+        for t, stack in enumerate(stacks):
+            if stack:
+                node, rows = stack.pop()
+                # padding to a power of two stays under twice the size
+                pending.setdefault((len(rows) - 1).bit_length(), []).append(
+                    (t, node, rows, rngs[t].choice(d, size=m_features, replace=False)))
+        if not pending:
+            return roots
+        for size_class, group in pending.items():
+            per_call = max(1, _SEARCH_BLOCK // (m_features * (1 << size_class) * k))
+            for start in range(0, len(group), per_call):
+                _split_nodes(X, onehot, group[start : start + per_call], stacks)
+
+
+def _split_nodes(X, onehot, chunk, stacks):
+    """Search a chunk of nodes padded to the largest one's size, and push the
+    children that are not pure onto their tree's stack, left on top."""
+    sizes = [len(c[2]) for c in chunk]
+    rows = np.full((len(chunk), max(sizes)), len(X) - 1)
+    for b, (_, _, node_rows, _) in enumerate(chunk):
+        rows[b, : sizes[b]] = node_rows
+    features = np.sort([c[3] for c in chunk], axis=1)
+    impurity, feature, threshold, cut, sorted_rows, left, right = _split_search(
+        X, onehot, rows, np.array(sizes), features)
+    found = (impurity < np.inf).tolist()
+    grow_left = (np.count_nonzero(left, axis=1) >= 2).tolist()
+    grow_right = (np.count_nonzero(right, axis=1) >= 2).tolist()
+    feature, threshold, cut = feature.tolist(), threshold.tolist(), cut.tolist()
+    for b, (t, node, _, _) in enumerate(chunk):
+        if not found[b]:
+            continue
+        node.feature, node.threshold = feature[b], threshold[b]
+        node.left, node.right = TreeNode(counts=left[b]), TreeNode(counts=right[b])
+        # row order inside a node cannot change its split: thresholds
+        # between equal values are masked, and the counts at every other
+        # threshold depend only on which rows the node holds
+        if grow_right[b]:
+            stacks[t].append((node.right, sorted_rows[b, cut[b] : sizes[b]]))
+        if grow_left[b]:
+            stacks[t].append((node.left, sorted_rows[b, : cut[b]]))
 
 
 def rf_fit(X, y, n_trees: int = 100, rng=None) -> ForestModel:
     """Bootstrap-aggregated CART trees, grown until pure or fewer than two
     samples, with ceil(sqrt(d)) candidate features per node."""
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
-        raise DataError(f"rf_fit: need a non-empty 2-D matrix, got shape {X.shape}")
-    classes, codes = _encode_labels(y)
-    if len(codes) != X.shape[0]:
-        raise ShapeError(f"rf_fit: {len(codes)} labels for {X.shape[0]} rows")
+    X, classes, codes = _fit_inputs(X, y, "rf_fit")
+    if n_trees < 1:
+        raise ValueError(f"n_trees must be at least 1, got {n_trees}")
     n, d = X.shape
     onehot = np.eye(len(classes))[codes]
-    m_features = int(math.ceil(math.sqrt(d)))
-    rng = as_stream(rng)
-    trees = []
-    for tree_rng in rng.spawn(n_trees):
-        boot = tree_rng.integers(0, n, size=n)
-        trees.append(_grow(X, onehot, np.asarray(boot), m_features, tree_rng))
+    rngs = as_stream(rng).spawn(n_trees)
+    boots = [np.asarray(tree_rng.integers(0, n, size=n)) for tree_rng in rngs]
+    trees = _grow_forest(X, onehot, boots, int(math.ceil(math.sqrt(d))), rngs)
     return ForestModel(trees=trees, classes=classes, n_features=d)
 
 

@@ -1,8 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
+from pathae import classifiers
 from pathae.classifiers import (
     ForestModel,
+    TreeNode,
     _best_split,
     LogisticModel,
     fit_classifier,
@@ -127,6 +131,27 @@ class TestRandomForest:
         with pytest.raises(DataError):
             rf_fit(np.empty((0, 2)), np.array([]))
 
+    @pytest.mark.parametrize("n_trees", [0, -1])
+    def test_no_trees_rejected(self, n_trees):
+        X, y = xor_data(n=20, seed=1)
+        with pytest.raises(ValueError, match="n_trees"):
+            rf_fit(X, y, n_trees=n_trees, rng=RngStream(0))
+
+    @pytest.mark.parametrize("a, b", [
+        (1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51),  # the midpoint rounds up to b
+        (1e308, 1.7e308),  # a + b overflows to +inf
+        (-1.7e308, -1e308),  # a + b overflows to -inf
+    ])
+    def test_threshold_separates_the_two_values(self, a, b):
+        X = np.array([[a], [b], [a], [b]])
+        y = np.array(["lo", "hi", "lo", "hi"])
+        model = rf_fit(X, y, n_trees=3, rng=RngStream(0))
+        for tree in model.trees:
+            if not tree.is_leaf:
+                assert a <= tree.threshold < b
+                assert tree.left.is_leaf and tree.right.is_leaf
+        assert list(predict_labels(model, X)) == list(y)
+
     def test_width_mismatch(self):
         X, y = xor_data(n=20, seed=1)
         model = rf_fit(X, y, n_trees=3, rng=RngStream(0))
@@ -206,6 +231,160 @@ class TestSplitSearch:
             assert (got[0], int(got[1]), got[2]) == (want[0], int(want[1]), want[2])
             checked += 1
         assert checked > 300
+
+
+@pytest.mark.parametrize("fit", [lr_fit, rf_fit])
+class TestFitInputs:
+    """Both fits check their training set at the boundary, in one helper."""
+
+    @pytest.mark.parametrize("shape", [(4,), (0, 2), (4, 0), (4, 2, 1)])
+    def test_empty_or_non_matrix_rejected(self, fit, shape):
+        with pytest.raises(DataError, match="non-empty 2-D matrix"):
+            fit(np.ones(shape), np.array(["a", "b"] * 2))
+
+    def test_label_count_mismatch_rejected(self, fit):
+        with pytest.raises(ShapeError, match="3 labels for 4 rows"):
+            fit(np.ones((4, 2)), np.array(["a", "b", "a"]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_cell_named(self, fit, bad):
+        X = np.arange(8.0).reshape(4, 2)
+        X[2, 1] = bad
+        X[3, 0] = np.nan  # only the first non-finite cell is named
+        with pytest.raises(DataError, match=f"non-finite value {bad} at row 2, column 1"):
+            fit(X, np.array(["a", "b"] * 2))
+
+
+def _reference_presort_split(X, onehot, idx, features):
+    """The single-node presort split search the batched search replaced."""
+    n, m = len(idx), len(features)
+    cols = X[idx[:, None], features].T
+    order = cols.argsort(axis=1, kind="stable")
+    vals = cols[np.arange(m)[:, None], order]
+    node_onehot = onehot[idx]
+    left = node_onehot[order[:, :-1]].cumsum(axis=1)
+    right = node_onehot.sum(axis=0) - left
+    nl = np.arange(1.0, n)
+    nr = n - nl
+    p = left / nl[:, None]
+    gl = 1.0 - (p * p).sum(axis=-1)
+    p = right / nr[:, None]
+    gr = 1.0 - (p * p).sum(axis=-1)
+    impurity = (nl * gl + nr * gr) / n
+    impurity[vals[:, :-1] == vals[:, 1:]] = np.inf
+    fi, ti = divmod(int(impurity.argmin()), n - 1)
+    if impurity[fi, ti] == np.inf:
+        return None
+    return impurity[fi, ti], features[fi], 0.5 * (vals[fi, ti] + vals[fi, ti + 1])
+
+
+def _reference_grow(X, onehot, idx, m_features, rng):
+    """The recursive grower the lockstep grower replaced: one node at a
+    time, in pre-order, children selected by a mask in bootstrap order."""
+    counts = onehot[idx].sum(axis=0)
+    node = TreeNode(counts=counts)
+    if len(idx) < 2 or np.count_nonzero(counts) < 2:
+        return node
+    d = X.shape[1]
+    features = np.sort(rng.choice(d, size=min(m_features, d), replace=False))
+    best = _reference_presort_split(X, onehot, idx, features)
+    if best is None:
+        return node
+    _, f, thr = best
+    mask = X[idx, f] <= thr
+    node.feature = int(f)
+    node.threshold = float(thr)
+    node.left = _reference_grow(X, onehot, idx[mask], m_features, rng)
+    node.right = _reference_grow(X, onehot, idx[~mask], m_features, rng)
+    return node
+
+
+def _reference_rf_fit(X, y, n_trees, rng):
+    classes, codes = np.unique(y, return_inverse=True)
+    n, d = X.shape
+    onehot = np.eye(len(classes))[codes]
+    m_features = int(math.ceil(math.sqrt(d)))
+    trees = []
+    for tree_rng in rng.spawn(n_trees):
+        boot = tree_rng.integers(0, n, size=n)
+        trees.append(_reference_grow(X, onehot, np.asarray(boot), m_features, tree_rng))
+    return ForestModel(trees=trees, classes=classes, n_features=d)
+
+
+def _preorder(node):
+    if node.is_leaf:
+        return [(None, None, node.counts.tolist())]
+    return ([(node.feature, node.threshold.hex(), node.counts.tolist())]
+            + _preorder(node.left) + _preorder(node.right))
+
+
+def _workload_forest_data(n=50, d=16, k=5, seed=0):
+    """Shaped like a latent representation fed to the forest by `validate`."""
+    rng = RngStream(seed)
+    codes = np.arange(n) % k
+    X = rng.normal(size=(n, d)) + 0.8 * codes[:, None] * (np.arange(d) % 3 == 0)
+    return X, np.array([f"c{c}" for c in codes])
+
+
+def _grower_case(name):
+    rng = RngStream(29)
+    if name == "workload":
+        return (*_workload_forest_data(), 100)
+    if name == "ties_12_classes":  # past numpy's 8-term pairwise sum
+        X = rng.integers(0, 5, size=(120, 6)).astype(float)
+        return X, rng.integers(0, 12, size=120), 20
+    if name == "one_feature":
+        X = np.round(rng.normal(size=(40, 1)), 1)
+        return X, rng.integers(0, 3, size=40), 20
+    if name == "constant_and_duplicated":
+        X = np.round(rng.normal(size=(40, 6)), 1)
+        X[:, 1] = X[:, 0]
+        X[:, 3] = X[:, 2]
+        X[:, 4] = 2.5
+        return X, rng.integers(0, 4, size=40), 20
+    if name == "wide":
+        return (*_workload_forest_data(n=450, d=64, seed=1), 5)
+    if name == "one_row":
+        return rng.normal(size=(1, 3)), np.array(["a"]), 5
+    if name == "two_rows":
+        return rng.normal(size=(2, 3)), np.array(["a", "b"]), 5
+    raise KeyError(name)
+
+
+class TestGrowerMatchesReference:
+    @pytest.mark.parametrize("case", ["workload", "ties_12_classes", "one_feature",
+                                      "constant_and_duplicated", "wide", "one_row", "two_rows"])
+    def test_same_trees_and_probabilities(self, case):
+        X, y, n_trees = _grower_case(case)
+        got = rf_fit(X, y, n_trees=n_trees, rng=RngStream(13))
+        want = _reference_rf_fit(X, y, n_trees, RngStream(13))
+        assert got.classes.tolist() == want.classes.tolist()
+        assert len(got.trees) == len(want.trees) == n_trees
+        for t, (tree, ref) in enumerate(zip(got.trees, want.trees)):
+            assert _preorder(tree) == _preorder(ref), f"tree {t}"
+        assert rf_predict_proba(got, X).tobytes() == rf_predict_proba(want, X).tobytes()
+
+
+@pytest.mark.parametrize("budget", [None, 1 << 13])
+def test_forest_search_is_batched_within_the_block_budget(monkeypatch, budget):
+    X, y = _workload_forest_data()
+    unchunked = [_preorder(tree) for tree in rf_fit(X, y, n_trees=100, rng=RngStream(13)).trees]
+    if budget is not None:
+        monkeypatch.setattr(classifiers, "_SEARCH_BLOCK", budget)
+    search = classifiers._split_search
+    blocks = []
+
+    def spy(X, onehot, rows, sizes, features):
+        blocks.append(rows.shape[0] * features.shape[1] * rows.shape[1] * onehot.shape[1])
+        return search(X, onehot, rows, sizes, features)
+
+    monkeypatch.setattr(classifiers, "_split_search", spy)
+    trees = [_preorder(tree) for tree in rf_fit(X, y, n_trees=100, rng=RngStream(13)).trees]
+    assert trees == unchunked
+    assert max(blocks) <= classifiers._SEARCH_BLOCK
+    if budget is None:
+        split_nodes = sum(f is not None for tree in trees for f, _, _ in tree)
+        assert len(blocks) < split_nodes / 10
 
 
 class TestDispatch:
