@@ -17,8 +17,9 @@ from pathae.ndcore import (
 )
 
 # --- seeded, splittable randomness ----------------------------------------
-# Everything stochastic flows through an RngStream; the same seed replays
-# the same draws, and spawn() hands independent streams to parallel work.
+# Everything stochastic flows through a numpy Generator that RngStream(seed)
+# builds; the same seed replays the same draws, and spawn() derives
+# independent child streams (one per grid cell, fold or tree).
 rng = RngStream(42)
 print("same seed, same draws:",
       np.array_equal(RngStream(7).normal(size=3), RngStream(7).normal(size=3)))

@@ -33,6 +33,13 @@ def _encode_labels(y):
     return classes, codes
 
 
+def _require_finite(X: np.ndarray, who: str):
+    """DataError naming the first non-finite cell of a 2-D matrix."""
+    if not np.isfinite(X).all():
+        i, j = np.argwhere(~np.isfinite(X))[0]
+        raise DataError(f"{who}: non-finite value {X[i, j]} at row {i}, column {j}")
+
+
 def _fit_inputs(X, y, who: str):
     """Check a training set at the fit boundary: a non-empty 2-D matrix of
     finite values with one label per row.  Returns (X, classes, codes)."""
@@ -42,9 +49,7 @@ def _fit_inputs(X, y, who: str):
     classes, codes = _encode_labels(y)
     if len(codes) != X.shape[0]:
         raise ShapeError(f"{who}: {len(codes)} labels for {X.shape[0]} rows")
-    if not np.isfinite(X).all():
-        i, j = np.argwhere(~np.isfinite(X))[0]
-        raise DataError(f"{who}: non-finite value {X[i, j]} at row {i}, column {j}")
+    _require_finite(X, who)
     return X, classes, codes
 
 
@@ -54,6 +59,7 @@ def _as_rows(X, n_features: int, who: str) -> np.ndarray:
         raise ShapeError(f"{who}: need a 2-D matrix, got shape {X.shape}")
     if X.shape[1] != n_features:
         raise ShapeError(f"{who}: {X.shape[1]} features, model expects {n_features}")
+    _require_finite(X, who)
     return X
 
 
@@ -75,12 +81,11 @@ class LogisticModel:
     classes: np.ndarray
 
 
-def lr_fit(X, y, C: float = 1.0, max_iter: int = 100, tol: float = 1e-6, rng=None) -> LogisticModel:
+def lr_fit(X, y, C: float = 1.0, max_iter: int = 100, tol: float = 1e-6) -> LogisticModel:
     """Softmax regression via L-BFGS on 0.5*||W||^2 + C*sum_i CE_i.
 
     The quadratic penalty covers weights only; starting point is zero, so
-    the fit is deterministic and ``rng`` is accepted only for interface
-    symmetry with rf_fit.
+    the fit is deterministic and draws nothing.
     """
     X, classes, codes = _fit_inputs(X, y, "lr_fit")
     n, d = X.shape
@@ -343,7 +348,7 @@ def predict_labels(model, X) -> np.ndarray:
 def fit_classifier(name: str, X, y, rng=None):
     """Dispatch by short name, one of CLASSIFIERS."""
     if name == "lr":
-        return lr_fit(X, y, rng=rng)
+        return lr_fit(X, y)
     if name == "rf":
         return rf_fit(X, y, rng=rng)
     raise ConfigError(f"unknown classifier {name!r}; expected one of {CLASSIFIERS}")

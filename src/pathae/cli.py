@@ -217,18 +217,28 @@ def _require_file(path, what):
         raise ConfigError(f"{what} not found: {path}")
 
 
+PATHWAY_FORMATS = ("auto", "gmt", "msigdb_json")
+CLUSTER_AXES = ("both", "cols")
+SURVIVAL_RENORMS = ("none", "tpm", "ipm")
+
+
 def validate_config(cfg: ExperimentConfig, command: str):
     """Check everything the command needs before any side effects."""
-    if cfg.kind not in models.KINDS:
-        raise ConfigError(f"unknown model kind {cfg.kind!r}")
-    if cfg.normalization not in dataio.NORMALIZER_KINDS:
-        raise ConfigError(f"unknown normalization {cfg.normalization!r}")
-    if cfg.space not in pipeline.SPACES:
-        raise ConfigError(f"unknown space {cfg.space!r}")
+    for key, allowed in (
+        ("kind", models.KINDS),
+        ("normalization", dataio.NORMALIZER_KINDS),
+        ("space", pipeline.SPACES),
+        ("classifier", CLASSIFIERS),
+        ("pathway_format", PATHWAY_FORMATS),
+        ("cluster_metric", interpret.CLUSTER_METRICS),
+        ("cluster_axes", CLUSTER_AXES),
+        ("survival_renorm", SURVIVAL_RENORMS),
+    ):
+        value = getattr(cfg, key)
+        if value not in allowed:
+            raise ConfigError(f"unknown {key} {value!r}; expected one of {' | '.join(allowed)}")
     if command == "validate":
         pipeline.check_space(cfg.kind, cfg.space)
-    if cfg.classifier not in CLASSIFIERS:
-        raise ConfigError(f"unknown classifier {cfg.classifier!r}")
     if cfg.threads < 1:
         raise ConfigError("threads must be >= 1")
     needs_pathways = models.is_pathway_kind(cfg.kind)
@@ -249,8 +259,6 @@ def validate_config(cfg: ExperimentConfig, command: str):
         _require_file(cfg.labels, "label table")
     if command == "survival":
         _require_file(cfg.survival, "survival table")
-        if cfg.survival_renorm not in ("none", "tpm", "ipm"):
-            raise ConfigError(f"unknown survival_renorm {cfg.survival_renorm!r}")
     # construct these early so bad values fail before side effects
     _arch_from(cfg)
     _train_config_from(cfg)
@@ -309,9 +317,7 @@ def _load_pathway_set(cfg: ExperimentConfig) -> dataio.PathwaySet:
         fmt = "msigdb_json" if cfg.pathways.endswith(".json") else "gmt"
     if fmt == "gmt":
         return dataio.parse_gmt(cfg.pathways)
-    if fmt == "msigdb_json":
-        return dataio.parse_msigdb_json(cfg.pathways)
-    raise ConfigError(f"unknown pathway format {fmt!r}")
+    return dataio.parse_msigdb_json(cfg.pathways)
 
 
 def _align_labeled(table: dataio.ExpressionTable, label_table: dataio.LabelTable):

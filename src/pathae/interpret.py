@@ -88,6 +88,9 @@ class ClusterTree:
     n_leaves: int
 
 
+CLUSTER_METRICS = ("cosine", "euclidean")
+
+
 def _pairwise_distance(rows: np.ndarray, metric: str) -> np.ndarray:
     if metric == "euclidean":
         sq = np.sum(rows**2, axis=1)
@@ -100,7 +103,7 @@ def _pairwise_distance(rows: np.ndarray, metric: str) -> np.ndarray:
             raise DataError(f"cosine distance undefined for all-zero row {int(zero[0])}")
         unit = rows / norms[:, None]
         return np.clip(1.0 - unit @ unit.T, 0.0, 2.0)
-    raise ValueError(f"unknown metric {metric!r}; expected 'cosine' or 'euclidean'")
+    raise ValueError(f"unknown metric {metric!r}; expected one of {CLUSTER_METRICS}")
 
 
 def hierarchical_cluster(rows, metric: str = "cosine") -> ClusterTree:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .errors import ConfigError, DataError, NumericError, PathaeError, ShapeError, TrainingDiverged
-from .ndcore import AdamState, RngStream, adam_step, as_stream, init_weights
+from .ndcore import AdamState, adam_step, as_stream, init_weights
 
 KINDS = ("ae", "vae", "paae", "pavae")
 SCHEDULES = ("none", "step", "smooth")
@@ -700,23 +700,10 @@ def save_checkpoint(model: Model, path):
         tensors.append({"name": name, "shape": list(arr.shape), "offset": offset})
         blobs.append(raw)
         offset += len(raw)
-    arch = model.arch
     header = {
         "format": 1,
-        "kind": arch.kind,
-        "arch": {
-            "kind": arch.kind,
-            "encoder_layer_sizes": list(arch.encoder_layer_sizes),
-            "pathway_hidden_sizes": list(arch.pathway_hidden_sizes),
-            "decoder_layer_sizes": (
-                list(arch.decoder_layer_sizes) if arch.decoder_layer_sizes is not None else None
-            ),
-            "dropout_rate": arch.dropout_rate,
-            "beta": arch.beta,
-            "schedule": arch.schedule,
-            "t_start": arch.t_start,
-            "t_end": arch.t_end,
-        },
+        "kind": model.arch.kind,
+        "arch": asdict(model.arch),
         "gene_count": model.gene_count,
         "gene_names": model.gene_names,
         "masks": [

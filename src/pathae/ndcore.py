@@ -1,8 +1,9 @@
 """Deterministic dense-matrix numerics: layers, dropout, Adam, gradient oracle.
 
 Everything operates on float64 numpy arrays.  Randomness always flows through
-an explicit RngStream so that a fixed seed reproduces every draw bit-for-bit,
-and streams can be split into independent child streams for parallel work.
+an explicit numpy ``Generator`` built by ``RngStream(seed)``, so that a fixed
+seed reproduces every draw bit-for-bit; ``Generator.spawn`` splits a stream
+into independent child streams.
 """
 
 from __future__ import annotations
@@ -14,49 +15,20 @@ import numpy as np
 from .errors import NumericError, ShapeError
 
 
-class RngStream:
-    """Seedable, splittable random stream (PCG64 under the hood).
+def RngStream(seed: int = 0) -> np.random.Generator:
+    """A PCG64 ``Generator`` for ``seed``; never seeded from OS entropy.
 
-    Identical seeds yield identical draw sequences.  ``spawn(n)`` derives n
-    statistically independent child streams whose draws do not depend on how
-    much the parent has already been consumed at spawn time beyond the spawn
-    counter, so parallel workers get disjoint reproducible streams.
+    Identical seeds yield identical draws, and ``Generator.spawn(n)`` derives
+    n independent child streams from the seed's ``SeedSequence``.
     """
-
-    def __init__(self, seed: int = 0, _seq: np.random.SeedSequence | None = None):
-        self.seed = int(seed)
-        self._seq = _seq if _seq is not None else np.random.SeedSequence(self.seed)
-        self._gen = np.random.Generator(np.random.PCG64(self._seq))
-
-    def spawn(self, n: int) -> list["RngStream"]:
-        return [RngStream(self.seed, _seq=s) for s in self._seq.spawn(n)]
-
-    def normal(self, size=None, loc=0.0, scale=1.0) -> np.ndarray:
-        return self._gen.normal(loc, scale, size)
-
-    def uniform(self, size=None, low=0.0, high=1.0) -> np.ndarray:
-        return self._gen.uniform(low, high, size)
-
-    def permutation(self, n: int) -> np.ndarray:
-        return self._gen.permutation(n)
-
-    def integers(self, low, high=None, size=None) -> np.ndarray:
-        return self._gen.integers(low, high, size)
-
-    def choice(self, n, size=None, replace=True) -> np.ndarray:
-        return self._gen.choice(n, size=size, replace=replace)
-
-    def exponential(self, scale=1.0, size=None) -> np.ndarray:
-        return self._gen.exponential(scale, size)
+    return np.random.Generator(np.random.PCG64(int(seed)))
 
 
-def as_stream(rng) -> RngStream:
-    """Accept an RngStream or a plain integer seed."""
-    if isinstance(rng, RngStream):
+def as_stream(rng) -> np.random.Generator:
+    """Accept a ``Generator``, a plain integer seed, or None (seed 0)."""
+    if isinstance(rng, np.random.Generator):
         return rng
-    if rng is None:
-        return RngStream(0)
-    return RngStream(int(rng))
+    return RngStream(0 if rng is None else rng)
 
 
 def _as_f64(x) -> np.ndarray:
@@ -108,7 +80,7 @@ def relu_backward(upstream, x) -> np.ndarray:
     return upstream * (x > 0.0)
 
 
-def dropout_forward(x, rate: float, training: bool, rng: RngStream | None = None):
+def dropout_forward(x, rate: float, training: bool, rng: np.random.Generator | None = None):
     """Inverted dropout: zero entries with probability ``rate`` and scale
     survivors by 1/(1-rate) so inference is a pure identity.
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .dataio import ExpressionTable, LabelTable, PathwaySet, Scale, SurvivalTable
-from .ndcore import RngStream, as_stream
+from .ndcore import as_stream
 
 
 @dataclass
@@ -32,7 +32,7 @@ class SyntheticData:
     factors_test: np.ndarray
 
 
-def _balanced_labels(n, classes, rng: RngStream) -> np.ndarray:
+def _balanced_labels(n, classes, rng: np.random.Generator) -> np.ndarray:
     reps = int(np.ceil(n / len(classes)))
     y = np.tile(np.arange(len(classes)), reps)[:n]
     y = y[rng.permutation(n)]

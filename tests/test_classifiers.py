@@ -255,6 +255,28 @@ class TestFitInputs:
             fit(X, np.array(["a", "b"] * 2))
 
 
+@pytest.mark.parametrize("fit,predict", [(lr_fit, lr_predict_proba), (rf_fit, rf_predict_proba)])
+class TestPredictInputs:
+    """Prediction rejects the non-finite rows that the fits reject, rather
+    than returning NaN or a confident answer for them."""
+
+    def _model(self, fit):
+        X = RngStream(9).normal(size=(30, 2))
+        return fit(X, np.where(X[:, 0] > 0, "pos", "neg"))
+
+    def test_nan_row_rejected(self, fit, predict):
+        rows = np.zeros((3, 2))
+        rows[1] = np.nan
+        with pytest.raises(DataError, match="non-finite value nan at row 1, column 0"):
+            predict(self._model(fit), rows)
+
+    def test_inf_row_rejected(self, fit, predict):
+        rows = np.zeros((3, 2))
+        rows[2, 1] = np.inf
+        with pytest.raises(DataError, match="non-finite value inf at row 2, column 1"):
+            predict(self._model(fit), rows)
+
+
 def _reference_presort_split(X, onehot, idx, features):
     """The single-node presort split search the batched search replaced."""
     n, m = len(idx), len(features)

@@ -176,6 +176,27 @@ class TestConfigValues:
         assert err.startswith("pathae: config error:") and "[data] renormalize_test" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command,section,key,value", [
+        ("interpret", "[interpret]", "cluster_metric", "manhattan"),
+        ("interpret", "[interpret]", "cluster_axes", "rows"),
+        ("train", "[data]", "pathway_format", "bed"),
+    ])
+    def test_unknown_choice_exits_1_before_work(self, fixture_dir, trained_checkpoint, tmp_path,
+                                                capsys, monkeypatch, command, section, key,
+                                                value):
+        def no_work(*args, **kwargs):
+            raise AssertionError("expression table read before the config was checked")
+
+        monkeypatch.setattr(pathae.cli.dataio, "load_expression_tsv", no_work)
+        out = tmp_path / "never"
+        cfg = write_config(tmp_path / "c.ini", fixture_dir, out, extra="[interpret]\n")
+        _replace_in_config(cfg, f"{section}\n", f"{section}\n{key} = {value}\n")
+        assert main([command, "-c", cfg, "--checkpoint", trained_checkpoint[1]]
+                    if command == "interpret" else [command, "-c", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pathae: config error:") and f"{key} {value!r}" in err
+        assert not out.exists()
+
 
 class TestGridsearch:
     def test_two_cell_report_single_winner(self, fixture_dir, tmp_path):

@@ -8,6 +8,7 @@ from pathae.ndcore import (
     adam_step,
     affine_backward,
     affine_forward,
+    as_stream,
     dropout_backward,
     dropout_forward,
     finite_diff_grad,
@@ -243,3 +244,23 @@ class TestDeterminism:
         for d1, d2 in zip(draws1, draws2):
             np.testing.assert_array_equal(d1, d2)
         assert not np.allclose(draws1[0], draws1[1])
+
+    def test_stream_derivation_pinned(self):
+        """Streams are PCG64 on SeedSequence(seed), and children follow
+        SeedSequence.spawn; every golden file depends on this draw order."""
+        def on(seq):
+            return np.random.Generator(np.random.PCG64(seq)).normal(size=4)
+
+        seed = 23
+        np.testing.assert_array_equal(
+            RngStream(seed).normal(size=4), on(np.random.SeedSequence(seed)))
+        kids = RngStream(seed).spawn(3)
+        seqs = np.random.SeedSequence(seed).spawn(3)
+        for kid, seq in zip(kids, seqs):
+            grandkids, grandseqs = kid.spawn(2), seq.spawn(2)
+            for g, s in zip(grandkids, grandseqs):
+                np.testing.assert_array_equal(g.normal(size=4), on(s))
+            np.testing.assert_array_equal(kid.normal(size=4), on(seq))
+        g = RngStream(seed)
+        assert as_stream(g) is g
+        np.testing.assert_array_equal(as_stream(None).normal(size=4), RngStream(0).normal(size=4))
