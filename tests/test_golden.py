@@ -1,12 +1,17 @@
 """Golden snapshots of small models of every kind and of a small random
 forest at a fixed seed.
 
-The initial parameters and a 3-epoch loss history of an AE, a VAE, a PAAE
-and a PAVAE are frozen in ``golden_pathway_models.json``.  The masks are
-unequal and overlapping, the pathway stage and the dense stacks have hidden
-layers and dropout is on, so the snapshot pins the order in which
-``build_model`` draws the initial weights and ``fit`` draws the dropout
-masks, whatever the parameter storage or layer loop.
+The initial parameters, a 3-epoch loss history and the trained parameters
+of an AE, a VAE, a PAAE and a PAVAE are frozen in
+``golden_pathway_models.json``.  The masks are unequal and overlapping, the
+pathway stage and the dense stacks have hidden layers and dropout is on, so
+the snapshot pins the order in which ``build_model`` draws the initial
+weights and ``fit`` draws the dropout masks, whatever the parameter storage
+or layer loop.  Two more PAAE cases cover the pathway stage's other shapes:
+equal-size pathways (one layer-0 bucket, no padding, as at paper scale) and
+no pathway hidden layers (layer 0 is one unit wide).  The trained history
+and tensors are kept as float.hex strings and compared exactly, so they pin
+every float operation of the training step, not just the draw order.
 
 Parameters are keyed by their checkpoint tensor names and read through the
 per-pathway ``pathway_encoders`` stacks.
@@ -42,18 +47,24 @@ from pathae.ndcore import RngStream
 GOLDEN = Path(__file__).with_name("golden_pathway_models.json")
 GOLDEN_FOREST = Path(__file__).with_name("golden_forest.json")
 GENES = 9
-KINDS = ("ae", "vae", "paae", "pavae")
+UNEQUAL = [[0, 1, 2, 3], [2, 5], [1, 4, 6, 7, 8], [8, 0, 3]]
+EQUAL = [[0, 1, 2], [3, 4, 5], [6, 7, 8], [8, 0, 4]]
+# case: (kind, pathway gene sets, pathway_hidden_sizes)
+CASES = {
+    "ae": ("ae", UNEQUAL, [3, 2]),
+    "vae": ("vae", UNEQUAL, [3, 2]),
+    "paae": ("paae", UNEQUAL, [3, 2]),
+    "pavae": ("pavae", UNEQUAL, [3, 2]),
+    "paae-equal": ("paae", EQUAL, [3]),
+    "paae-width1": ("paae", UNEQUAL, []),
+}
 
 
-def _model(kind):
-    masks = [
-        PathwayMask("P0", [0, 1, 2, 3]),
-        PathwayMask("P1", [2, 5]),
-        PathwayMask("P2", [1, 4, 6, 7, 8]),
-        PathwayMask("P3", [8, 0, 3]),
-    ]
+def _model(case):
+    kind, genes, hidden = CASES[case]
+    masks = [PathwayMask(f"P{j}", g) for j, g in enumerate(genes)]
     arch = ArchitectureConfig(
-        kind=kind, encoder_layer_sizes=[4, 2], pathway_hidden_sizes=[3, 2],
+        kind=kind, encoder_layer_sizes=[4, 2], pathway_hidden_sizes=hidden,
         dropout_rate=0.3, beta=0.5, schedule="step", t_start=1,
     )
     return build_model(arch, GENES, masks, RngStream(7))
@@ -77,10 +88,20 @@ def _history(model):
     return fit(model, X, TrainConfig(epochs=3, learning_rate=1e-2, batch_size=8), RngStream(11))
 
 
-def _snapshot(kind):
-    model = _model(kind)
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def _snapshot(case):
+    model = _model(case)
     params = {name: t.tolist() for name, t in _named_params(model).items()}
-    return {"params": params, "history": _history(model)}
+    history = _history(model)
+    trained = {name: _hex(t) for name, t in _named_params(model).items()}
+    return {
+        "params": params,
+        "history": history,
+        "trained": {"history": _hex(history), "tensors": trained},
+    }
 
 
 @pytest.fixture(scope="module")
@@ -88,10 +109,10 @@ def golden():
     return json.loads(GOLDEN.read_text())
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_initial_params_match_golden(golden, kind):
-    expected = golden[kind]["params"]
-    model = _model(kind)
+@pytest.mark.parametrize("case", CASES)
+def test_initial_params_match_golden(golden, case):
+    expected = golden[case]["params"]
+    model = _model(case)
     named = _named_params(model)
     assert sorted(named) == sorted(expected)
     for name, t in named.items():
@@ -102,10 +123,21 @@ def test_initial_params_match_golden(golden, kind):
     np.testing.assert_array_equal(flat, frozen)
 
 
-@pytest.mark.parametrize("kind", KINDS)
-def test_loss_history_matches_golden(golden, kind):
-    history = _history(_model(kind))
-    np.testing.assert_allclose(history, golden[kind]["history"], rtol=1e-9, atol=0)
+@pytest.mark.parametrize("case", CASES)
+def test_loss_history_matches_golden(golden, case):
+    history = _history(_model(case))
+    np.testing.assert_allclose(history, golden[case]["history"], rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_trained_params_match_golden_bit_for_bit(golden, case):
+    expected = golden[case]["trained"]
+    model = _model(case)
+    assert _hex(_history(model)) == expected["history"]
+    named = _named_params(model)
+    assert sorted(named) == sorted(expected["tensors"])
+    for name, t in named.items():
+        assert _hex(t) == expected["tensors"][name], name
 
 
 def _forest_data():
@@ -152,5 +184,5 @@ def test_forest_matches_golden():
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({kind: _snapshot(kind) for kind in KINDS}, indent=1) + "\n")
+    GOLDEN.write_text(json.dumps({case: _snapshot(case) for case in CASES}, indent=1) + "\n")
     GOLDEN_FOREST.write_text(json.dumps(_forest_snapshot(), indent=1) + "\n")
