@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import ConfigError, DataError, ShapeError
-from .ndcore import as_stream
+from .ndcore import as_stream, require_finite
 
 CLASSIFIERS = ("lr", "rf")
 
@@ -33,13 +33,6 @@ def _encode_labels(y):
     return classes, codes
 
 
-def _require_finite(X: np.ndarray, who: str):
-    """DataError naming the first non-finite cell of a 2-D matrix."""
-    if not np.isfinite(X).all():
-        i, j = np.argwhere(~np.isfinite(X))[0]
-        raise DataError(f"{who}: non-finite value {X[i, j]} at row {i}, column {j}")
-
-
 def _fit_inputs(X, y, who: str):
     """Check a training set at the fit boundary: a non-empty 2-D matrix of
     finite values with one label per row.  Returns (X, classes, codes)."""
@@ -49,7 +42,7 @@ def _fit_inputs(X, y, who: str):
     classes, codes = _encode_labels(y)
     if len(codes) != X.shape[0]:
         raise ShapeError(f"{who}: {len(codes)} labels for {X.shape[0]} rows")
-    _require_finite(X, who)
+    require_finite(X, who)
     return X, classes, codes
 
 
@@ -59,7 +52,7 @@ def _as_rows(X, n_features: int, who: str) -> np.ndarray:
         raise ShapeError(f"{who}: need a 2-D matrix, got shape {X.shape}")
     if X.shape[1] != n_features:
         raise ShapeError(f"{who}: {X.shape[1]} features, model expects {n_features}")
-    _require_finite(X, who)
+    require_finite(X, who)
     return X
 
 

@@ -28,7 +28,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .errors import ConfigError, DataError, NumericError, PathaeError, ShapeError, TrainingDiverged
-from .ndcore import AdamState, adam_step, as_stream, init_weights
+from .ndcore import AdamState, adam_step, as_stream, init_weights, require_finite
 
 KINDS = ("ae", "vae", "paae", "pavae")
 SCHEDULES = ("none", "step", "smooth")
@@ -307,7 +307,9 @@ def build_model(
 
 
 def _affine(x, W, b):
-    return x @ W + b, x
+    h = x @ W
+    h += b
+    return h, x
 
 
 def _affine_grads(lin_in, g):
@@ -319,7 +321,8 @@ def _layers_forward(h, layers, rate, uniform, layer0=_affine):
 
     Runs dense (B, in) and pathway (P, B, in) stacks alike.  ``uniform(shape)``
     draws the dropout uniforms, None when dropout is off; ``layer0(x, W, b)``
-    is layer 0's affine map, returning (output, input for the gradient)."""
+    is layer 0's affine map, returning (output, input for the gradient).
+    Every array a layer writes in place is one it allocated itself."""
     caches = []
     last = len(layers) - 1
     for i, (W, b) in enumerate(layers):
@@ -330,7 +333,7 @@ def _layers_forward(h, layers, rate, uniform, layer0=_affine):
             mask = None
             if uniform is not None:
                 mask = (uniform(h.shape) >= rate) / (1.0 - rate)
-                h = h * mask
+                h *= mask
             caches.append((lin_in, pre, mask))
         else:
             caches.append((lin_in, None, None))
@@ -340,7 +343,8 @@ def _layers_forward(h, layers, rate, uniform, layer0=_affine):
 def _layers_backward(g, layers, caches, layer0_grads=None):
     """(input gradient, [(gW, gb), ...]) of a _layers_forward stack.  A given
     ``layer0_grads(lin_in, g)`` computes layer 0's pair instead, and no input
-    gradient is formed (None is returned for it)."""
+    gradient is formed (None is returned for it).  The upstream ``g`` is
+    never written; below the last layer g is this loop's own array."""
     grads = [None] * len(layers)
     last = len(layers) - 1
     for i in range(last, -1, -1):
@@ -348,20 +352,25 @@ def _layers_backward(g, layers, caches, layer0_grads=None):
         lin_in, pre, mask = caches[i]
         if i < last:
             if mask is not None:
-                g = g * mask
-            g = g * (pre > 0.0)
+                g *= mask
+            g *= pre > 0.0
         if i == 0 and layer0_grads is not None:
             grads[0] = layer0_grads(lin_in, g)
             return None, grads
         grads[i] = _affine_grads(lin_in, g)
-        g = g @ np.swapaxes(W, -1, -2)
+        if W.shape[-1] == 1:
+            # one product per element; einsum, like matmul, adds it to a zero,
+            # so a -0.0 product comes out +0.0 as matmul's does
+            g = np.einsum("...bk,...ik->...bi", g, W)
+        else:
+            g = g @ np.swapaxes(W, -1, -2)
     return g, grads
 
 
 def _dense_uniform(model: Model, training, rng):
     """Dropout source of the dense stacks: a fresh draw per layer."""
     if training and model.arch.dropout_rate > 0.0:
-        return lambda shape: rng.uniform(size=shape)
+        return rng.random
     return None
 
 
@@ -383,24 +392,29 @@ def pathway_activity_forward(model: Model, x, training=False, rng=None):
 
 def _pathway_forward_cached(model, x, training, rng):
     """Pathway stage on the packed tensors: one batched matmul per layer, and
-    per size bucket for layer 0.  Dropout for the whole stage is one uniform
+    per size bucket for layer 0, whose result is layer 0's output when one
+    bucket holds every pathway.  Dropout for the whole stage is one uniform
     draw, sliced so that each pathway and layer gets the values the
     pathway-by-pathway, layer-by-layer order would give it."""
     n, n_pw = x.shape[0], len(model.masks)
     widths = model.arch.pathway_hidden_sizes
     uniform = None
     if training and model.arch.dropout_rate > 0.0 and widths:
-        draws = rng.uniform(size=(n_pw, n * sum(widths)))
+        draws = rng.random((n_pw, n * sum(widths)))
         per_layer = iter(np.split(draws, np.cumsum([n * w for w in widths[:-1]]), axis=1))
         uniform = lambda shape: next(per_layer).reshape(shape)
 
     def layer0(x, W, b):
         x_pad = np.concatenate([x, np.zeros((n, 1))], axis=1)
         W_pad = np.concatenate([W, np.zeros((1, W.shape[1]))])
-        blocks = [x_pad[:, bk.genes].transpose(1, 0, 2) for bk in model._buckets]
-        h = np.empty((n_pw, n, W.shape[1]))
-        for bk, xb in zip(model._buckets, blocks):
-            h[bk.pathways] = xb @ W_pad[bk.rows]
+        buckets = model._buckets
+        blocks = [x_pad[:, bk.genes].transpose(1, 0, 2) for bk in buckets]
+        if len(buckets) == 1:  # its pathways are all P, in order
+            h = blocks[0] @ W_pad[buckets[0].rows]
+        else:
+            h = np.empty((n_pw, n, W.shape[1]))
+            for bk, xb in zip(buckets, blocks):
+                h[bk.pathways] = xb @ W_pad[bk.rows]
         h += b[:, None, :]
         return h, blocks
 
@@ -415,7 +429,7 @@ def _pathway_backward(model, grad_a, caches):
     def layer0_grads(blocks, g):
         gW = np.empty((W0.shape[0] + 1, W0.shape[1]))  # the last row takes the pad slots
         for bk, xb in zip(model._buckets, blocks):
-            gW[bk.rows] = xb.transpose(0, 2, 1) @ g[bk.pathways]
+            gW[bk.rows] = xb.transpose(0, 2, 1) @ (g if len(blocks) == 1 else g[bk.pathways])
         return gW[:-1], g.sum(axis=1)
 
     g = np.ascontiguousarray(grad_a.T)[:, :, None]
@@ -506,8 +520,9 @@ def mse_loss(x, x_hat):
         raise ShapeError(f"mse_loss: shapes {x.shape} vs {x_hat.shape}")
     diff = x_hat - x
     value = float(np.mean(diff * diff))
-    grad = 2.0 * diff / diff.size
-    return value, grad
+    diff *= 2.0  # the gradient 2.0 * diff / diff.size, formed in diff's own memory
+    diff /= diff.size
+    return value, diff
 
 
 def kl_gaussian(mu, logvar):
@@ -634,14 +649,16 @@ def fit(model: Model, X, config: TrainConfig, rng=None) -> list[float]:
     """Mini-batch Adam training; beta scheduling by epoch for variational
     kinds. Returns the per-epoch mean training loss (length == epochs).
 
-    Raises TrainingDiverged as soon as a batch loss is non-finite, naming
-    the epoch.
+    Raises DataError naming the first non-finite cell of X, before any
+    draw, and TrainingDiverged as soon as a batch loss is non-finite,
+    naming the epoch.
     """
     rng = as_stream(rng if rng is not None else config.seed)
     X = _as_input(X, model.gene_count, "training matrix")
     n = X.shape[0]
     if n == 0:
         raise ShapeError("fit: empty training matrix")
+    require_finite(X, "fit: training matrix")
     params = flat_params(model)
     state = AdamState.for_params(params)
     arch = model.arch

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericError, ShapeError
+from .errors import DataError, NumericError, ShapeError
 
 
 def RngStream(seed: int = 0) -> np.random.Generator:
@@ -33,6 +33,13 @@ def as_stream(rng) -> np.random.Generator:
 
 def _as_f64(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
+
+
+def require_finite(X: np.ndarray, who: str):
+    """DataError naming the first non-finite cell of a 2-D matrix."""
+    if not np.isfinite(X).all():
+        i, j = np.argwhere(~np.isfinite(X))[0]
+        raise DataError(f"{who}: non-finite value {X[i, j]} at row {i}, column {j}")
 
 
 def affine_forward(x, W, b) -> np.ndarray:

@@ -1,11 +1,16 @@
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from pathae import models
 from pathae.errors import ConfigError, DataError, ShapeError, TrainingDiverged
 from pathae.models import (
     ArchitectureConfig,
+    ForwardOutputs,
     ModelParams,
     PathwayMask,
     TrainConfig,
@@ -262,6 +267,209 @@ class TestLayerLoop:
             np.testing.assert_array_equal(g, ref)
 
 
+# The training step as it was before its in-place rewrite, kept as the
+# reference: a fresh array per bias add, per dropout and ReLU factor and per
+# gradient scale, g @ W^T at every contraction length, dropout uniforms from
+# Generator.uniform, and pathway layer 0 scattered into an empty array.
+
+
+def _reference_affine(x, W, b):
+    return x @ W + b, x
+
+
+def _reference_uniform(rng):
+    return lambda shape: rng.uniform(size=shape)
+
+
+def _reference_mse_loss(x, x_hat):
+    diff = x_hat - x
+    return float(np.mean(diff * diff)), 2.0 * diff / diff.size
+
+
+def _reference_layers_forward(h, layers, rate, uniform, layer0=_reference_affine):
+    caches = []
+    for i, (W, b) in enumerate(layers):
+        h, lin_in = (layer0 if i == 0 else _reference_affine)(h, W, b)
+        if i < len(layers) - 1:
+            pre = h
+            h = np.maximum(0.0, h)
+            mask = None
+            if uniform is not None:
+                mask = (uniform(h.shape) >= rate) / (1.0 - rate)
+                h = h * mask
+            caches.append((lin_in, pre, mask))
+        else:
+            caches.append((lin_in, None, None))
+    return h, caches
+
+
+def _reference_layers_backward(g, layers, caches, layer0_grads=None):
+    grads = [None] * len(layers)
+    for i in range(len(layers) - 1, -1, -1):
+        W = layers[i][0]
+        lin_in, pre, mask = caches[i]
+        if i < len(layers) - 1:
+            if mask is not None:
+                g = g * mask
+            g = g * (pre > 0.0)
+        if i == 0 and layer0_grads is not None:
+            grads[0] = layer0_grads(lin_in, g)
+            return None, grads
+        grads[i] = models._affine_grads(lin_in, g)
+        g = g @ np.swapaxes(W, -1, -2)
+    return g, grads
+
+
+def _reference_pathway_forward(model, x, uniform_of):
+    n, n_pw = x.shape[0], len(model.masks)
+    widths = model.arch.pathway_hidden_sizes
+    uniform = None
+    if uniform_of is not None and widths:
+        draws = uniform_of((n_pw, n * sum(widths)))
+        per_layer = iter(np.split(draws, np.cumsum([n * w for w in widths[:-1]]), axis=1))
+        uniform = lambda shape: next(per_layer).reshape(shape)
+
+    def layer0(x, W, b):
+        x_pad = np.concatenate([x, np.zeros((n, 1))], axis=1)
+        W_pad = np.concatenate([W, np.zeros((1, W.shape[1]))])
+        blocks = [x_pad[:, bk.genes].transpose(1, 0, 2) for bk in model._buckets]
+        h = np.empty((n_pw, n, W.shape[1]))
+        for bk, xb in zip(model._buckets, blocks):
+            h[bk.pathways] = xb @ W_pad[bk.rows]
+        h += b[:, None, :]
+        return h, blocks
+
+    h, caches = _reference_layers_forward(
+        x, model.params.pathway, model.arch.dropout_rate, uniform, layer0
+    )
+    return np.ascontiguousarray(h[:, :, 0].T), caches
+
+
+def _reference_pathway_backward(model, grad_a, caches):
+    W0 = model.params.pathway[0][0]
+
+    def layer0_grads(blocks, g):
+        gW = np.empty((W0.shape[0] + 1, W0.shape[1]))
+        for bk, xb in zip(model._buckets, blocks):
+            gW[bk.rows] = xb.transpose(0, 2, 1) @ g[bk.pathways]
+        return gW[:-1], g.sum(axis=1)
+
+    g = np.ascontiguousarray(grad_a.T)[:, :, None]
+    return _reference_layers_backward(g, model.params.pathway, caches, layer0_grads)[1]
+
+
+def _reference_forward(model, x, rng):
+    """forward(model, x, training=True, rng=rng) in the reference expressions."""
+    rate = model.arch.dropout_rate
+    uniform = _reference_uniform(rng) if rate > 0.0 else None
+    caches, a, enc_in = {}, None, x
+    if models.is_pathway_kind(model.arch.kind):
+        a, caches["pathway"] = _reference_pathway_forward(model, x, uniform)
+        enc_in = a
+    h, caches["encoder"] = _reference_layers_forward(enc_in, model.params.encoder, rate, uniform)
+    mu = logvar = None
+    z = h
+    if models.is_variational(model.arch.kind):
+        d = model.arch.latent_dim
+        mu, logvar = h[:, :d], h[:, d:]
+        z, caches["eps"] = reparameterize(mu, logvar, rng)
+    x_hat, caches["decoder"] = _reference_layers_forward(z, model.params.decoder, rate, uniform)
+    return ForwardOutputs(x_hat=x_hat, z=z, a=a, mu=mu, logvar=logvar, caches=caches)
+
+
+def _reference_loss_and_grads(model, x, outputs, beta_eff):
+    caches = outputs.caches
+    total, grad_xhat = _reference_mse_loss(x, outputs.x_hat)
+    grad_z, dec_grads = _reference_layers_backward(
+        grad_xhat, model.params.decoder, caches["decoder"]
+    )
+    upstream = grad_z
+    if models.is_variational(model.arch.kind):
+        kl, kl_gmu, kl_glogvar = kl_gaussian(outputs.mu, outputs.logvar)
+        total += beta_eff * kl
+        sigma = np.exp(0.5 * outputs.logvar)
+        upstream = np.concatenate(
+            [grad_z + beta_eff * kl_gmu,
+             0.5 * grad_z * caches["eps"] * sigma + beta_eff * kl_glogvar],
+            axis=1,
+        )
+    pathway = models.is_pathway_kind(model.arch.kind)
+    grad_enc_in, enc_grads = _reference_layers_backward(
+        upstream, model.params.encoder, caches["encoder"],
+        None if pathway else models._affine_grads,
+    )
+    pw_grads = _reference_pathway_backward(model, grad_enc_in, caches["pathway"]) if pathway else []
+    grads = ModelParams(pw_grads, enc_grads, dec_grads)
+    return total, [g for _, g in models._walk(grads, per_pathway=False)]
+
+
+@st.composite
+def step_cases(draw):
+    """A small model of any kind, batch size, pathway count and layer widths
+    (1 included), with unequal pathway sizes, and a seed."""
+    kind = draw(st.sampled_from(["ae", "vae", "paae", "pavae"]))
+    genes = draw(st.integers(1, 8))
+    sizes = draw(st.lists(st.integers(1, genes), min_size=1, max_size=4))
+    return {
+        "kind": kind,
+        "genes": genes,
+        "sizes": sizes,
+        "batch": draw(st.integers(1, 5)),
+        "hidden": draw(st.lists(st.integers(1, 3), max_size=2)),
+        "encoder": draw(st.lists(st.integers(1, 3), min_size=1, max_size=2)),
+        "dropout": draw(st.sampled_from([0.0, 0.3])),
+        "seed": draw(st.integers(0, 2**16)),
+    }
+
+
+def _signed_zeros(model, rng):
+    """Set about a quarter of every parameter to +0.0 or -0.0, so that zero
+    products of both signs reach every matmul and sum of the step."""
+    for p in flat_params(model):
+        hit = rng.uniform(size=p.shape) < 0.25
+        p[hit] = np.where(rng.uniform(size=p.shape) < 0.5, 0.0, -0.0)[hit]
+
+
+def _bytes(arrays):
+    return [None if a is None else (a.shape, np.asarray(a).tobytes()) for a in arrays]
+
+
+class TestStepMatchesReference:
+    """forward and loss_and_grads give the reference's bytes, -0.0 included
+    (np.array_equal would take -0.0 for 0.0), and leave the stream where the
+    reference leaves it."""
+
+    @given(step_cases())
+    def test_bytes_equal_reference(self, case):
+        rng = RngStream(case["seed"])
+        masks = [
+            PathwayMask(f"P{j}", rng.choice(case["genes"], size=s, replace=False))
+            for j, s in enumerate(case["sizes"])
+        ]
+        arch = ArchitectureConfig(
+            kind=case["kind"], encoder_layer_sizes=case["encoder"],
+            pathway_hidden_sizes=case["hidden"], dropout_rate=case["dropout"],
+        )
+        model = build_model(arch, case["genes"], masks, rng)
+        randomize_params(model, rng)
+        _signed_zeros(model, rng)
+        x = rng.normal(size=(case["batch"], case["genes"]))
+        x[rng.uniform(size=x.shape) < 0.2] = -0.0
+
+        seed = case["seed"] + 1
+        got_rng, ref_rng = RngStream(seed), RngStream(seed)
+        outs = forward(model, x, training=True, rng=got_rng)
+        ref = _reference_forward(model, x, ref_rng)
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+        fields = ("x_hat", "z", "a", "mu", "logvar")
+        assert _bytes(getattr(outs, f) for f in fields) == _bytes(getattr(ref, f) for f in fields)
+
+        value, grads = loss_and_grads(model, x, outs, 0.7)
+        ref_value, ref_grads = _reference_loss_and_grads(model, x, ref, 0.7)
+        assert value.hex() == ref_value.hex()
+        assert _bytes(grads) == _bytes(ref_grads)
+
+
 class TestInputChecks:
     GENES = 6
 
@@ -339,6 +547,15 @@ class TestLosses:
         _, grad = mse_loss(x, x_hat)
         fd = finite_diff_grad(lambda v: mse_loss(x, v)[0], x_hat)
         assert max_rel_err(grad, fd) < 1e-3
+
+    def test_mse_leaves_inputs_unchanged(self):
+        rng = RngStream(3)
+        x, x_hat = rng.normal(size=(4, 5)), rng.normal(size=(4, 5))
+        x_before, x_hat_before = x.copy(), x_hat.copy()
+        _, grad = mse_loss(x, x_hat)
+        assert x.tobytes() == x_before.tobytes()
+        assert x_hat.tobytes() == x_hat_before.tobytes()
+        assert not np.shares_memory(grad, x) and not np.shares_memory(grad, x_hat)
 
     def test_kl_zero_at_standard_normal(self):
         value, gmu, glv = kl_gaussian(np.zeros((2, 3)), np.zeros((2, 3)))
@@ -507,6 +724,32 @@ class TestCompositeLoss:
         assert loss(model, x, outs, beta_eff=10.0) == 0.0
 
     @pytest.mark.parametrize("kind", ["ae", "vae", "paae", "pavae"])
+    def test_loss_and_grads_leaves_inputs_unchanged(self, kind):
+        masks = make_masks([3, 2], 6) if kind in ("paae", "pavae") else None
+        arch = ArchitectureConfig(
+            kind=kind, encoder_layer_sizes=[4, 2], pathway_hidden_sizes=[2, 1], dropout_rate=0.3
+        )
+        model = build_model(arch, 6, masks, RngStream(10))
+        x = RngStream(11).normal(size=(5, 6))
+        outs = forward(model, x, training=True, rng=RngStream(12))
+        x_before, outs_before = x.copy(), copy.deepcopy(outs)
+        loss_and_grads(model, x, outs, 0.5)
+        assert x.tobytes() == x_before.tobytes()
+
+        def flat(obj):  # every array reachable from the outputs, caches included
+            if isinstance(obj, np.ndarray):
+                return [(obj.shape, obj.tobytes())]
+            if isinstance(obj, ForwardOutputs):
+                obj = vars(obj)
+            if isinstance(obj, dict):
+                return [(k, flat(v)) for k, v in sorted(obj.items())]
+            if isinstance(obj, (list, tuple)):
+                return [flat(v) for v in obj]
+            return [obj]
+
+        assert flat(outs) == flat(outs_before)
+
+    @pytest.mark.parametrize("kind", ["ae", "vae", "paae", "pavae"])
     def test_full_gradient_matches_finite_differences(self, kind):
         gene_count = 6
         masks = make_masks([3, 2], gene_count) if kind in ("paae", "pavae") else None
@@ -540,6 +783,23 @@ class TestCompositeLoss:
 
 
 class TestFit:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_training_data_is_data_error(self, bad):
+        arch = ArchitectureConfig(kind="paae", encoder_layer_sizes=[2], pathway_hidden_sizes=[3])
+        model = build_model(arch, 6, make_masks([3, 2], 6), RngStream(0))
+        before = [p.copy() for p in flat_params(model)]
+        X = RngStream(1).normal(size=(10, 6))
+        X[7, 4] = bad
+        X[8, 1] = bad
+        rng = RngStream(2)
+        state = copy.deepcopy(rng.bit_generator.state)
+        with pytest.raises(DataError) as err:
+            fit(model, X, TrainConfig(epochs=3), rng)
+        assert str(err.value) == f"fit: training matrix: non-finite value {bad} at row 7, column 4"
+        assert rng.bit_generator.state == state  # rejected before any draw
+        for b, p in zip(before, flat_params(model)):
+            np.testing.assert_array_equal(b, p)
+
     def test_zero_epochs_no_change(self):
         arch = ArchitectureConfig(kind="ae", encoder_layer_sizes=[2], dropout_rate=0.0)
         model = build_model(arch, 4, rng=RngStream(0))
