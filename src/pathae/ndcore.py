@@ -1,4 +1,5 @@
-"""Deterministic dense-matrix numerics: layers, dropout, Adam, gradient oracle.
+"""Deterministic dense-matrix numerics: layers, dropout, Adam, gradient oracle,
+and the finite-matrix check shared by the fitting code.
 
 Everything operates on float64 numpy arrays.  Randomness always flows through
 an explicit numpy ``Generator`` built by ``RngStream(seed)``, so that a fixed

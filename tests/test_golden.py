@@ -24,7 +24,8 @@ classes, so the snapshot pins the split search's tie-break (lowest feature,
 then lowest threshold) as well as its arithmetic.
 
 Regenerate both files with ``PYTHONPATH=src python tests/test_golden.py``
-only when a change is meant to alter the random draws or the trees.
+only when a change is meant to alter the random draws, the arithmetic of
+the training step or the trees.
 """
 
 import json
