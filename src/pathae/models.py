@@ -392,8 +392,7 @@ def pathway_activity_forward(model: Model, x, training=False, rng=None):
 
 def _pathway_forward_cached(model, x, training, rng):
     """Pathway stage on the packed tensors: one batched matmul per layer, and
-    per size bucket for layer 0, whose result is layer 0's output when one
-    bucket holds every pathway.  Dropout for the whole stage is one uniform
+    per size bucket for layer 0.  Dropout for the whole stage is one uniform
     draw, sliced so that each pathway and layer gets the values the
     pathway-by-pathway, layer-by-layer order would give it."""
     n, n_pw = x.shape[0], len(model.masks)
@@ -407,14 +406,10 @@ def _pathway_forward_cached(model, x, training, rng):
     def layer0(x, W, b):
         x_pad = np.concatenate([x, np.zeros((n, 1))], axis=1)
         W_pad = np.concatenate([W, np.zeros((1, W.shape[1]))])
-        buckets = model._buckets
-        blocks = [x_pad[:, bk.genes].transpose(1, 0, 2) for bk in buckets]
-        if len(buckets) == 1:  # its pathways are all P, in order
-            h = blocks[0] @ W_pad[buckets[0].rows]
-        else:
-            h = np.empty((n_pw, n, W.shape[1]))
-            for bk, xb in zip(buckets, blocks):
-                h[bk.pathways] = xb @ W_pad[bk.rows]
+        blocks = [x_pad[:, bk.genes].transpose(1, 0, 2) for bk in model._buckets]
+        h = np.empty((n_pw, n, W.shape[1]))
+        for bk, xb in zip(model._buckets, blocks):
+            h[bk.pathways] = xb @ W_pad[bk.rows]
         h += b[:, None, :]
         return h, blocks
 
@@ -429,7 +424,7 @@ def _pathway_backward(model, grad_a, caches):
     def layer0_grads(blocks, g):
         gW = np.empty((W0.shape[0] + 1, W0.shape[1]))  # the last row takes the pad slots
         for bk, xb in zip(model._buckets, blocks):
-            gW[bk.rows] = xb.transpose(0, 2, 1) @ (g if len(blocks) == 1 else g[bk.pathways])
+            gW[bk.rows] = xb.transpose(0, 2, 1) @ g[bk.pathways]
         return gW[:-1], g.sum(axis=1)
 
     g = np.ascontiguousarray(grad_a.T)[:, :, None]

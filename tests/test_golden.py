@@ -8,10 +8,18 @@ pathway stage and the dense stacks have hidden layers and dropout is on, so
 the snapshot pins the order in which ``build_model`` draws the initial
 weights and ``fit`` draws the dropout masks, whatever the parameter storage
 or layer loop.  Two more PAAE cases cover the pathway stage's other shapes:
-equal-size pathways (one layer-0 bucket, no padding, as at paper scale) and
-no pathway hidden layers (layer 0 is one unit wide).  The trained history
-and tensors are kept as float.hex strings and compared exactly, so they pin
-every float operation of the training step, not just the draw order.
+equal-size pathways (one layer-0 bucket, no padding) and no pathway hidden
+layers (layer 0 is one unit wide).  The trained history and tensors are kept
+as float.hex strings and compared exactly, so they pin every float operation
+of the training step, not just the draw order.
+
+Those exact bits also depend on the BLAS: OpenBLAS picks its matmul kernels,
+FMA use and summation order by CPU core type.  The snapshot records the numpy
+version, the BLAS build and the core OpenBLAS selected when it was made
+(under "blas"), and a bit mismatch reports both configurations.  If they
+differ, regenerate the snapshot on that machine before suspecting the code;
+``TestStepMatchesReference`` in ``test_models.py`` checks the step's bits
+against the reference expressions on any machine.
 
 Parameters are keyed by their checkpoint tensor names and read through the
 per-pathway ``pathway_encoders`` stacks.
@@ -28,6 +36,7 @@ only when a change is meant to alter the random draws, the arithmetic of
 the training step or the trees.
 """
 
+import ctypes
 import json
 from pathlib import Path
 
@@ -89,6 +98,21 @@ def _history(model):
     return fit(model, X, TrainConfig(epochs=3, learning_rate=1e-2, batch_size=8), RngStream(11))
 
 
+def _blas_config():
+    """numpy version, BLAS build and, for OpenBLAS, the core type it picked."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    config = {"numpy": np.__version__, "blas": f"{blas['name']} {blas['version']}"}
+    for lib in sorted(Path(np.__file__).parent.parent.joinpath("numpy.libs").glob("*openblas*")):
+        for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+            corename = getattr(ctypes.CDLL(str(lib)), symbol, None)
+            if corename is not None:
+                corename.restype = ctypes.c_char_p
+                config["core"] = corename().decode()
+                return config
+    config["core"] = "unknown"
+    return config
+
+
 def _hex(values):
     return [float(v).hex() for v in np.ravel(values)]
 
@@ -133,12 +157,16 @@ def test_loss_history_matches_golden(golden, case):
 @pytest.mark.parametrize("case", CASES)
 def test_trained_params_match_golden_bit_for_bit(golden, case):
     expected = golden[case]["trained"]
+    hint = (
+        f"snapshot made with {golden['blas']}, this run has {_blas_config()}; "
+        "on another BLAS build or core type, regenerate the snapshot there"
+    )
     model = _model(case)
-    assert _hex(_history(model)) == expected["history"]
+    assert _hex(_history(model)) == expected["history"], f"history: {hint}"
     named = _named_params(model)
     assert sorted(named) == sorted(expected["tensors"])
     for name, t in named.items():
-        assert _hex(t) == expected["tensors"][name], name
+        assert _hex(t) == expected["tensors"][name], f"{name}: {hint}"
 
 
 def _forest_data():
@@ -185,5 +213,6 @@ def test_forest_matches_golden():
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({case: _snapshot(case) for case in CASES}, indent=1) + "\n")
+    snapshot = {"blas": _blas_config(), **{case: _snapshot(case) for case in CASES}}
+    GOLDEN.write_text(json.dumps(snapshot, indent=1) + "\n")
     GOLDEN_FOREST.write_text(json.dumps(_forest_snapshot(), indent=1) + "\n")
