@@ -10,6 +10,8 @@ The same flow is available from the command line:
     pathae validate -c fixture/config.ini
 """
 
+from dataclasses import replace
+
 from pathae.dataio import ExpressionTable, resolve_pathways
 from pathae.models import ArchitectureConfig, TrainConfig
 from pathae.ndcore import RngStream
@@ -42,9 +44,10 @@ grid = GridSpec(
     classifiers=["lr"],
 )
 config = TrainConfig(epochs=120, learning_rate=5e-4, batch_size=32)
+# each cell is this architecture with only the grid's axes replaced
+base = ArchitectureConfig(kind="paae", encoder_layer_sizes=[6], dropout_rate=0.25)
 best, rows = cross_validate(
-    X, data.train_labels, "paae", grid, config,
-    masks=masks, folds=4, rng=RngStream(41), dropout_rate=0.25,
+    X, data.train_labels, base, grid, config, masks=masks, folds=4, rng=RngStream(41),
 )
 print("grid cells (mean fold AUC):")
 for r in rows:
@@ -54,12 +57,8 @@ for r in rows:
           f"({r['param_count']} params){marker}")
 
 # --- external validation with the chosen cell --------------------------------
-arch = ArchitectureConfig(
-    kind="paae",
-    encoder_layer_sizes=best["encoder_layer_sizes"],
-    pathway_hidden_sizes=best["pathway_hidden_sizes"],
-    dropout_rate=0.25,
-)
+arch = replace(base, encoder_layer_sizes=best["encoder_layer_sizes"],
+               pathway_hidden_sizes=best["pathway_hidden_sizes"])
 report_a = external_validate(
     data.train, data.train_labels, shifted, data.test_labels,
     arch, config, classifier=best["classifier"], space="a", masks=masks,

@@ -2,8 +2,8 @@
 
 Subcommands: synth, train, gridsearch, validate, interpret, survival.
 Configuration comes from an INI file (sections: data, model, train,
-evaluate, grid, interpret, output); command-line flags override file
-values. Every subcommand validates its full configuration before touching
+evaluate, grid, interpret, output; any other section or key is an error);
+command-line flags override file values. Every subcommand validates its full configuration before touching
 the output directory, and finishes by writing a manifest.json listing the
 emitted files and a hash of the resolved configuration.
 
@@ -23,7 +23,7 @@ import logging
 import os
 import sys
 import traceback
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -139,24 +139,50 @@ class ExperimentConfig:
         return hashlib.sha256(doc.encode("utf-8")).hexdigest()[:16]
 
 
-_SECTION_FIELDS = {
-    "data": [
+# Every INI key, by section: each sets the ExperimentConfig field of its own
+# name, except that a [grid] key sets grid_<key> and [output] dir sets
+# output_dir. The field's annotation picks the parser.
+INI_KEYS = {
+    "data": (
         "train_expression", "test_expression", "orientation", "scale", "labels",
-        "label_column", "test_labels", "survival", "survival_time_column",
-        "survival_event_column", "gene_mapping", "pathways", "pathway_format",
-        "normalization", "dataset_name",
-    ],
-    "model": ["kind", "schedule"],
-    "evaluate": ["space", "classifier"],
-    "interpret": ["cluster_metric", "cluster_axes", "survival_renorm"],
-    "output": [],
+        "label_column", "drop_label_values", "test_labels", "survival",
+        "survival_time_column", "survival_event_column", "gene_mapping", "pathways",
+        "pathway_format", "normalization", "log_offset", "renormalize_test", "dataset_name",
+    ),
+    "model": (
+        "kind", "encoder_layer_sizes", "pathway_hidden_sizes", "decoder_layer_sizes",
+        "dropout", "beta", "schedule", "t_start", "t_end",
+    ),
+    "train": ("epochs", "learning_rate", "batch_size", "seed"),
+    "evaluate": ("repeats", "space", "classifier", "folds"),
+    "grid": ("encoder_layer_sizes", "pathway_hidden_sizes", "betas", "schedules", "classifiers"),
+    "interpret": (
+        "top_pathways", "top_genes", "clustermap_pathways", "cluster_metric", "cluster_axes",
+        "survival_renorm", "survival_window_days",
+    ),
+    "output": ("dir",),
 }
+_FIELD_PREFIX = {"grid": "grid_", "output": "output_"}
+# An empty value keeps the field's default, except here, where it is the
+# single cell without pathway hidden layers.
+_EMPTY_IS_A_VALUE = {("grid", "pathway_hidden_sizes")}
+PARSERS = {"str": str, "int": int, "int | None": int, "float": float, "bool": _parse_bool,
+           "list[str]": _parse_str_list, "list[int]": _parse_int_list,
+           "list[int] | None": _parse_int_list, "list[float]": _parse_float_list,
+           "list[list[int]]": _parse_grid_axis}
+_FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
+
+
+def ini_field(section: str, key: str) -> str:
+    """The ExperimentConfig field that ``[section] key`` sets."""
+    return _FIELD_PREFIX.get(section, "") + key
 
 
 def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
-    """Read the INI file and apply overrides (flags win).
+    """Read the INI file and apply overrides (flags win; None means unset).
 
-    A value that does not parse is a ConfigError naming its section and key."""
+    An unknown section, an unknown key, a [DEFAULT] key or a value that does
+    not parse is a ConfigError naming its section and key."""
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
@@ -167,40 +193,29 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: not valid UTF-8 ({exc.reason})") from None
     cfg = ExperimentConfig()
-
-    def read(section, options, cast=str, prefix="", keep_empty=False):
-        """Set cfg.<prefix><option> from each option present, and non-empty
-        unless keep_empty."""
-        for option in options:
-            if not parser.has_option(section, option):
+    # [DEFAULT] comes first: once it is known to be empty, no other section
+    # inherits keys from it
+    for section in (parser.default_section, *parser.sections()):
+        keys = list(parser[section])
+        known = INI_KEYS.get(section)
+        if known is None and (keys or section != parser.default_section):
+            where = " ".join([f"[{section}]", *keys[:1]])
+            raise ConfigError(
+                f"{path}: {where}: unknown section; expected one of {' | '.join(INI_KEYS)}"
+            )
+        for key in keys:
+            if key not in known:
+                raise ConfigError(
+                    f"{path}: [{section}] {key}: unknown key; expected one of {' | '.join(known)}"
+                )
+            value = parser.get(section, key).strip()
+            if value == "" and (section, key) not in _EMPTY_IS_A_VALUE:
                 continue
-            value = parser.get(section, option).strip()
-            if value == "" and not keep_empty:
-                continue
+            name = ini_field(section, key)
             try:
-                setattr(cfg, prefix + option, cast(value))
+                setattr(cfg, name, PARSERS[_FIELD_TYPES[name]](value))
             except ValueError as exc:
-                raise ConfigError(f"{path}: [{section}] {option} = {value!r}: {exc}") from None
-
-    for section, names in _SECTION_FIELDS.items():
-        read(section, names)
-    read("data", ["drop_label_values"], _parse_str_list)
-    read("data", ["log_offset"], float)
-    read("data", ["renormalize_test"], _parse_bool)
-    read("model", ["encoder_layer_sizes", "pathway_hidden_sizes", "decoder_layer_sizes"],
-         _parse_int_list)
-    read("model", ["dropout", "beta"], float)
-    read("model", ["t_start", "t_end"], int)
-    read("train", ["epochs", "batch_size", "seed"], int)
-    read("train", ["learning_rate"], float)
-    read("evaluate", ["repeats", "folds"], int)
-    read("grid", ["encoder_layer_sizes"], _parse_grid_axis, "grid_")
-    read("grid", ["pathway_hidden_sizes"], _parse_grid_axis, "grid_", keep_empty=True)
-    read("grid", ["betas"], _parse_float_list, "grid_")
-    read("grid", ["schedules", "classifiers"], _parse_str_list, "grid_")
-    read("interpret", ["top_pathways", "top_genes", "clustermap_pathways"], int)
-    read("interpret", ["survival_window_days"], float)
-    read("output", ["dir"], prefix="output_")
+                raise ConfigError(f"{path}: [{section}] {key} = {value!r}: {exc}") from None
 
     for key, val in (overrides or {}).items():
         if val is not None:
@@ -416,9 +431,8 @@ def cmd_gridsearch(cfg: ExperimentConfig) -> int:
     norm = dataio.fit_normalizer(table, cfg.normalization, offset=cfg.log_offset)
     X = dataio.apply_normalizer(norm, table).values
     best, rows = pipeline.cross_validate(
-        X, y, cfg.kind, _grid_from(cfg), _train_config_from(cfg),
+        X, y, _arch_from(cfg), _grid_from(cfg), _train_config_from(cfg),
         masks=masks, folds=cfg.folds, rng=RngStream(cfg.seed),
-        dropout_rate=cfg.dropout, t_start=cfg.t_start, t_end=cfg.t_end,
     )
     run = _RunDir(cfg, "gridsearch")
     out = run.path(f"gridsearch-{cfg.dataset_name}-{cfg.kind}.csv")
@@ -660,7 +674,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(sub):
     sub.add_argument("-c", "--config", required=True, help="INI configuration file")
-    sub.add_argument("--output", help="output directory (overrides [output] dir)")
+    sub.add_argument("--output", dest="output_dir",
+                     help="output directory (overrides [output] dir)")
     sub.add_argument("--seed", type=int, help="master seed override")
     sub.add_argument("--epochs", type=int, help="training epochs override")
     sub.add_argument("--threads", type=int, default=None,
@@ -707,23 +722,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _overrides_from(args) -> dict:
-    mapping = {
-        "output": "output_dir",
-        "seed": "seed",
-        "epochs": "epochs",
-        "threads": "threads",
-        "repeats": "repeats",
-        "space": "space",
-        "classifier": "classifier",
-    }
-    out = {}
-    for arg_name, cfg_name in mapping.items():
-        if hasattr(args, arg_name) and getattr(args, arg_name) is not None:
-            out[cfg_name] = getattr(args, arg_name)
-    return out
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
@@ -734,7 +732,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "synth":
             return cmd_synth(args)
-        cfg = load_config(args.config, _overrides_from(args))
+        # each override flag's dest is the name of the field it sets
+        cfg = load_config(args.config,
+                          {f.name: getattr(args, f.name, None) for f in fields(ExperimentConfig)})
         validate_config(cfg, args.command)
         if args.command == "train":
             return cmd_train(cfg)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 import numpy as np
@@ -34,17 +34,7 @@ class MetricsReport:
     METRIC_NAMES = ("accuracy", "precision", "recall", "f1", "roc_auc", "test_mse")
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "precision": self.precision,
-            "recall": self.recall,
-            "f1": self.f1,
-            "roc_auc": self.roc_auc,
-            "test_mse": self.test_mse,
-            "param_count": self.param_count,
-            "seed": self.seed,
-            "diverged": self.diverged,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "MetricsReport":

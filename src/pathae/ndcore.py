@@ -116,6 +116,12 @@ def init_weights(fan_in: int, fan_out: int, rng) -> np.ndarray:
     return as_stream(rng).normal(size=(fan_in, fan_out)) * np.sqrt(2.0 / fan_in)
 
 
+# Adam's moment decay rates and denominator guard (the Kingma & Ba defaults)
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment buffers and step counter for a parameter list."""
@@ -123,20 +129,10 @@ class AdamState:
     m: list = field(default_factory=list)
     v: list = field(default_factory=list)
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params, beta1=0.9, beta2=0.999, eps=1e-8) -> "AdamState":
-        return cls(
-            m=[np.zeros_like(p) for p in params],
-            v=[np.zeros_like(p) for p in params],
-            t=0,
-            beta1=beta1,
-            beta2=beta2,
-            eps=eps,
-        )
+    def for_params(cls, params) -> "AdamState":
+        return cls(m=[np.zeros_like(p) for p in params], v=[np.zeros_like(p) for p in params])
 
 
 def adam_step(params, grads, state: AdamState, lr: float) -> AdamState:
@@ -149,7 +145,7 @@ def adam_step(params, grads, state: AdamState, lr: float) -> AdamState:
         if not np.all(np.isfinite(g)):
             raise NumericError("adam_step: non-finite gradient")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
@@ -159,7 +155,7 @@ def adam_step(params, grads, state: AdamState, lr: float) -> AdamState:
         m += (1.0 - b1) * g
         v *= b2
         v += (1.0 - b2) * g * g
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return state
 
 

@@ -1,6 +1,9 @@
 """Experiment orchestration: stratified k-fold grid search, repeated
 external validation, representation extraction and report aggregation.
 
+Grid search and external validation take the same ``ArchitectureConfig``;
+a grid cell is that architecture with only the grid's axes replaced.
+
 Work units (grid cells, folds, repeats) each derive their own RNG stream
 from the master seed and run serially, one after another.  The ``threads``
 arguments are accepted for compatibility and have no effect: a thread pool
@@ -11,7 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import product
 
 import numpy as np
@@ -126,35 +129,22 @@ def stratified_folds(y, k: int, rng) -> list[tuple[np.ndarray, np.ndarray]]:
     return folds
 
 
-def _arch_for_cell(kind: str, cell: dict, dropout_rate: float, t_start: int, t_end) -> ArchitectureConfig:
-    return ArchitectureConfig(
-        kind=kind,
-        encoder_layer_sizes=list(cell["encoder_layer_sizes"]),
-        pathway_hidden_sizes=list(cell["pathway_hidden_sizes"]),
-        dropout_rate=dropout_rate,
-        beta=cell["beta"],
-        schedule=cell["schedule"],
-        t_start=t_start,
-        t_end=t_end,
-    )
-
-
 def cross_validate(
     X,
     y,
-    kind: str,
+    arch: ArchitectureConfig,
     grid: GridSpec,
     train_config: TrainConfig,
     masks=None,
     folds: int = 4,
     rng=None,
-    dropout_rate: float = 0.5,
-    t_start: int = 32,
-    t_end=None,
     threads: int = 1,
 ):
     """Grid search scored by mean fold ROC AUC on the hidden representation.
 
+    Each cell trains ``arch`` with the grid's axes (encoder and pathway
+    hidden sizes, beta, schedule) replaced; every other field, such as
+    dropout_rate, t_start, t_end and decoder_layer_sizes, is kept.
     Returns (best_cell, rows) where rows carry one dict per cell with its
     mean AUC and parameter count, in grid order. Ties prefer fewer
     parameters, then earlier grid order. ``threads`` has no effect.
@@ -162,16 +152,16 @@ def cross_validate(
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     rng = as_stream(rng)
-    cells = grid.cells(kind)
+    cells = grid.cells(arch.kind)
     fold_splits = stratified_folds(y, folds, rng)
     rows = []
     for ci, (cell, cell_stream) in enumerate(zip(cells, rng.spawn(len(cells)))):
-        arch = _arch_for_cell(kind, cell, dropout_rate, t_start, t_end)
+        cell_arch = replace(arch, **{k: v for k, v in cell.items() if k != "classifier"})
         n_params = None
         aucs = []
         fold_streams = cell_stream.spawn(len(fold_splits))
         for (train_idx, val_idx), fstream in zip(fold_splits, fold_streams):
-            model = build_model(arch, X.shape[1], masks, fstream)
+            model = build_model(cell_arch, X.shape[1], masks, fstream)
             if n_params is None:
                 n_params = count_params(model)
             try:
@@ -180,7 +170,7 @@ def cross_validate(
                 log.warning("grid cell %d diverged during CV: %s", ci, exc)
                 aucs.append(float("nan"))
                 continue
-            space = hidden_space(kind)
+            space = hidden_space(arch.kind)
             rep_train = extract_representation(model, X[train_idx], space)
             rep_val = extract_representation(model, X[val_idx], space)
             clf = fit_classifier(cell["classifier"], rep_train, y[train_idx], fstream)

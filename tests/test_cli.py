@@ -1,13 +1,16 @@
+import configparser
 import csv
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 import pathae.cli
 import pathae.pipeline
-from pathae.cli import ExperimentConfig, _RunDir, load_config, main
+from pathae.cli import INI_KEYS, PARSERS, ExperimentConfig, _RunDir, ini_field, load_config, main
+from pathae.models import count_params, load_checkpoint
 from pathae.pipeline import REPORT_CSV_COLUMNS
 
 
@@ -197,6 +200,45 @@ class TestConfigValues:
         assert err.startswith("pathae: config error:") and f"{key} {value!r}" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("old,new,where", [
+        ("[train]\n", "[train]\nepoch = 3\n", "[train] epoch"),
+        ("[output]\n", "[trian]\nepochs = 3\n\n[output]\n", "[trian] epochs"),
+        ("[output]\n", "[trian]\n\n[output]\n", "[trian]"),
+        ("[data]\n", "[DEFAULT]\nseed = 5\n\n[data]\n", "[DEFAULT] seed"),
+    ])
+    def test_unknown_section_or_key_exits_1_before_work(self, fixture_dir, tmp_path, capsys,
+                                                         monkeypatch, old, new, where):
+        def no_work(*args, **kwargs):
+            raise AssertionError("expression table read before the config was checked")
+
+        monkeypatch.setattr(pathae.cli.dataio, "load_expression_tsv", no_work)
+        out = tmp_path / "never"
+        cfg = write_config(tmp_path / "c.ini", fixture_dir, out)
+        _replace_in_config(cfg, old, new)
+        assert main(["train", "-c", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pathae: config error:") and f"{where}:" in err
+        assert not out.exists()
+
+
+class TestConfigSchema:
+    """The README's ini block, the loader's table and ExperimentConfig
+    declare the same settings."""
+
+    def test_readme_ini_block_matches_loader_table(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+        parser = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+        parser.read_string(block)
+        documented = {s: set(parser[s]) for s in parser.sections()}
+        assert documented == {s: set(keys) for s, keys in INI_KEYS.items()}
+
+    def test_every_field_has_one_key_and_a_parser(self):
+        reached = sorted(ini_field(s, k) for s, keys in INI_KEYS.items() for k in keys)
+        settable = sorted(f.name for f in fields(ExperimentConfig) if f.name != "threads")
+        assert reached == settable
+        assert all(f.type in PARSERS for f in fields(ExperimentConfig))
+
 
 class TestGridsearch:
     def test_two_cell_report_single_winner(self, fixture_dir, tmp_path):
@@ -209,6 +251,20 @@ class TestGridsearch:
         assert winners.count("yes") == 1
         aucs = [float(r[-2]) for r in rows[1:]]
         assert aucs == sorted(aucs, reverse=True)
+
+    def test_cell_keeps_decoder_layer_sizes(self, fixture_dir, tmp_path):
+        # a one-cell grid equal to [model] must build the model train builds
+        header = (fixture_dir / "train_expression.tsv").read_text().split("\n", 1)[0]
+        genes = len(header.split("\t")) - 1
+        cfg = write_config(tmp_path / "c.ini", fixture_dir, tmp_path / "run")
+        _replace_in_config(cfg, "dropout = 0.5\n",
+                           f"dropout = 0.5\ndecoder_layer_sizes = 9,{genes}\n")
+        _replace_in_config(cfg, "encoder_layer_sizes = 4 | 8\n", "encoder_layer_sizes = 8\n")
+        assert main(["train", "-c", cfg]) == 0
+        assert main(["gridsearch", "-c", cfg]) == 0
+        model = load_checkpoint(str(tmp_path / "run" / "checkpoint-synth-paae.ckpt"))
+        rows = list(csv.DictReader(open(tmp_path / "run" / "gridsearch-synth-paae.csv")))
+        assert [int(r["param_count"]) for r in rows] == [count_params(model)]
 
 
     @pytest.mark.parametrize("line,bad", [

@@ -160,8 +160,8 @@ class TestCrossValidate:
         X, y = signal_data()
         grid = GridSpec(encoder_layer_sizes=[[1]], classifiers=["lr"])
         best, rows = cross_validate(
-            X, y, "ae", grid, TrainConfig(epochs=60, learning_rate=0.01, batch_size=16),
-            folds=4, rng=RngStream(9), dropout_rate=0.0,
+            X, y, ArchitectureConfig("ae", [1], dropout_rate=0.0), grid,
+            TrainConfig(epochs=60, learning_rate=0.01, batch_size=16), folds=4, rng=RngStream(9),
         )
         assert len(rows) == 1 and best["cell_index"] == 0
 
@@ -174,8 +174,8 @@ class TestCrossValidate:
             classifiers=["lr"],
         )
         best, rows = cross_validate(
-            X, y, "vae", grid, TrainConfig(epochs=300, learning_rate=0.01, batch_size=16),
-            folds=4, rng=RngStream(99), dropout_rate=0.0,
+            X, y, ArchitectureConfig("vae", [1], dropout_rate=0.0), grid,
+            TrainConfig(epochs=300, learning_rate=0.01, batch_size=16), folds=4, rng=RngStream(99),
         )
         assert best["beta"] == 1e-9
         aucs = {r["beta"]: r["mean_roc_auc"] for r in rows}
@@ -185,10 +185,11 @@ class TestCrossValidate:
         X, y = signal_data(n_per=12, genes=6)
         grid = GridSpec(encoder_layer_sizes=[[1], [2]], classifiers=["lr"])
         config = TrainConfig(epochs=30, learning_rate=0.01, batch_size=8)
-        best1, rows1 = cross_validate(X, y, "ae", grid, config, folds=4,
-                                      rng=RngStream(7), dropout_rate=0.0, threads=1)
-        best2, rows2 = cross_validate(X, y, "ae", grid, config, folds=4,
-                                      rng=RngStream(7), dropout_rate=0.0, threads=2)
+        arch = ArchitectureConfig("ae", [1], dropout_rate=0.0)
+        best1, rows1 = cross_validate(X, y, arch, grid, config, folds=4,
+                                      rng=RngStream(7), threads=1)
+        best2, rows2 = cross_validate(X, y, arch, grid, config, folds=4,
+                                      rng=RngStream(7), threads=2)
         assert best1 == best2 and rows1 == rows2
 
 
