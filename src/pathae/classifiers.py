@@ -8,7 +8,11 @@ fully deterministic tie-breaking so a fixed seed reproduces the forest.  The
 trees of one fit grow in lockstep: each keeps its own depth-first stack and
 its own stream, and on every step one batched split search scores every
 (feature, threshold) pair of the nodes that all trees are working on.
-Prediction sends all rows down each tree at once.
+
+A forest is stored only as flat node arrays, one set for all its trees, and
+prediction runs all trees in lockstep: every row descends every tree at
+once, one level per step.  ``ForestModel.trees`` is a read-only view that
+builds linked ``TreeNode`` objects from the arrays.
 """
 
 from __future__ import annotations
@@ -138,6 +142,8 @@ def lr_data_loss(model: LogisticModel, X, y) -> float:
 
 @dataclass
 class TreeNode:
+    """One node of a tree as read through ``ForestModel.trees``."""
+
     counts: np.ndarray
     feature: int | None = None
     threshold: float | None = None
@@ -151,9 +157,37 @@ class TreeNode:
 
 @dataclass
 class ForestModel:
-    trees: list[TreeNode]
+    """All trees of a forest as one set of node arrays.
+
+    Node ``i`` sends a row to ``left[i]`` when its ``feature[i]`` column is
+    at most ``threshold[i]``, else to ``right[i]``; a leaf points to itself
+    both ways (its feature and threshold are 0).  ``counts[i]`` holds the
+    class counts of the bootstrap samples that reach node ``i``, and tree
+    ``t`` starts at node ``roots[t]``."""
+
+    roots: np.ndarray  # (n_trees,)
+    feature: np.ndarray  # (n_nodes,)
+    threshold: np.ndarray  # (n_nodes,)
+    left: np.ndarray  # (n_nodes,)
+    right: np.ndarray  # (n_nodes,)
+    counts: np.ndarray  # (n_nodes, n_classes)
     classes: np.ndarray
     n_features: int
+
+    @property
+    def trees(self) -> list[TreeNode]:
+        """Each tree's root as linked ``TreeNode`` objects.
+
+        The nodes are rebuilt on every access, so changing them changes
+        nothing in the model; their counts are views into ``counts``."""
+        nodes = [TreeNode(counts=c) for c in self.counts]
+        feature, threshold = self.feature.tolist(), self.threshold.tolist()
+        left, right = self.left.tolist(), self.right.tolist()
+        for i, node in enumerate(nodes):
+            if left[i] != i:
+                node.feature, node.threshold = feature[i], threshold[i]
+                node.left, node.right = nodes[left[i]], nodes[right[i]]
+        return [nodes[r] for r in self.roots.tolist()]
 
 
 # Cap on the elements of one (nodes, features, rows, classes) block of the
@@ -233,7 +267,8 @@ def _best_split(X, onehot, idx, features):
 
 def _grow_forest(X, onehot, boots, m_features, rngs):
     """Grow one tree per bootstrap sample, all trees in lockstep, and return
-    their roots.
+    the node arrays (feature, threshold, left, right, counts); tree t's root
+    is node t.
 
     A node is a leaf when it is pure (this covers fewer than two samples) or
     when its candidate columns are all constant on it.  Each tree keeps a
@@ -245,9 +280,12 @@ def _grow_forest(X, onehot, boots, m_features, rngs):
     d, k = X.shape[1], onehot.shape[1]
     X = np.vstack([X, np.full(d, np.inf)])  # the sentinel row, last
     onehot = np.vstack([onehot, np.zeros(k)])
-    roots = [TreeNode(counts=onehot[boot].sum(axis=0)) for boot in boots]
-    stacks = [[(root, boot)] if np.count_nonzero(root.counts) >= 2 else []
-              for root, boot in zip(roots, boots)]
+    n_trees = len(boots)
+    counts = [onehot[boot].sum(axis=0) for boot in boots]
+    # every node is added as a leaf; _split_nodes turns it into a split
+    nodes = ([0] * n_trees, [0.0] * n_trees, list(range(n_trees)), list(range(n_trees)), counts)
+    stacks = [[(t, boot)] if np.count_nonzero(counts[t]) >= 2 else []
+              for t, boot in enumerate(boots)]
     while True:
         pending = {}  # size class -> [(tree, node, rows, features)]
         for t, stack in enumerate(stacks):
@@ -257,39 +295,47 @@ def _grow_forest(X, onehot, boots, m_features, rngs):
                 pending.setdefault((len(rows) - 1).bit_length(), []).append(
                     (t, node, rows, rngs[t].choice(d, size=m_features, replace=False)))
         if not pending:
-            return roots
+            return nodes
         for size_class, group in pending.items():
             per_call = max(1, _SEARCH_BLOCK // (m_features * (1 << size_class) * k))
             for start in range(0, len(group), per_call):
-                _split_nodes(X, onehot, group[start : start + per_call], stacks)
+                _split_nodes(X, onehot, group[start : start + per_call], stacks, nodes)
 
 
-def _split_nodes(X, onehot, chunk, stacks):
-    """Search a chunk of nodes padded to the largest one's size, and push the
-    children that are not pure onto their tree's stack, left on top."""
+def _split_nodes(X, onehot, chunk, stacks, nodes):
+    """Search a chunk of nodes padded to the largest one's size, append the
+    children of every node that splits to ``nodes``, and push those that are
+    not pure onto their tree's stack, left on top."""
     sizes = [len(c[2]) for c in chunk]
     rows = np.full((len(chunk), max(sizes)), len(X) - 1)
     for b, (_, _, node_rows, _) in enumerate(chunk):
         rows[b, : sizes[b]] = node_rows
     features = np.sort([c[3] for c in chunk], axis=1)
-    impurity, feature, threshold, cut, sorted_rows, left, right = _split_search(
+    impurity, feature, threshold, cut, sorted_rows, left_counts, right_counts = _split_search(
         X, onehot, rows, np.array(sizes), features)
     found = (impurity < np.inf).tolist()
-    grow_left = (np.count_nonzero(left, axis=1) >= 2).tolist()
-    grow_right = (np.count_nonzero(right, axis=1) >= 2).tolist()
+    grow_left = (np.count_nonzero(left_counts, axis=1) >= 2).tolist()
+    grow_right = (np.count_nonzero(right_counts, axis=1) >= 2).tolist()
     feature, threshold, cut = feature.tolist(), threshold.tolist(), cut.tolist()
+    features_of, thresholds_of, left_of, right_of, counts_of = nodes
     for b, (t, node, _, _) in enumerate(chunk):
         if not found[b]:
             continue
-        node.feature, node.threshold = feature[b], threshold[b]
-        node.left, node.right = TreeNode(counts=left[b]), TreeNode(counts=right[b])
+        left_id, right_id = len(counts_of), len(counts_of) + 1
+        features_of[node], thresholds_of[node] = feature[b], threshold[b]
+        left_of[node], right_of[node] = left_id, right_id
+        features_of += [0, 0]
+        thresholds_of += [0.0, 0.0]
+        left_of += [left_id, right_id]
+        right_of += [left_id, right_id]
+        counts_of += [left_counts[b], right_counts[b]]
         # row order inside a node cannot change its split: thresholds
         # between equal values are masked, and the counts at every other
         # threshold depend only on which rows the node holds
         if grow_right[b]:
-            stacks[t].append((node.right, sorted_rows[b, cut[b] : sizes[b]]))
+            stacks[t].append((right_id, sorted_rows[b, cut[b] : sizes[b]]))
         if grow_left[b]:
-            stacks[t].append((node.left, sorted_rows[b, : cut[b]]))
+            stacks[t].append((left_id, sorted_rows[b, : cut[b]]))
 
 
 def rf_fit(X, y, n_trees: int = 100, rng=None) -> ForestModel:
@@ -302,30 +348,33 @@ def rf_fit(X, y, n_trees: int = 100, rng=None) -> ForestModel:
     onehot = np.eye(len(classes))[codes]
     rngs = as_stream(rng).spawn(n_trees)
     boots = [np.asarray(tree_rng.integers(0, n, size=n)) for tree_rng in rngs]
-    trees = _grow_forest(X, onehot, boots, int(math.ceil(math.sqrt(d))), rngs)
-    return ForestModel(trees=trees, classes=classes, n_features=d)
-
-
-def _add_leaf_proba(node: TreeNode, X, rows, acc):
-    """Send ``rows`` down the tree, splitting them at each node, and add each
-    leaf's class frequencies to its rows of ``acc``."""
-    if not rows.size:
-        return
-    if node.is_leaf:
-        acc[rows] += node.counts / node.counts.sum()
-        return
-    goes_left = X[rows, node.feature] <= node.threshold
-    _add_leaf_proba(node.left, X, rows[goes_left], acc)
-    _add_leaf_proba(node.right, X, rows[~goes_left], acc)
+    feature, threshold, left, right, counts = _grow_forest(
+        X, onehot, boots, int(math.ceil(math.sqrt(d))), rngs)
+    return ForestModel(
+        roots=np.arange(n_trees), feature=np.array(feature, dtype=np.intp),
+        threshold=np.array(threshold), left=np.array(left, dtype=np.intp),
+        right=np.array(right, dtype=np.intp), counts=np.array(counts),
+        classes=classes, n_features=d,
+    )
 
 
 def rf_predict_proba(model: ForestModel, X) -> np.ndarray:
+    """Mean over the trees of the class frequencies of the leaf each row
+    reaches.  All rows descend all trees at once, one level per step."""
     X = _as_rows(X, model.n_features, "rf_predict_proba")
-    acc = np.zeros((X.shape[0], len(model.classes)))
     rows = np.arange(X.shape[0])
-    for tree in model.trees:
-        _add_leaf_proba(tree, X, rows, acc)
-    return acc / len(model.trees)
+    at = np.repeat(model.roots[:, None], X.shape[0], axis=1)  # (n_trees, n_rows) node ids
+    while True:
+        goes_left = X[rows, model.feature[at]] <= model.threshold[at]
+        step = np.where(goes_left, model.left[at], model.right[at])
+        if np.array_equal(step, at):  # every row is at a leaf
+            break
+        at = step
+    freq = model.counts / model.counts.sum(axis=1, keepdims=True)
+    acc = np.zeros((X.shape[0], len(model.classes)))
+    for leaves in at:  # tree by tree, in tree order
+        acc += freq[leaves]
+    return acc / len(model.roots)
 
 
 # ---------------------------------------------------------------------------

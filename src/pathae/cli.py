@@ -208,7 +208,10 @@ def load_config(path, overrides: dict | None = None) -> ExperimentConfig:
                 raise ConfigError(
                     f"{path}: [{section}] {key}: unknown key; expected one of {' | '.join(known)}"
                 )
-            value = parser.get(section, key).strip()
+            try:
+                value = parser.get(section, key).strip()
+            except configparser.InterpolationError as exc:
+                raise ConfigError(f"{path}: [{section}] {key}: {exc.message}") from None
             if value == "" and (section, key) not in _EMPTY_IS_A_VALUE:
                 continue
             name = ini_field(section, key)
@@ -275,10 +278,10 @@ def validate_config(cfg: ExperimentConfig, command: str):
     if command == "survival":
         _require_file(cfg.survival, "survival table")
     # construct these early so bad values fail before side effects
-    _arch_from(cfg)
+    arch = _arch_from(cfg)
     _train_config_from(cfg)
     if command == "gridsearch":
-        _grid_from(cfg)
+        pipeline.cell_architectures(arch, _grid_from(cfg))
 
 
 def _arch_from(cfg: ExperimentConfig) -> ArchitectureConfig:

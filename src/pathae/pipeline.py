@@ -105,6 +105,23 @@ class GridSpec:
         return out
 
 
+def cell_architectures(arch: ArchitectureConfig, grid: GridSpec):
+    """[(cell, architecture)] for every grid cell, in grid order: ``arch``
+    with the grid's axes (encoder and pathway hidden sizes, beta, schedule)
+    replaced and every other field, such as dropout_rate, t_start, t_end and
+    decoder_layer_sizes, kept.  A cell the architecture rejects is a
+    ConfigError naming [grid] and the cell."""
+    out = []
+    for cell in grid.cells(arch.kind):
+        axes = {k: v for k, v in cell.items() if k != "classifier"}
+        try:
+            out.append((cell, replace(arch, **axes)))
+        except ConfigError as exc:
+            shown = ", ".join(f"{k}={v}" for k, v in axes.items())
+            raise ConfigError(f"[grid] cell ({shown}): {exc}") from None
+    return out
+
+
 def stratified_folds(y, k: int, rng) -> list[tuple[np.ndarray, np.ndarray]]:
     """Partition into k folds preserving class balance. Every class needs
     at least k members."""
@@ -142,21 +159,18 @@ def cross_validate(
 ):
     """Grid search scored by mean fold ROC AUC on the hidden representation.
 
-    Each cell trains ``arch`` with the grid's axes (encoder and pathway
-    hidden sizes, beta, schedule) replaced; every other field, such as
-    dropout_rate, t_start, t_end and decoder_layer_sizes, is kept.
-    Returns (best_cell, rows) where rows carry one dict per cell with its
-    mean AUC and parameter count, in grid order. Ties prefer fewer
-    parameters, then earlier grid order. ``threads`` has no effect.
+    Each cell trains its ``cell_architectures`` entry.  Returns (best_cell,
+    rows) where rows carry one dict per cell with its mean AUC and parameter
+    count, in grid order. Ties prefer fewer parameters, then earlier grid
+    order. ``threads`` has no effect.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     rng = as_stream(rng)
-    cells = grid.cells(arch.kind)
+    cells = cell_architectures(arch, grid)
     fold_splits = stratified_folds(y, folds, rng)
     rows = []
-    for ci, (cell, cell_stream) in enumerate(zip(cells, rng.spawn(len(cells)))):
-        cell_arch = replace(arch, **{k: v for k, v in cell.items() if k != "classifier"})
+    for ci, ((cell, cell_arch), cell_stream) in enumerate(zip(cells, rng.spawn(len(cells)))):
         n_params = None
         aucs = []
         fold_streams = cell_stream.spawn(len(fold_splits))

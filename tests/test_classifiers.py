@@ -322,6 +322,7 @@ def _reference_grow(X, onehot, idx, m_features, rng):
 
 
 def _reference_rf_fit(X, y, n_trees, rng):
+    """(classes, trees) of the forest the recursive grower makes."""
     classes, codes = np.unique(y, return_inverse=True)
     n, d = X.shape
     onehot = np.eye(len(classes))[codes]
@@ -330,7 +331,29 @@ def _reference_rf_fit(X, y, n_trees, rng):
     for tree_rng in rng.spawn(n_trees):
         boot = tree_rng.integers(0, n, size=n)
         trees.append(_reference_grow(X, onehot, np.asarray(boot), m_features, tree_rng))
-    return ForestModel(trees=trees, classes=classes, n_features=d)
+    return classes, trees
+
+
+def _reference_add_leaf_proba(node, X, rows, acc):
+    """Send ``rows`` down the tree, splitting them at each node, and add each
+    leaf's class frequencies to its rows of ``acc``."""
+    if not rows.size:
+        return
+    if node.is_leaf:
+        acc[rows] += node.counts / node.counts.sum()
+        return
+    goes_left = X[rows, node.feature] <= node.threshold
+    _reference_add_leaf_proba(node.left, X, rows[goes_left], acc)
+    _reference_add_leaf_proba(node.right, X, rows[~goes_left], acc)
+
+
+def _reference_predict_proba(trees, n_classes, X):
+    """The recursive per-tree predictor the lockstep descent replaced."""
+    acc = np.zeros((X.shape[0], n_classes))
+    rows = np.arange(X.shape[0])
+    for tree in trees:
+        _reference_add_leaf_proba(tree, X, rows, acc)
+    return acc / len(trees)
 
 
 def _preorder(node):
@@ -370,21 +393,41 @@ def _grower_case(name):
         return rng.normal(size=(1, 3)), np.array(["a"]), 5
     if name == "two_rows":
         return rng.normal(size=(2, 3)), np.array(["a", "b"]), 5
+    if name == "deep_random_labels":  # deep trees, predicted on few rows
+        return rng.normal(size=(450, 64)), rng.integers(0, 5, size=450), 100
     raise KeyError(name)
+
+
+def _held_out_rows(X, trees, rng):
+    """Rows the forest was not grown on: columns drawn from different
+    training rows, training rows with noise, and, for up to 20 trees, a
+    training row whose cell in the root's split column equals the root's
+    threshold."""
+    n, d = X.shape
+    shuffled = X[rng.integers(0, n, size=(20, d)), np.arange(d)]
+    noisy = X[rng.integers(0, n, size=20)] + 0.1 * rng.normal(size=(20, d))
+    splits = [(tree.feature, tree.threshold) for tree in trees if not tree.is_leaf][:20]
+    on_threshold = X[rng.integers(0, n, size=len(splits))]
+    for row, (f, threshold) in zip(on_threshold, splits):
+        row[f] = threshold
+    return np.vstack([shuffled, noisy, on_threshold])
 
 
 class TestGrowerMatchesReference:
     @pytest.mark.parametrize("case", ["workload", "ties_12_classes", "one_feature",
-                                      "constant_and_duplicated", "wide", "one_row", "two_rows"])
+                                      "constant_and_duplicated", "wide", "one_row", "two_rows",
+                                      "deep_random_labels"])
     def test_same_trees_and_probabilities(self, case):
         X, y, n_trees = _grower_case(case)
         got = rf_fit(X, y, n_trees=n_trees, rng=RngStream(13))
-        want = _reference_rf_fit(X, y, n_trees, RngStream(13))
-        assert got.classes.tolist() == want.classes.tolist()
-        assert len(got.trees) == len(want.trees) == n_trees
-        for t, (tree, ref) in enumerate(zip(got.trees, want.trees)):
+        classes, trees = _reference_rf_fit(X, y, n_trees, RngStream(13))
+        assert got.classes.tolist() == classes.tolist()
+        assert len(got.trees) == len(trees) == n_trees
+        for t, (tree, ref) in enumerate(zip(got.trees, trees)):
             assert _preorder(tree) == _preorder(ref), f"tree {t}"
-        assert rf_predict_proba(got, X).tobytes() == rf_predict_proba(want, X).tobytes()
+        for rows in (X, _held_out_rows(X, trees, RngStream(31))):
+            want = _reference_predict_proba(trees, len(classes), rows)
+            assert rf_predict_proba(got, rows).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("budget", [None, 1 << 13])

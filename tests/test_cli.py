@@ -150,6 +150,7 @@ class TestConfigValues:
         ("dropout = 0.5", "dropout = x", "[model] dropout"),
         ("encoder_layer_sizes = 8", "encoder_layer_sizes = 8,y", "[model] encoder_layer_sizes"),
         ("betas = 1", "betas = 1,high", "[grid] betas"),
+        ("dataset_name = synth", "dataset_name = a%b", "[data] dataset_name"),  # bare %
     ])
     def test_unparsable_value_exits_1_naming_key(self, fixture_dir, tmp_path, capsys,
                                                  line, bad, where):
@@ -220,6 +221,11 @@ class TestConfigValues:
         assert err.startswith("pathae: config error:") and f"{where}:" in err
         assert not out.exists()
 
+    def test_doubled_percent_is_a_literal_percent(self, fixture_dir, tmp_path):
+        cfg = write_config(tmp_path / "c.ini", fixture_dir, tmp_path)
+        _replace_in_config(cfg, "dataset_name = synth", "dataset_name = a%%b")
+        assert load_config(cfg).dataset_name == "a%b"
+
 
 class TestConfigSchema:
     """The README's ini block, the loader's table and ExperimentConfig
@@ -278,6 +284,27 @@ class TestGridsearch:
         Path(cfg).write_text(Path(cfg).read_text().replace(line, bad))
         assert main(["gridsearch", "-c", cfg]) == 1
         assert bad.split(",")[-1] in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind,edits", [
+        ("paae", [("encoder_layer_sizes = 4 | 8", "encoder_layer_sizes = 0 | 8")]),
+        # the [model] step schedule ignores t_end; the grid's smooth one needs t_end > t_start
+        ("pavae", [("schedules = step", "schedules = step,smooth"),
+                   ("dropout = 0.5", "dropout = 0.5\nschedule = step\nt_start = 5\nt_end = 5")]),
+    ])
+    def test_bad_grid_cell_exits_1_naming_grid_before_work(self, fixture_dir, tmp_path, capsys,
+                                                            monkeypatch, kind, edits):
+        def no_work(*args, **kwargs):
+            raise AssertionError("expression table read before the config was checked")
+
+        monkeypatch.setattr(pathae.cli.dataio, "load_expression_tsv", no_work)
+        out = tmp_path / "never"
+        cfg = write_config(tmp_path / "c.ini", fixture_dir, out, kind=kind)
+        for old, new in edits:
+            _replace_in_config(cfg, old, new)
+        assert main(["gridsearch", "-c", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("pathae: config error: [grid] cell (")
         assert not out.exists()
 
 
