@@ -3,9 +3,12 @@
 Subcommands: synth, train, gridsearch, validate, interpret, survival.
 Configuration comes from an INI file (sections: data, model, train,
 evaluate, grid, interpret, output; any other section or key is an error);
-command-line flags override file values. Every subcommand validates its full configuration before touching
-the output directory, and finishes by writing a manifest.json listing the
-emitted files and a hash of the resolved configuration.
+each command-line override flag sets one configuration field and wins over
+the file.  Every subcommand validates its full configuration, enumerated
+values and numeric ranges included, before it reads a table or touches the
+output directory.  Its work then runs serially in this process, and it
+finishes by writing a manifest.json listing the emitted files and a hash of
+the resolved configuration.
 
 Exit codes: 0 success, 1 usage/configuration or I/O, 2 data, 3
 numeric/divergence. A failed read or write (OSError) exits 1 with a one-line
@@ -20,6 +23,7 @@ import configparser
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import traceback
@@ -130,9 +134,8 @@ class ExperimentConfig:
     cluster_axes: str = "both"
     survival_renorm: str = "none"
     survival_window_days: float = 1825.0
-    # output / execution
+    # output
     output_dir: str = ""
-    threads: int = 1
 
     def config_hash(self) -> str:
         doc = json.dumps(asdict(self), sort_keys=True)
@@ -238,6 +241,15 @@ def _require_file(path, what):
 PATHWAY_FORMATS = ("auto", "gmt", "msigdb_json")
 CLUSTER_AXES = ("both", "cols")
 SURVIVAL_RENORMS = ("none", "tpm", "ipm")
+# Ranges the parsers cannot express: (section, key, requirement, test).
+RANGES = (
+    ("evaluate", "repeats", ">= 1", lambda v: v >= 1),
+    ("evaluate", "folds", ">= 2", lambda v: v >= 2),
+    ("interpret", "top_pathways", ">= 1", lambda v: v >= 1),
+    ("interpret", "top_genes", ">= 1", lambda v: v >= 1),
+    ("interpret", "clustermap_pathways", ">= 2", lambda v: v >= 2),
+    ("interpret", "survival_window_days", "finite and > 0", lambda v: math.isfinite(v) and v > 0),
+)
 
 
 def validate_config(cfg: ExperimentConfig, command: str):
@@ -255,10 +267,12 @@ def validate_config(cfg: ExperimentConfig, command: str):
         value = getattr(cfg, key)
         if value not in allowed:
             raise ConfigError(f"unknown {key} {value!r}; expected one of {' | '.join(allowed)}")
+    for section, key, requirement, test in RANGES:
+        value = getattr(cfg, ini_field(section, key))
+        if not test(value):
+            raise ConfigError(f"[{section}] {key} = {value!r}: must be {requirement}")
     if command == "validate":
         pipeline.check_space(cfg.kind, cfg.space)
-    if cfg.threads < 1:
-        raise ConfigError("threads must be >= 1")
     needs_pathways = models.is_pathway_kind(cfg.kind)
     if command in ("train", "gridsearch", "validate"):
         _require_file(cfg.train_expression, "train expression table")
@@ -474,7 +488,8 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
         train_table, y_train, test_table, y_test,
         _arch_from(cfg), _train_config_from(cfg),
         classifier=cfg.classifier, space=cfg.space, masks=masks,
-        norm_kind=cfg.normalization, renormalize_test=cfg.renormalize_test,
+        norm_kind=cfg.normalization, log_offset=cfg.log_offset,
+        renormalize_test=cfg.renormalize_test,
         repeats=cfg.repeats, base_seed=cfg.seed,
     )
     run = _RunDir(cfg, "validate")
@@ -681,8 +696,6 @@ def _add_common(sub):
                      help="output directory (overrides [output] dir)")
     sub.add_argument("--seed", type=int, help="master seed override")
     sub.add_argument("--epochs", type=int, help="training epochs override")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="accepted for compatibility; has no effect, work runs serially")
     sub.add_argument("--verbose", action="store_true",
                      help="debug logging, and a traceback on an internal error")
 

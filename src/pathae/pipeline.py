@@ -5,9 +5,7 @@ Grid search and external validation take the same ``ArchitectureConfig``;
 a grid cell is that architecture with only the grid's axes replaced.
 
 Work units (grid cells, folds, repeats) each derive their own RNG stream
-from the master seed and run serially, one after another.  The ``threads``
-arguments are accepted for compatibility and have no effect: a thread pool
-over these GIL-bound small matmuls ran slower than the serial loop.
+from the master seed and run serially, one after another.
 """
 
 from __future__ import annotations
@@ -155,14 +153,13 @@ def cross_validate(
     masks=None,
     folds: int = 4,
     rng=None,
-    threads: int = 1,
 ):
     """Grid search scored by mean fold ROC AUC on the hidden representation.
 
     Each cell trains its ``cell_architectures`` entry.  Returns (best_cell,
     rows) where rows carry one dict per cell with its mean AUC and parameter
     count, in grid order. Ties prefer fewer parameters, then earlier grid
-    order. ``threads`` has no effect.
+    order.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
@@ -335,6 +332,7 @@ def external_validate(
     space: str,
     masks=None,
     norm_kind: str = "zscore",
+    log_offset: float = 1e-3,
     renormalize_test: bool = True,
     repeats: int = 16,
     base_seed: int = 0,
@@ -343,15 +341,19 @@ def external_validate(
     """Repeat r trains on the full training table with seed base_seed+r,
     fits the classifier on the chosen representation, and evaluates on the
     (re)normalized test table. Diverged repeats are recorded, not dropped.
-    ``threads`` has no effect.
+    ``log_offset`` is the offset of the ``log_offset`` normalizer, for the
+    training and the test table alike.  ``threads`` is ignored; it is kept
+    only because perfbench's validate-rf-small workload still passes it.
     """
     if list(train_table.gene_names) != list(test_table.gene_names):
         raise DataError("external_validate: gene axes differ; intersect first")
     if repeats < 1:
         raise ConfigError(f"repeats must be >= 1, got {repeats}")
-    norm = fit_normalizer(train_table, norm_kind)
+    norm = fit_normalizer(train_table, norm_kind, offset=log_offset)
     X_train = apply_normalizer(norm, train_table).values
-    test_norm = fit_normalizer(test_table, norm_kind) if renormalize_test else norm
+    test_norm = (
+        fit_normalizer(test_table, norm_kind, offset=log_offset) if renormalize_test else norm
+    )
     X_test = apply_normalizer(test_norm, test_table).values
     y_train = np.asarray(train_labels)
     y_test = np.asarray(test_labels)

@@ -364,16 +364,16 @@ def test_criterion_7_determinism(tmp_path):
     fixture = _write_cli_fixture(tmp_path)
     cfg1 = _cli_config(tmp_path / "c1.ini", fixture, tmp_path / "r1")
     cfg2 = _cli_config(tmp_path / "c2.ini", fixture, tmp_path / "r2")
-    assert main(["train", "-c", cfg1, "--threads", "1"]) == 0
-    assert main(["train", "-c", cfg2, "--threads", "1"]) == 0
+    assert main(["train", "-c", cfg1]) == 0
+    assert main(["train", "-c", cfg2]) == 0
     b1 = (tmp_path / "r1" / "checkpoint-synth-paae.ckpt").read_bytes()
     b2 = (tmp_path / "r2" / "checkpoint-synth-paae.ckpt").read_bytes()
     assert b1 == b2
 
     cfg3 = _cli_config(tmp_path / "c3.ini", fixture, tmp_path / "r3")
     cfg4 = _cli_config(tmp_path / "c4.ini", fixture, tmp_path / "r4")
-    assert main(["validate", "-c", cfg3, "--threads", "1"]) == 0
-    assert main(["validate", "-c", cfg4, "--threads", "1"]) == 0
+    assert main(["validate", "-c", cfg3]) == 0
+    assert main(["validate", "-c", cfg4]) == 0
     j1 = (tmp_path / "r3" / "report-synth-paae-z.json").read_text()
     j2 = (tmp_path / "r4" / "report-synth-paae-z.json").read_text()
     assert j1 == j2

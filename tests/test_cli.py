@@ -1,15 +1,21 @@
+import argparse
 import configparser
+import contextlib
 import csv
+import io
 import json
 import xml.etree.ElementTree as ET
 from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import pathae.cli
 import pathae.pipeline
-from pathae.cli import INI_KEYS, PARSERS, ExperimentConfig, _RunDir, ini_field, load_config, main
+from pathae.cli import (
+    INI_KEYS, PARSERS, ExperimentConfig, _RunDir, build_parser, ini_field, load_config, main,
+)
 from pathae.models import count_params, load_checkpoint
 from pathae.pipeline import REPORT_CSV_COLUMNS
 
@@ -131,6 +137,15 @@ class TestTrain:
             main(["train"])  # missing -c
         assert err.value.code == 1
 
+    def test_threads_flag_is_a_usage_error(self, fixture_dir, tmp_path, capsys):
+        out = tmp_path / "never"
+        cfg = write_config(tmp_path / "c.ini", fixture_dir, out)
+        with pytest.raises(SystemExit) as err:
+            main(["train", "-c", cfg, "--threads", "2"])
+        assert err.value.code == 1
+        assert "unrecognized arguments: --threads 2" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_divergent_config_exits_3_naming_epoch(self, fixture_dir, tmp_path, capsys):
         cfg = write_config(tmp_path / "c.ini", fixture_dir, tmp_path / "run", kind="pavae")
@@ -226,6 +241,50 @@ class TestConfigValues:
         _replace_in_config(cfg, "dataset_name = synth", "dataset_name = a%%b")
         assert load_config(cfg).dataset_name == "a%b"
 
+    @settings(max_examples=20)
+    @given(case=st.one_of(
+        st.tuples(st.just(("validate", "evaluate", "repeats")), st.integers(max_value=0)),
+        st.tuples(st.just(("gridsearch", "evaluate", "folds")), st.integers(max_value=1)),
+        st.tuples(st.sampled_from([("interpret", "interpret", "top_pathways"),
+                                   ("survival", "interpret", "top_pathways"),
+                                   ("interpret", "interpret", "top_genes"),
+                                   ("survival", "interpret", "top_genes")]),
+                  st.integers(max_value=0)),
+        st.tuples(st.just(("interpret", "interpret", "clustermap_pathways")),
+                  st.integers(max_value=1)),
+        st.tuples(st.just(("survival", "interpret", "survival_window_days")),
+                  st.floats(max_value=0.0) | st.sampled_from([float("nan"), float("inf")])),
+    ))
+    # each once failed late: an internal error, a data error after tables were
+    # read or artifacts written, or exit 0 with a truncated ranking
+    @example(case=(("validate", "evaluate", "repeats"), 0))
+    @example(case=(("gridsearch", "evaluate", "folds"), 0))
+    @example(case=(("gridsearch", "evaluate", "folds"), 1))
+    @example(case=(("survival", "interpret", "survival_window_days"), 0.0))
+    @example(case=(("interpret", "interpret", "top_genes"), -1))
+    @example(case=(("survival", "interpret", "top_pathways"), -1))
+    @example(case=(("interpret", "interpret", "clustermap_pathways"), 1))
+    def test_out_of_range_value_exits_1_before_work(self, fixture_dir, trained_checkpoint,
+                                                    tmp_path_factory, case):
+        (command, section, key), value = case
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("expression table read before the config was checked")
+
+        out = tmp_path_factory.mktemp("range") / "never"
+        cfg = write_config(out.parent / "c.ini", fixture_dir, out, extra="[interpret]\n")
+        _replace_in_config(cfg, f"\n{key} = ", f"\n; {key} = ")  # comment out its own line
+        _replace_in_config(cfg, f"[{section}]\n", f"[{section}]\n{key} = {value!r}\n")
+        argv = [command, "-c", cfg]
+        if command in ("interpret", "survival"):
+            argv += ["--checkpoint", trained_checkpoint[1]]
+        err = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
+            mp.setattr(pathae.cli.dataio, "load_expression_tsv", no_work)
+            assert main(argv) == 1
+        assert err.getvalue().startswith(f"pathae: config error: [{section}] {key} = ")
+        assert not out.exists()
+
 
 class TestConfigSchema:
     """The README's ini block, the loader's table and ExperimentConfig
@@ -241,9 +300,23 @@ class TestConfigSchema:
 
     def test_every_field_has_one_key_and_a_parser(self):
         reached = sorted(ini_field(s, k) for s, keys in INI_KEYS.items() for k in keys)
-        settable = sorted(f.name for f in fields(ExperimentConfig) if f.name != "threads")
+        settable = sorted(f.name for f in fields(ExperimentConfig))
         assert reached == settable
         assert all(f.type in PARSERS for f in fields(ExperimentConfig))
+
+    def test_every_override_flag_sets_a_config_field(self):
+        # main passes on only the options named after a field; any other
+        # option would be parsed and then silently dropped
+        settable = {f.name for f in fields(ExperimentConfig)}
+        not_overrides = {"help", "config", "verbose", "checkpoint"}
+        synth_flags = {"out", "seed", "classes", "factors", "pathways", "genes", "background",
+                       "n_train", "n_test"}
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        for name, sub in subparsers.choices.items():
+            dests = {a.dest for a in sub._actions}
+            allowed = settable | not_overrides | (synth_flags if name == "synth" else set())
+            assert dests <= allowed, (name, sorted(dests - allowed))
 
 
 class TestGridsearch:
@@ -318,6 +391,17 @@ class TestValidate:
         rows = list(csv.reader(open(tmp_path / "run" / "report-synth-paae-z.csv")))
         assert rows[0] == REPORT_CSV_COLUMNS
         assert len(rows) == 2
+
+    def test_log_offset_reaches_the_report(self, fixture_dir, tmp_path):
+        reports = []
+        for offset in ("0.001", "5.0"):
+            out = tmp_path / offset
+            cfg = write_config(tmp_path / f"{offset}.ini", fixture_dir, out)
+            _replace_in_config(cfg, "normalization = zscore",
+                               f"normalization = log_offset\nlog_offset = {offset}")
+            assert main(["validate", "-c", cfg, "--repeats", "1"]) == 0
+            reports.append((out / "report-synth-paae-z.json").read_text())
+        assert reports[0] != reports[1]
 
     def test_repeatable_reports(self, fixture_dir, tmp_path):
         cfg1 = write_config(tmp_path / "c1.ini", fixture_dir, tmp_path / "r1")

@@ -4,7 +4,8 @@ import io
 import numpy as np
 import pytest
 
-from pathae.dataio import ExpressionTable
+import pathae.pipeline
+from pathae.dataio import ExpressionTable, fit_normalizer
 from pathae.errors import ConfigError, DataError
 from pathae.metrics import MetricsReport
 from pathae.models import ArchitectureConfig, PathwayMask, TrainConfig, build_model, forward
@@ -181,20 +182,18 @@ class TestCrossValidate:
         aucs = {r["beta"]: r["mean_roc_auc"] for r in rows}
         assert aucs[1e-9] > aucs[1e7] + 0.3
 
-    def test_threads_do_not_change_result(self):
+    def test_same_seed_same_result(self):
         X, y = signal_data(n_per=12, genes=6)
         grid = GridSpec(encoder_layer_sizes=[[1], [2]], classifiers=["lr"])
         config = TrainConfig(epochs=30, learning_rate=0.01, batch_size=8)
         arch = ArchitectureConfig("ae", [1], dropout_rate=0.0)
-        best1, rows1 = cross_validate(X, y, arch, grid, config, folds=4,
-                                      rng=RngStream(7), threads=1)
-        best2, rows2 = cross_validate(X, y, arch, grid, config, folds=4,
-                                      rng=RngStream(7), threads=2)
+        best1, rows1 = cross_validate(X, y, arch, grid, config, folds=4, rng=RngStream(7))
+        best2, rows2 = cross_validate(X, y, arch, grid, config, folds=4, rng=RngStream(7))
         assert best1 == best2 and rows1 == rows2
 
 
 class TestExternalValidate:
-    def _run(self, repeats=2, threads=1, epochs=60):
+    def _run(self, repeats=2, epochs=60, **options):
         X_train, y_train = signal_data(n_per=20, genes=8, seed=60)
         X_test, y_test = signal_data(n_per=12, genes=8, seed=61)
         train, test = tables_from(X_train, X_test, 8)
@@ -202,7 +201,7 @@ class TestExternalValidate:
         return external_validate(
             train, y_train, test, y_test, arch,
             TrainConfig(epochs=epochs, learning_rate=0.01, batch_size=16),
-            classifier="lr", space="z", repeats=repeats, base_seed=5, threads=threads,
+            classifier="lr", space="z", repeats=repeats, base_seed=5, **options,
         )
 
     def test_single_repeat_iqr_zero(self):
@@ -235,10 +234,22 @@ class TestExternalValidate:
         assert [r.seed for r in report.repeats] == [5, 6, 7]
 
     def test_deterministic_and_thread_invariant(self):
-        a = self._run(repeats=3, threads=1)
-        b = self._run(repeats=3, threads=1)
+        a = self._run(repeats=3)
+        b = self._run(repeats=3)
+        # the ignored keyword perfbench's validate-rf-small still passes
         c = self._run(repeats=3, threads=2)
         assert a.to_json() == b.to_json() == c.to_json()
+
+    def test_log_offset_reaches_both_normalizers(self, monkeypatch):
+        offsets = []
+
+        def spy(table, kind, offset=None):
+            offsets.append((len(table.sample_ids), kind, offset))
+            return fit_normalizer(table, "zscore")
+
+        monkeypatch.setattr(pathae.pipeline, "fit_normalizer", spy)
+        self._run(repeats=1, epochs=1, norm_kind="log_offset", log_offset=5.0)
+        assert offsets == [(40, "log_offset", 5.0), (24, "log_offset", 5.0)]
 
     def test_renormalize_test_flag_changes_test_scaling(self):
         X_train, y_train = signal_data(n_per=16, genes=8, seed=62)
