@@ -292,10 +292,16 @@ def validate_config(cfg: ExperimentConfig, command: str):
     if command == "survival":
         _require_file(cfg.survival, "survival table")
     # construct these early so bad values fail before side effects
-    arch = _arch_from(cfg)
-    _train_config_from(cfg)
+    try:
+        arch = _arch_from(cfg)
+    except ConfigError as exc:
+        raise ConfigError(f"[model] {exc}") from None
+    try:
+        _train_config_from(cfg)
+    except ConfigError as exc:
+        raise ConfigError(f"[train] {exc}") from None
     if command == "gridsearch":
-        pipeline.cell_architectures(arch, _grid_from(cfg))
+        _grid_from(cfg).cells(arch)
 
 
 def _arch_from(cfg: ExperimentConfig) -> ArchitectureConfig:

@@ -105,8 +105,8 @@ class ArchitectureConfig:
             raise ConfigError("decoder_layer_sizes must be a non-empty list of positive sizes")
         if not 0.0 <= self.dropout_rate < 1.0:
             raise ConfigError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
-        if self.beta < 0:
-            raise ConfigError(f"beta must be nonnegative, got {self.beta}")
+        if not 0 <= self.beta < math.inf:
+            raise ConfigError(f"beta must be finite and >= 0, got {self.beta}")
         if self.t_end is None:
             self.t_end = self.t_start + 128
         if self.schedule == "smooth" and self.t_end <= self.t_start:
@@ -634,8 +634,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
 

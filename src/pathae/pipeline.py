@@ -4,8 +4,10 @@ external validation, representation extraction and report aggregation.
 Grid search and external validation take the same ``ArchitectureConfig``;
 a grid cell is that architecture with only the grid's axes replaced.
 
-Work units (grid cells, folds, repeats) each derive their own RNG stream
-from the master seed and run serially, one after another.
+A grid fold and a validation repeat are both runs of one evaluation unit,
+``_evaluate``: train a model, embed the data, fit a classifier and score
+it.  Each unit draws from its own RNG stream, derived from the master seed,
+and the units run serially, one after another.
 """
 
 from __future__ import annotations
@@ -66,6 +68,39 @@ def extract_representation(model: Model, X, space: str) -> np.ndarray:
     return out[0] if space == "mu" else out
 
 
+def _evaluate(arch, masks, X_fit, y_fit, X_eval, y_eval, train_config, classifier, space,
+              stream, where, seed=0):
+    """One evaluation unit: train ``arch`` on X_fit, fit ``classifier`` on
+    the ``space`` representation of X_fit and score it on X_eval.  Every draw
+    comes from ``stream``.  A diverged fit gives a report marked diverged and
+    logs one warning naming ``where``."""
+    model = build_model(arch, X_fit.shape[1], masks, stream)
+    n_params = count_params(model)
+    try:
+        fit(model, X_fit, train_config, stream)
+    except TrainingDiverged as exc:
+        log.warning("%s diverged: %s", where, exc)
+        return MetricsReport(param_count=n_params, seed=seed, diverged=True)
+    rep_fit = extract_representation(model, X_fit, space)
+    eval_outs = models.forward(model, X_eval, training=False)
+    clf = fit_classifier(classifier, rep_fit, y_fit, stream)
+    scores = predict_proba(clf, getattr(eval_outs, space))
+    y_pred = clf.classes[np.argmax(scores, axis=1)]  # as predict_labels
+    cm = confusion_metrics(y_eval, y_pred, vocabulary=list(clf.classes))
+    mse, _ = models.mse_loss(X_eval, eval_outs.x_hat)
+    return MetricsReport(
+        accuracy=cm["accuracy"],
+        precision=cm["precision"],
+        recall=cm["recall"],
+        f1=cm["f1"],
+        roc_auc=roc_auc_macro(y_eval, scores, vocabulary=list(clf.classes)),
+        test_mse=mse,
+        param_count=n_params,
+        seed=seed,
+        diverged=False,
+    )
+
+
 # ---------------------------------------------------------------------------
 # grid search with stratified k-fold CV
 # ---------------------------------------------------------------------------
@@ -89,35 +124,30 @@ class GridSpec:
             if unknown:
                 raise ConfigError(f"[grid] {axis}: unknown {unknown}; expected some of {known}")
 
-    def cells(self, kind: str):
-        enc = self.encoder_layer_sizes
-        pw = self.pathway_hidden_sizes if models.is_pathway_kind(kind) else [[]]
-        betas = self.betas if models.is_variational(kind) else [0.0]
-        scheds = self.schedules if models.is_variational(kind) else ["none"]
+    def cells(self, arch: ArchitectureConfig):
+        """[(cell, cell_arch)] for every grid cell, in grid order with the
+        classifier innermost.  ``cell_arch`` is ``arch`` with the grid's axes
+        (encoder and pathway hidden sizes, beta, schedule) replaced and every
+        other field, such as dropout_rate, t_start, t_end and
+        decoder_layer_sizes, kept.  An axes combination the architecture
+        rejects is a ConfigError naming [grid] and the cell."""
+        pw = self.pathway_hidden_sizes if models.is_pathway_kind(arch.kind) else [[]]
+        variational = models.is_variational(arch.kind)
+        betas = self.betas if variational else [0.0]
+        scheds = self.schedules if variational else ["none"]
         out = []
-        for e, p, b, s, c in product(enc, pw, betas, scheds, self.classifiers):
-            out.append({"encoder_layer_sizes": list(e), "pathway_hidden_sizes": list(p),
-                        "beta": b, "schedule": s, "classifier": c})
+        for e, p, b, s in product(self.encoder_layer_sizes, pw, betas, scheds):
+            axes = {"encoder_layer_sizes": list(e), "pathway_hidden_sizes": list(p),
+                    "beta": b, "schedule": s}
+            try:
+                cell_arch = replace(arch, **axes)
+            except ConfigError as exc:
+                shown = ", ".join(f"{k}={v}" for k, v in axes.items())
+                raise ConfigError(f"[grid] cell ({shown}): {exc}") from None
+            out += [({**axes, "classifier": c}, cell_arch) for c in self.classifiers]
         if not out:
             raise ConfigError("empty hyperparameter grid")
         return out
-
-
-def cell_architectures(arch: ArchitectureConfig, grid: GridSpec):
-    """[(cell, architecture)] for every grid cell, in grid order: ``arch``
-    with the grid's axes (encoder and pathway hidden sizes, beta, schedule)
-    replaced and every other field, such as dropout_rate, t_start, t_end and
-    decoder_layer_sizes, kept.  A cell the architecture rejects is a
-    ConfigError naming [grid] and the cell."""
-    out = []
-    for cell in grid.cells(arch.kind):
-        axes = {k: v for k, v in cell.items() if k != "classifier"}
-        try:
-            out.append((cell, replace(arch, **axes)))
-        except ConfigError as exc:
-            shown = ", ".join(f"{k}={v}" for k, v in axes.items())
-            raise ConfigError(f"[grid] cell ({shown}): {exc}") from None
-    return out
 
 
 def stratified_folds(y, k: int, rng) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -156,39 +186,27 @@ def cross_validate(
 ):
     """Grid search scored by mean fold ROC AUC on the hidden representation.
 
-    Each cell trains its ``cell_architectures`` entry.  Returns (best_cell,
-    rows) where rows carry one dict per cell with its mean AUC and parameter
-    count, in grid order. Ties prefer fewer parameters, then earlier grid
-    order.
+    Each cell evaluates its ``GridSpec.cells`` architecture on every fold.
+    Returns (best_cell, rows) where rows carry one dict per cell with its
+    mean AUC and parameter count, in grid order. Ties prefer fewer
+    parameters, then earlier grid order.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y)
     rng = as_stream(rng)
-    cells = cell_architectures(arch, grid)
+    cells = grid.cells(arch)
     fold_splits = stratified_folds(y, folds, rng)
+    space = hidden_space(arch.kind)
     rows = []
     for ci, ((cell, cell_arch), cell_stream) in enumerate(zip(cells, rng.spawn(len(cells)))):
-        n_params = None
-        aucs = []
-        fold_streams = cell_stream.spawn(len(fold_splits))
-        for (train_idx, val_idx), fstream in zip(fold_splits, fold_streams):
-            model = build_model(cell_arch, X.shape[1], masks, fstream)
-            if n_params is None:
-                n_params = count_params(model)
-            try:
-                fit(model, X[train_idx], train_config, fstream)
-            except TrainingDiverged as exc:
-                log.warning("grid cell %d diverged during CV: %s", ci, exc)
-                aucs.append(float("nan"))
-                continue
-            space = hidden_space(arch.kind)
-            rep_train = extract_representation(model, X[train_idx], space)
-            rep_val = extract_representation(model, X[val_idx], space)
-            clf = fit_classifier(cell["classifier"], rep_train, y[train_idx], fstream)
-            scores = predict_proba(clf, rep_val)
-            aucs.append(roc_auc_macro(y[val_idx], scores, vocabulary=list(clf.classes)))
-        mean_auc = float(np.mean(aucs))  # NaN if any fold diverged
-        rows.append({**cell, "mean_roc_auc": mean_auc, "param_count": n_params, "cell_index": ci})
+        reports = [
+            _evaluate(cell_arch, masks, X[fit_idx], y[fit_idx], X[val_idx], y[val_idx],
+                      train_config, cell["classifier"], space, fstream, f"grid cell {ci}")
+            for (fit_idx, val_idx), fstream in zip(fold_splits, cell_stream.spawn(len(fold_splits)))
+        ]
+        mean_auc = float(np.mean([r.roc_auc for r in reports]))  # NaN if any fold diverged
+        rows.append({**cell, "mean_roc_auc": mean_auc, "param_count": reports[0].param_count,
+                     "cell_index": ci})
 
     scored = [r for r in rows if np.isfinite(r["mean_roc_auc"])]
     if not scored:
@@ -287,40 +305,6 @@ class RunReport:
         ]
 
 
-def _one_repeat(
-    r, base_seed, arch, masks, X_train, y_train, X_test, y_test, train_config, classifier, space
-):
-    seed = base_seed + r
-    stream = RngStream(seed)
-    model = build_model(arch, X_train.shape[1], masks, stream)
-    n_params = count_params(model)
-    try:
-        fit(model, X_train, train_config, stream)
-    except TrainingDiverged as exc:
-        log.warning("repeat %d (seed %d) diverged: %s", r, seed, exc)
-        return MetricsReport(param_count=n_params, seed=seed, diverged=True)
-    rep_train = extract_representation(model, X_train, space)
-    test_outs = models.forward(model, X_test, training=False)
-    rep_test = getattr(test_outs, space)
-    clf = fit_classifier(classifier, rep_train, y_train, stream)
-    scores = predict_proba(clf, rep_test)
-    y_pred = clf.classes[np.argmax(scores, axis=1)]  # as predict_labels
-    cm = confusion_metrics(y_test, y_pred, vocabulary=list(clf.classes))
-    auc = roc_auc_macro(y_test, scores, vocabulary=list(clf.classes))
-    mse, _ = models.mse_loss(X_test, test_outs.x_hat)
-    return MetricsReport(
-        accuracy=cm["accuracy"],
-        precision=cm["precision"],
-        recall=cm["recall"],
-        f1=cm["f1"],
-        roc_auc=auc,
-        test_mse=mse,
-        param_count=n_params,
-        seed=seed,
-        diverged=False,
-    )
-
-
 def external_validate(
     train_table: ExpressionTable,
     train_labels,
@@ -358,12 +342,11 @@ def external_validate(
     y_train = np.asarray(train_labels)
     y_test = np.asarray(test_labels)
 
+    seeds = [base_seed + r for r in range(repeats)]
     reps = [
-        _one_repeat(
-            r, base_seed, arch, masks, X_train, y_train, X_test, y_test,
-            train_config, classifier, space,
-        )
-        for r in range(repeats)
+        _evaluate(arch, masks, X_train, y_train, X_test, y_test, train_config, classifier, space,
+                  RngStream(seed), f"repeat {r} (seed {seed})", seed)
+        for r, seed in enumerate(seeds)
     ]
     return RunReport(
         model_kind=arch.kind,
@@ -371,7 +354,7 @@ def external_validate(
         space=space,
         classifier=classifier,
         repeats=reps,
-        seeds=[base_seed + r for r in range(repeats)],
+        seeds=seeds,
         config={
             "norm_kind": norm_kind,
             "renormalize_test": renormalize_test,

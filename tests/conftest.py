@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
+import pathae.pipeline
+from pathae.errors import TrainingDiverged
+
 # One budget for every property test, small so tier-1 time stays flat.
 settings.register_profile("tier1", max_examples=60, deadline=None)
 settings.load_profile("tier1")
@@ -58,5 +61,28 @@ def break_writes(monkeypatch):
             return fh
 
         monkeypatch.setattr(builtins, "open", failing_open)
+
+    return install
+
+
+@pytest.fixture
+def spy_fit(monkeypatch):
+    """Call the returned function to record the architecture of every model
+    that pathae.pipeline fits, in call order, in the list it returns.  A fit
+    whose architecture ``diverges`` raises TrainingDiverged at epoch 0
+    instead of training."""
+    real_fit = pathae.pipeline.fit
+
+    def install(diverges=lambda arch: False):
+        archs = []
+
+        def spy(model, X, config, rng=None):
+            archs.append(model.arch)
+            if diverges(model.arch):
+                raise TrainingDiverged(0, float("nan"))
+            return real_fit(model, X, config, rng)
+
+        monkeypatch.setattr(pathae.pipeline, "fit", spy)
+        return archs
 
     return install

@@ -254,6 +254,15 @@ class TestConfigValues:
                   st.integers(max_value=1)),
         st.tuples(st.just(("survival", "interpret", "survival_window_days")),
                   st.floats(max_value=0.0) | st.sampled_from([float("nan"), float("inf")])),
+        # checked by ArchitectureConfig and TrainConfig, under their section
+        st.tuples(st.just(("train", "model", "dropout")),
+                  st.floats().filter(lambda v: not 0.0 <= v < 1.0)),
+        st.tuples(st.just(("train", "model", "beta")),
+                  st.floats(max_value=-5e-324)
+                  | st.sampled_from([float("nan"), float("inf")])),
+        st.tuples(st.just(("train", "train", "learning_rate")),
+                  st.floats(max_value=0.0) | st.sampled_from([float("nan"), float("inf")])),
+        st.tuples(st.just(("train", "train", "batch_size")), st.integers(max_value=0)),
     ))
     # each once failed late: an internal error, a data error after tables were
     # read or artifacts written, or exit 0 with a truncated ranking
@@ -264,6 +273,14 @@ class TestConfigValues:
     @example(case=(("interpret", "interpret", "top_genes"), -1))
     @example(case=(("survival", "interpret", "top_pathways"), -1))
     @example(case=(("interpret", "interpret", "clustermap_pathways"), 1))
+    # NaN and inf once passed and trained, then exited 3 on a diverged loss
+    @example(case=(("train", "train", "learning_rate"), float("nan")))
+    @example(case=(("train", "train", "learning_rate"), float("inf")))
+    @example(case=(("train", "model", "beta"), float("nan")))
+    # these once exited 1 with a message naming no section
+    @example(case=(("train", "model", "dropout"), float("nan")))
+    @example(case=(("train", "model", "beta"), -1.0))
+    @example(case=(("train", "train", "batch_size"), 0))
     def test_out_of_range_value_exits_1_before_work(self, fixture_dir, trained_checkpoint,
                                                     tmp_path_factory, case):
         (command, section, key), value = case
@@ -282,7 +299,8 @@ class TestConfigValues:
         with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stderr(err):
             mp.setattr(pathae.cli.dataio, "load_expression_tsv", no_work)
             assert main(argv) == 1
-        assert err.getvalue().startswith(f"pathae: config error: [{section}] {key} = ")
+        # [model] dropout is ArchitectureConfig's dropout_rate
+        assert err.getvalue().startswith(f"pathae: config error: [{section}] {key}")
         assert not out.exists()
 
 
@@ -364,6 +382,7 @@ class TestGridsearch:
         # the [model] step schedule ignores t_end; the grid's smooth one needs t_end > t_start
         ("pavae", [("schedules = step", "schedules = step,smooth"),
                    ("dropout = 0.5", "dropout = 0.5\nschedule = step\nt_start = 5\nt_end = 5")]),
+        ("pavae", [("betas = 1", "betas = 1,nan")]),
     ])
     def test_bad_grid_cell_exits_1_naming_grid_before_work(self, fixture_dir, tmp_path, capsys,
                                                             monkeypatch, kind, edits):
@@ -378,6 +397,24 @@ class TestGridsearch:
         assert main(["gridsearch", "-c", cfg]) == 1
         err = capsys.readouterr().err
         assert err.startswith("pathae: config error: [grid] cell (")
+        assert not out.exists()
+
+    def test_diverged_cell_is_last_and_not_the_winner(self, fixture_dir, tmp_path, spy_fit):
+        spy_fit(lambda arch: arch.encoder_layer_sizes == [4])
+        cfg = write_config(tmp_path / "c.ini", fixture_dir, tmp_path / "run")
+        assert main(["gridsearch", "-c", cfg]) == 0
+        rows = list(csv.DictReader(open(tmp_path / "run" / "gridsearch-synth-paae.csv")))
+        assert (rows[-1]["encoder_layer_sizes"], rows[-1]["mean_roc_auc"], rows[-1]["winner"]) == (
+            "4", "nan", "no")
+        assert rows[0]["encoder_layer_sizes"] == "8" and rows[0]["winner"] == "yes"
+
+    def test_every_cell_diverged_exits_2_without_output(self, fixture_dir, tmp_path, spy_fit,
+                                                        capsys):
+        spy_fit(lambda arch: True)
+        out = tmp_path / "never"
+        cfg = write_config(tmp_path / "c.ini", fixture_dir, out)
+        assert main(["gridsearch", "-c", cfg]) == 2
+        assert "every grid cell diverged" in capsys.readouterr().err
         assert not out.exists()
 
 

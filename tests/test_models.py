@@ -102,6 +102,16 @@ class TestBuildModel:
         with pytest.raises(ConfigError):
             ArchitectureConfig(kind="paae", encoder_layer_sizes=[4], **sizes)
 
+    @pytest.mark.parametrize("beta", [-1.0, float("nan"), float("inf")])
+    def test_beta_must_be_finite_and_nonnegative(self, beta):
+        with pytest.raises(ConfigError, match="beta must be finite and >= 0"):
+            ArchitectureConfig(kind="pavae", encoder_layer_sizes=[4], beta=beta)
+
+    @pytest.mark.parametrize("rate", [0.0, -1e-4, float("nan"), float("inf")])
+    def test_learning_rate_must_be_finite_and_positive(self, rate):
+        with pytest.raises(ConfigError, match="learning_rate must be finite and > 0"):
+            TrainConfig(learning_rate=rate)
+
     def test_empty_model_counts_zero(self):
         assert count_params(ModelParams([], [], [])) == 0
 

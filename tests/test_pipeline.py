@@ -1,5 +1,8 @@
+import ast
 import csv
 import io
+import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -141,14 +144,32 @@ class TestGridSpec:
             classifiers=["lr", "rf"],
         )
         # beta/schedule axes collapse for a deterministic kind
-        assert len(grid.cells("paae")) == 2 * 3 * 2
+        assert len(grid.cells(ArchitectureConfig("paae", [64]))) == 2 * 3 * 2
         # full product for the variational variant
-        assert len(grid.cells("pavae")) == 2 * 3 * 5 * 2 * 2
+        assert len(grid.cells(ArchitectureConfig("pavae", [64]))) == 2 * 3 * 5 * 2 * 2
 
     def test_dense_kind_drops_pathway_axis(self):
         grid = GridSpec(encoder_layer_sizes=[[8]], pathway_hidden_sizes=[[], [4]])
-        assert len(grid.cells("ae")) == 1
+        assert len(grid.cells(ArchitectureConfig("ae", [8]))) == 1
 
+
+    def test_cells_pair_each_cell_with_its_architecture(self):
+        grid = GridSpec(encoder_layer_sizes=[[4], [8, 2]], classifiers=["lr", "rf"])
+        arch = ArchitectureConfig("paae", [3], dropout_rate=0.25, decoder_layer_sizes=[5, 7])
+        cells = grid.cells(arch)
+        # the classifier is the innermost axis
+        assert [(c["encoder_layer_sizes"], c["classifier"]) for c, _ in cells] == [
+            ([4], "lr"), ([4], "rf"), ([8, 2], "lr"), ([8, 2], "rf"),
+        ]
+        for cell, cell_arch in cells:
+            assert cell_arch.encoder_layer_sizes == cell["encoder_layer_sizes"]
+            assert (cell_arch.kind, cell_arch.dropout_rate, cell_arch.decoder_layer_sizes) == (
+                "paae", 0.25, [5, 7])
+
+    def test_rejected_cell_named(self):
+        grid = GridSpec(encoder_layer_sizes=[[4]], betas=[1.0, float("nan")])
+        with pytest.raises(ConfigError, match=r"^\[grid\] cell \(.*beta=nan.*\): beta must"):
+            grid.cells(ArchitectureConfig("vae", [4]))
 
     @pytest.mark.parametrize("axis", [{"classifiers": ["lr", "svm"]}, {"schedules": ["ramp"]}])
     def test_unknown_entries_rejected(self, axis):
@@ -190,6 +211,40 @@ class TestCrossValidate:
         best1, rows1 = cross_validate(X, y, arch, grid, config, folds=4, rng=RngStream(7))
         best2, rows2 = cross_validate(X, y, arch, grid, config, folds=4, rng=RngStream(7))
         assert best1 == best2 and rows1 == rows2
+
+    def _two_cells(self, spy_fit, diverges):
+        X, y = signal_data(n_per=12, genes=6)
+        grid = GridSpec(encoder_layer_sizes=[[2], [1]], classifiers=["lr"])
+        spy_fit(diverges)
+        return cross_validate(
+            X, y, ArchitectureConfig("ae", [1], dropout_rate=0.0), grid,
+            TrainConfig(epochs=30, learning_rate=0.01, batch_size=8), folds=3, rng=RngStream(4),
+        )
+
+    def test_diverged_cell_scores_nan_and_loses(self, spy_fit, caplog):
+        with caplog.at_level(logging.WARNING, logger="pathae.pipeline"):
+            best, rows = self._two_cells(
+                spy_fit, lambda arch: arch.encoder_layer_sizes == [2])
+        assert np.isnan(rows[0]["mean_roc_auc"]) and np.isfinite(rows[1]["mean_roc_auc"])
+        assert best["cell_index"] == 1 and best["encoder_layer_sizes"] == [1]
+        # one warning per diverged fold, naming the cell and the divergence
+        assert [r.getMessage() for r in caplog.records] == [
+            "grid cell 0 diverged: training diverged at epoch 0 (loss=nan)"] * 3
+
+    def test_every_cell_diverged_is_data_error(self, spy_fit):
+        with pytest.raises(DataError, match="every grid cell diverged"):
+            self._two_cells(spy_fit, lambda arch: True)
+
+    def test_fit_runs_once_per_cell_and_fold(self, spy_fit):
+        X, y = signal_data(n_per=12, genes=6)
+        grid = GridSpec(encoder_layer_sizes=[[2], [1]], classifiers=["lr", "rf"])
+        archs = spy_fit()
+        cross_validate(
+            X, y, ArchitectureConfig("ae", [1], dropout_rate=0.0), grid,
+            TrainConfig(epochs=2, learning_rate=0.01, batch_size=8), folds=3, rng=RngStream(4),
+        )
+        # every (cell, fold) trains its own model, classifier cells included
+        assert [a.encoder_layer_sizes for a in archs] == [[2]] * 6 + [[1]] * 6
 
 
 class TestExternalValidate:
@@ -240,6 +295,11 @@ class TestExternalValidate:
         c = self._run(repeats=3, threads=2)
         assert a.to_json() == b.to_json() == c.to_json()
 
+    def test_fit_runs_once_per_repeat(self, spy_fit):
+        archs = spy_fit()
+        self._run(repeats=3, epochs=1)
+        assert len(archs) == 3
+
     def test_log_offset_reaches_both_normalizers(self, monkeypatch):
         offsets = []
 
@@ -269,15 +329,19 @@ class TestExternalValidate:
         assert refit.repeats[0].test_mse < reuse.repeats[0].test_mse
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
-    def test_diverged_repeats_recorded_not_dropped(self):
+    def test_diverged_repeats_recorded_not_dropped(self, caplog):
         X_train, y_train = signal_data(n_per=10, genes=6, seed=70)
         train, test = tables_from(X_train, X_train, 6)
         arch = ArchitectureConfig(kind="ae", encoder_layer_sizes=[2], dropout_rate=0.0)
-        report = external_validate(
-            train, y_train, train, y_train, arch,
-            TrainConfig(epochs=3, learning_rate=1e100, batch_size=8),
-            classifier="lr", space="z", repeats=2, base_seed=0,
-        )
+        with caplog.at_level(logging.WARNING, logger="pathae.pipeline"):
+            report = external_validate(
+                train, y_train, train, y_train, arch,
+                TrainConfig(epochs=3, learning_rate=1e100, batch_size=8),
+                classifier="lr", space="z", repeats=2, base_seed=0,
+            )
+        # one warning per diverged repeat, naming its seed
+        assert [r.getMessage().split(": ")[0] for r in caplog.records] == [
+            "repeat 0 (seed 0) diverged", "repeat 1 (seed 1) diverged"]
         assert report.n_diverged == 2
         assert len(report.repeats) == 2
         assert all(np.isnan(r.roc_auc) for r in report.repeats)
@@ -328,3 +392,22 @@ class TestCompareRuns:
         a = self._report([0.5, 0.6])
         with pytest.raises(ConfigError):
             compare_runs(a, a, "not_a_metric")
+
+
+class TestOneTrainingPath:
+    def test_one_function_trains_and_classifies(self):
+        # grid folds and validation repeats share one train -> classify unit;
+        # a second copy of that path must not creep back into pipeline.py
+        tree = ast.parse(Path(pathae.pipeline.__file__).read_text(encoding="utf-8"))
+        functions = [n for n in tree.body if isinstance(n, ast.FunctionDef)]
+        functions += [m for c in tree.body if isinstance(c, ast.ClassDef)
+                      for m in c.body if isinstance(m, ast.FunctionDef)]
+        callers = {name: [] for name in ("build_model", "fit", "fit_classifier")}
+        for fn in functions:
+            called = {getattr(n.func, "id", getattr(n.func, "attr", None))
+                      for n in ast.walk(fn) if isinstance(n, ast.Call)}
+            for name, where in callers.items():
+                if name in called:
+                    where.append(fn.name)
+        assert all(len(where) == 1 for where in callers.values()), callers
+        assert len({where[0] for where in callers.values()}) == 1, callers
