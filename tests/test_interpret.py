@@ -379,6 +379,175 @@ class TestEmission:
                 b"b,0.3333333333333333,-2.5e+300,7.0\r\n"
             )
 
+    def test_clustermap_svg_bytes(self, tmp_path):
+        # +-0.0 are white and +-1.0 sit at +-vmax; 0.5, 0.99758..., 0.97343...,
+        # -0.99685... and -0.99057... each put a channel exactly on x.5 before
+        # rounding, which goes to the even neighbour
+        values = [[-0.0, 0.0, 1.0, -1.0],
+                  [0.5, -0.5, 0.9975845410628019, -0.9968553459119497],
+                  [0.9734299516908212, -0.9905660377358491, 0.25, -0.75]]
+        svg, _ = emit_clustermap(values, ["b", "a", "b"], ["p0", "p1", "p2", "p3"],
+                                 tmp_path / "cm.svg", title="t")
+        with open(svg, "rb") as fh:
+            assert fh.read() == (
+                b'<?xml version="1.0" encoding="UTF-8"?>\n'
+                b'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="96.0" '
+                b'height="194.0" viewBox="0 0 96.0 194.0">\n'
+                b'<rect x="0.00" y="0.00" width="96.00" height="194.00" fill="#ffffff"/>\n'
+                b'<text x="18.00" y="12.00" font-size="10" font-family="sans-serif" fill="#000000" '
+                b'text-anchor="start" >t</text>\n'
+                b'<rect x="18.00" y="18.00" width="10.00" height="12.00" fill="#ff7f0e"/>\n'
+                b'<rect x="30.00" y="18.00" width="12.00" height="12.00" fill="#ffffff"/>\n'
+                b'<rect x="42.00" y="18.00" width="12.00" height="12.00" fill="#ffffff"/>\n'
+                b'<rect x="54.00" y="18.00" width="12.00" height="12.00" fill="#ff3030"/>\n'
+                b'<rect x="66.00" y="18.00" width="12.00" height="12.00" fill="#3060ff"/>\n'
+                b'<rect x="18.00" y="30.00" width="10.00" height="12.00" fill="#1f77b4"/>\n'
+                b'<rect x="30.00" y="30.00" width="12.00" height="12.00" fill="#ff9898"/>\n'
+                b'<rect x="42.00" y="30.00" width="12.00" height="12.00" fill="#98b0ff"/>\n'
+                b'<rect x="54.00" y="30.00" width="12.00" height="12.00" fill="#ff3030"/>\n'
+                b'<rect x="66.00" y="30.00" width="12.00" height="12.00" fill="#3160ff"/>\n'
+                b'<rect x="18.00" y="42.00" width="10.00" height="12.00" fill="#ff7f0e"/>\n'
+                b'<rect x="30.00" y="42.00" width="12.00" height="12.00" fill="#ff3636"/>\n'
+                b'<rect x="42.00" y="42.00" width="12.00" height="12.00" fill="#3262ff"/>\n'
+                b'<rect x="54.00" y="42.00" width="12.00" height="12.00" fill="#ffcbcb"/>\n'
+                b'<rect x="66.00" y="42.00" width="12.00" height="12.00" fill="#6488ff"/>\n'
+                b'<text x="38.40" y="58.00" font-size="8" font-family="sans-serif" fill="#000000" '
+                b'text-anchor="start" transform="rotate(90 38.4 58.0)" >p0</text>\n'
+                b'<text x="50.40" y="58.00" font-size="8" font-family="sans-serif" fill="#000000" '
+                b'text-anchor="start" transform="rotate(90 50.4 58.0)" >p1</text>\n'
+                b'<text x="62.40" y="58.00" font-size="8" font-family="sans-serif" fill="#000000" '
+                b'text-anchor="start" transform="rotate(90 62.400000000000006 58.0)" >p2</text>\n'
+                b'<text x="74.40" y="58.00" font-size="8" font-family="sans-serif" fill="#000000" '
+                b'text-anchor="start" transform="rotate(90 74.4 58.0)" >p3</text>\n'
+                b'</svg>\n'
+            )
+
+    def test_all_zero_clustermap_bytes(self, tmp_path):
+        svg, _ = emit_clustermap(np.zeros((2, 2)), ["x", "y"], ["q0", "q1"], tmp_path / "z.svg")
+        with open(svg, "rb") as fh:
+            assert fh.read() == (
+                b'<?xml version="1.0" encoding="UTF-8"?>\n'
+                b'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="72.0" '
+                b'height="182.0" viewBox="0 0 72.0 182.0">\n'
+                b'<rect x="0.00" y="0.00" width="72.00" height="182.00" fill="#ffffff"/>\n'
+                b'<rect x="18.00" y="18.00" width="10.00" height="12.00" fill="#1f77b4"/>\n'
+                b'<rect x="30.00" y="18.00" width="12.00" height="12.00" fill="#ffffff"/>\n'
+                b'<rect x="42.00" y="18.00" width="12.00" height="12.00" fill="#ffffff"/>\n'
+                b'<rect x="18.00" y="30.00" width="10.00" height="12.00" fill="#ff7f0e"/>\n'
+                b'<rect x="30.00" y="30.00" width="12.00" height="12.00" fill="#ffffff"/>\n'
+                b'<rect x="42.00" y="30.00" width="12.00" height="12.00" fill="#ffffff"/>\n'
+                b'<text x="38.40" y="46.00" font-size="8" font-family="sans-serif" fill="#000000" '
+                b'text-anchor="start" transform="rotate(90 38.4 46.0)" >q0</text>\n'
+                b'<text x="50.40" y="46.00" font-size="8" font-family="sans-serif" fill="#000000" '
+                b'text-anchor="start" transform="rotate(90 50.4 46.0)" >q1</text>\n'
+                b'</svg>\n'
+            )
+
+    def test_featuremap_svg_bytes(self, tmp_path):
+        coords = [[0.0, 1.0], [2.0, -1.0], [1.0 / 3, 0.5], [-1.5, 2.0 / 3]]
+        a = np.array([[0.5, 1.5, 0.0], [-2.0, 1.5, 0.0],
+                      [0.9734299516908212, 1.5, 0.0], [2.0, 1.5, 0.0]])
+        files = emit_featuremap(coords, ["u", "v", "u", "w"], a, ["up", "flat", "zero"],
+                                str(tmp_path), "fm")
+        expected = [
+            (
+                b'<?xml version="1.0" encoding="UTF-8"?>\n'
+                b'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="360.0" '
+                b'height="360.0" viewBox="0 0 360.0 360.0">\n'
+                b'<rect x="0.00" y="0.00" width="360.00" height="360.00" fill="#ffffff"/>\n'
+                b'<text x="30.00" y="14.00" font-size="10" font-family="sans-serif" fill="#000000" '
+                b'text-anchor="start" >classes</text>\n'
+                b'<text x="30.00" y="25.00" font-size="8" font-family="sans-serif" fill="#555555" '
+                b'text-anchor="start" >PCA 2-D map (PCA substitutes for UMAP)</text>\n'
+                b'<circle cx="158.57" cy="30.00" r="3" fill="#1f77b4" fill-opacity="0.8"/>\n'
+                b'<circle cx="330.00" cy="330.00" r="3" fill="#ff7f0e" fill-opacity="0.8"/>\n'
+                b'<circle cx="187.14" cy="105.00" r="3" fill="#1f77b4" fill-opacity="0.8"/>\n'
+                b'<circle cx="30.00" cy="80.00" r="3" fill="#2ca02c" fill-opacity="0.8"/>\n'
+                b'</svg>\n'
+            ),
+            (
+                b'<?xml version="1.0" encoding="UTF-8"?>\n'
+                b'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="360.0" '
+                b'height="360.0" viewBox="0 0 360.0 360.0">\n'
+                b'<rect x="0.00" y="0.00" width="360.00" height="360.00" fill="#ffffff"/>\n'
+                b'<text x="30.00" y="14.00" font-size="10" font-family="sans-serif" fill="#000000" '
+                b'text-anchor="start" >up</text>\n'
+                b'<text x="30.00" y="25.00" font-size="8" font-family="sans-serif" fill="#555555" '
+                b'text-anchor="start" >activity intensity (symmetric about 0)</text>\n'
+                b'<circle cx="158.57" cy="30.00" r="3" fill="#ffcbcb" fill-opacity="0.8"/>\n'
+                b'<circle cx="330.00" cy="330.00" r="3" fill="#3060ff" fill-opacity="0.8"/>\n'
+                b'<circle cx="187.14" cy="105.00" r="3" fill="#ff9a9a" fill-opacity="0.8"/>\n'
+                b'<circle cx="30.00" cy="80.00" r="3" fill="#ff3030" fill-opacity="0.8"/>\n'
+                b'</svg>\n'
+            ),
+            (  # a constant column: every point at +vmax
+                b'<?xml version="1.0" encoding="UTF-8"?>\n'
+                b'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="360.0" '
+                b'height="360.0" viewBox="0 0 360.0 360.0">\n'
+                b'<rect x="0.00" y="0.00" width="360.00" height="360.00" fill="#ffffff"/>\n'
+                b'<text x="30.00" y="14.00" font-size="10" font-family="sans-serif" fill="#000000" '
+                b'text-anchor="start" >flat</text>\n'
+                b'<text x="30.00" y="25.00" font-size="8" font-family="sans-serif" fill="#555555" '
+                b'text-anchor="start" >activity intensity (symmetric about 0)</text>\n'
+                b'<circle cx="158.57" cy="30.00" r="3" fill="#ff3030" fill-opacity="0.8"/>\n'
+                b'<circle cx="330.00" cy="330.00" r="3" fill="#ff3030" fill-opacity="0.8"/>\n'
+                b'<circle cx="187.14" cy="105.00" r="3" fill="#ff3030" fill-opacity="0.8"/>\n'
+                b'<circle cx="30.00" cy="80.00" r="3" fill="#ff3030" fill-opacity="0.8"/>\n'
+                b'</svg>\n'
+            ),
+            (  # an all-zero column: vmax falls back to 1, every point white
+                b'<?xml version="1.0" encoding="UTF-8"?>\n'
+                b'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="360.0" '
+                b'height="360.0" viewBox="0 0 360.0 360.0">\n'
+                b'<rect x="0.00" y="0.00" width="360.00" height="360.00" fill="#ffffff"/>\n'
+                b'<text x="30.00" y="14.00" font-size="10" font-family="sans-serif" fill="#000000" '
+                b'text-anchor="start" >zero</text>\n'
+                b'<text x="30.00" y="25.00" font-size="8" font-family="sans-serif" fill="#555555" '
+                b'text-anchor="start" >activity intensity (symmetric about 0)</text>\n'
+                b'<circle cx="158.57" cy="30.00" r="3" fill="#ffffff" fill-opacity="0.8"/>\n'
+                b'<circle cx="330.00" cy="330.00" r="3" fill="#ffffff" fill-opacity="0.8"/>\n'
+                b'<circle cx="187.14" cy="105.00" r="3" fill="#ffffff" fill-opacity="0.8"/>\n'
+                b'<circle cx="30.00" cy="80.00" r="3" fill="#ffffff" fill-opacity="0.8"/>\n'
+                b'</svg>\n'
+            ),
+        ]
+        assert [f.rsplit("/", 1)[1] for f in files] == [
+            "fm-class.svg", "fm-up.svg", "fm-flat.svg", "fm-zero.svg"]
+        for f, want in zip(files, expected):
+            with open(f, "rb") as fh:
+                assert fh.read() == want, f
+
+    def test_km_plot_svg_bytes(self, tmp_path):
+        low = km_estimate([1.0, 2.0, 2.0, 5.0], [True, True, False, True])
+        high = km_estimate([0.5, 3.0, 4.0], [True, False, True])
+        path = emit_km_plot([("low", low, "#2166ac"), ("high", high, "#b2182c")],
+                            "G1 (P<1>)", tmp_path / "km.svg", subtitle="logrank p = 0.5")
+        with open(path, "rb") as fh:
+            assert fh.read() == (
+                b'<?xml version="1.0" encoding="UTF-8"?>\n'
+                b'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="420.0" '
+                b'height="300.0" viewBox="0 0 420.0 300.0">\n'
+                b'<rect x="0.00" y="0.00" width="420.00" height="300.00" fill="#ffffff"/>\n'
+                b'<text x="40.00" y="16.00" font-size="11" font-family="sans-serif" fill="#000000" '
+                b'text-anchor="start" >G1 (P&lt;1&gt;)</text>\n'
+                b'<text x="40.00" y="28.00" font-size="9" font-family="sans-serif" fill="#555555" '
+                b'text-anchor="start" >logrank p = 0.5</text>\n'
+                b'<line x1="40.0" y1="260.0" x2="380.0" y2="260.0" stroke="#000000" '
+                b'stroke-width="1"/>\n'
+                b'<line x1="40.0" y1="260.0" x2="40.0" y2="40.0" stroke="#000000" '
+                b'stroke-width="1"/>\n'
+                b'<polyline points="40.00,40.00 108.00,40.00 108.00,95.00 176.00,95.00 '
+                b'176.00,150.00 380.00,150.00 380.00,260.00 380.00,260.00" fill="none" '
+                b'stroke="#2166ac" stroke-width="1.5"/>\n'
+                b'<text x="280.00" y="40.00" font-size="9" font-family="sans-serif" fill="#2166ac" '
+                b'text-anchor="start" >low</text>\n'
+                b'<polyline points="40.00,40.00 74.00,40.00 74.00,113.33 312.00,113.33 '
+                b'312.00,260.00 380.00,260.00" fill="none" stroke="#b2182c" stroke-width="1.5"/>\n'
+                b'<text x="280.00" y="52.00" font-size="9" font-family="sans-serif" fill="#b2182c" '
+                b'text-anchor="start" >high</text>\n'
+                b'</svg>\n'
+            )
+
     def test_clustermap_colors_stable(self, tmp_path):
         values = np.eye(3)
         svg1, _ = emit_clustermap(values, ["x", "y", "z"], ["a", "b", "c"], tmp_path / "1.svg",
