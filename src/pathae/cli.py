@@ -367,6 +367,8 @@ def _align_labeled(table: dataio.ExpressionTable, label_table: dataio.LabelTable
 
 
 def _reindex_genes(table: dataio.ExpressionTable, gene_names: list[str]):
+    if table.gene_names == list(gene_names):
+        return table
     index = {}
     for i, g in enumerate(table.gene_names):
         index.setdefault(g, i)
@@ -548,7 +550,10 @@ def cmd_interpret(cfg: ExperimentConfig, checkpoint) -> int:
             npw_rows.append([mask.name, rank, gene, f"{weight:+.6f}"])
     write_csv(run.path(f"anpw-{base}.csv"), ["pathway", "rank", "gene", "npw"], npw_rows)
 
-    top_cols = [names.index(n) for n, _ in ranked[: cfg.clustermap_pathways]]
+    column = {}
+    for j, name in enumerate(names):
+        column.setdefault(name, j)
+    top_cols = [column[n] for n, _ in ranked[: cfg.clustermap_pathways]]
     sub = a[:, top_cols]
     sub_names = [names[j] for j in top_cols]
     col_tree = interpret.hierarchical_cluster(sub.T, metric=cfg.cluster_metric)
@@ -565,7 +570,7 @@ def cmd_interpret(cfg: ExperimentConfig, checkpoint) -> int:
 
     coords, _fractions = interpret.pca_2d(a)
     featmap_files = interpret.emit_featuremap(
-        coords, list(y), a[:, [names.index(n) for n, _ in ranked[: cfg.top_pathways]]],
+        coords, list(y), a[:, [column[n] for n, _ in ranked[: cfg.top_pathways]]],
         [n for n, _ in ranked[: cfg.top_pathways]],
         run.dir, f"featuremap-{base}-a",
     )
@@ -599,6 +604,7 @@ def cmd_survival(cfg: ExperimentConfig, checkpoint) -> int:
     names = model.pathway_names
     ranked = interpret.rank_pathways_by_mi(a, y, names, k=cfg.top_pathways)
     gene_index = {g: i for i, g in enumerate(expr.gene_names)}
+    encoders = model.params.pathway_encoders
 
     run = _RunDir(cfg, "survival")
     base = f"{cfg.dataset_name}-{model.arch.kind}"
@@ -606,7 +612,7 @@ def cmd_survival(cfg: ExperimentConfig, checkpoint) -> int:
     for pname, _mi in ranked:
         j = names.index(pname)
         mask = model.masks[j]
-        layers = model.params.pathway_encoders[j]
+        layers = encoders[j]
         gene_names = [model.gene_names[i] for i in mask.indices]
         for gene, _w in interpret.top_genes_by_anpw(
             layers, gene_names, k=min(cfg.top_genes, mask.size)

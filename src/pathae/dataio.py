@@ -320,6 +320,8 @@ def merge_duplicate_genes(table: ExpressionTable) -> ExpressionTable:
         raise DataError(
             f"merge_duplicate_genes requires a log2 scale, table is {table.scale}"
         )
+    if len(set(table.gene_names)) == table.n_genes:
+        return table
     groups: dict[str, list[int]] = {}
     order: list[str] = []
     for i, name in enumerate(table.gene_names):
@@ -327,8 +329,6 @@ def merge_duplicate_genes(table: ExpressionTable) -> ExpressionTable:
             groups[name] = []
             order.append(name)
         groups[name].append(i)
-    if len(order) == table.n_genes:
-        return table
     out = np.empty((table.n_samples, len(order)))
     for k, name in enumerate(order):
         cols = groups[name]

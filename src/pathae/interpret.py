@@ -20,7 +20,8 @@ import numpy as np
 
 from .atomic import atomic_open, write_csv
 from .errors import DataError, ShapeError
-from .metrics import mutual_information
+# mutual_information stays importable from here: perfbench interposes it
+from .metrics import mutual_information, mutual_information_columns  # noqa: F401
 from .dataio import SurvivalTable
 
 # ---------------------------------------------------------------------------
@@ -66,9 +67,7 @@ def rank_pathways_by_mi(a, labels, pathway_names, k: int | None = None):
         raise ShapeError(f"rank_pathways_by_mi: {a.shape[1]} columns, {len(pathway_names)} names")
     if k is None or k > len(pathway_names):
         k = len(pathway_names)
-    scored = [
-        (name, mutual_information(a[:, j], labels)) for j, name in enumerate(pathway_names)
-    ]
+    scored = list(zip(pathway_names, mutual_information_columns(a, labels).tolist()))
     scored.sort(key=lambda t: (-t[1], t[0]))
     return scored[:k]
 
@@ -298,18 +297,27 @@ def class_color(label, vocabulary) -> str:
     return CLASS_PALETTE[list(vocabulary).index(label) % len(CLASS_PALETTE)]
 
 
-def _diverging_color(v: float, vmax: float) -> str:
-    """Blue-white-red diverging map, symmetric about 0."""
+_HEX = np.array([f"{i:02x}" for i in range(256)], dtype=object)
+
+
+def _diverging_colors(values, vmax: float) -> np.ndarray:
+    """Blue-white-red diverging map, symmetric about 0: one ``#rrggbb``
+    string per value. Clamping follows Python's ``min``/``max`` (NaN maps
+    to +1) and channels round half to even, like ``round``."""
+    values = np.asarray(values, dtype=np.float64)
     if vmax <= 0:
-        t = 0.0
+        t = np.zeros(values.shape)
     else:
-        t = max(-1.0, min(1.0, v / vmax))
-    if t >= 0:
-        r, g, b = 255, round(255 * (1 - t) + 48 * t), round(255 * (1 - t) + 48 * t)
-    else:
-        t = -t
-        r, g, b = round(255 * (1 - t) + 48 * t), round(255 * (1 - t) + 96 * t), 255
-    return f"#{r:02x}{g:02x}{b:02x}"
+        t = values / vmax
+        t = np.where(t < 1.0, t, 1.0)
+        t = np.where(t > -1.0, t, -1.0)
+    pos = t >= 0
+    s = np.abs(t)
+    fade = np.rint(255 * (1 - s) + 48 * s).astype(int)
+    r = np.where(pos, 255, fade)
+    g = np.where(pos, fade, np.rint(255 * (1 - s) + 96 * s).astype(int))
+    b = np.where(pos, fade, 255)
+    return "#" + _HEX[r] + _HEX[g] + _HEX[b]
 
 
 def _svg_doc(width, height, elements) -> str:
@@ -364,12 +372,14 @@ def emit_clustermap(values, row_labels, col_names, path, row_tree=None, col_tree
     if title:
         parts.append(_text(margin, 12, title, size=10))
     x0 = margin + strip_w + 2
+    size = f'" width="{cell_w:.2f}" height="{cell_h:.2f}" fill="'
+    cell_x = [f'<rect x="{x0 + j * cell_w:.2f}" y="' for j in range(p)]
+    colors = _diverging_colors(ordered, vmax).tolist()
     for i in range(n):
         y = margin + i * cell_h
         parts.append(_rect(margin, y, strip_w, cell_h, class_color(labels[i], vocabulary)))
-        for j in range(p):
-            parts.append(_rect(x0 + j * cell_w, y, cell_w, cell_h,
-                               _diverging_color(ordered[i, j], vmax)))
+        row = f"{y:.2f}{size}"
+        parts.extend([x + row + c + '"/>' for x, c in zip(cell_x, colors[i])])
     y_lab = margin + n * cell_h + 4
     for j, name in enumerate(names):
         parts.append(_text(x0 + (j + 0.7) * cell_w, y_lab, name, size=8,
@@ -383,27 +393,32 @@ def emit_clustermap(values, row_labels, col_names, path, row_tree=None, col_tree
     return svg_path, csv_path
 
 
-def _scatter_panel(coords, fills, title, subtitle=""):
+_PANEL_SIZE, _PANEL_MARGIN = 360.0, 30.0
+
+
+def _scatter_points(coords):
+    """Each point's ``<circle`` element up to its fill: the same in every
+    panel, since all panels share the axes."""
     coords = np.asarray(coords, dtype=np.float64)
-    width = height = 360.0
-    margin = 30.0
+    width = height = _PANEL_SIZE
+    margin = _PANEL_MARGIN
     xmin, xmax = coords[:, 0].min(), coords[:, 0].max()
     ymin, ymax = coords[:, 1].min(), coords[:, 1].max()
     xspan = (xmax - xmin) or 1.0
     yspan = (ymax - ymin) or 1.0
+    sx = margin + (coords[:, 0] - xmin) / xspan * (width - 2 * margin)
+    sy = height - margin - (coords[:, 1] - ymin) / yspan * (height - 2 * margin)
+    return [f'<circle cx="{x:.2f}" cy="{y:.2f}" r="3" fill="'
+            for x, y in zip(sx.tolist(), sy.tolist())]
 
-    def sx(v):
-        return margin + (v - xmin) / xspan * (width - 2 * margin)
 
-    def sy(v):
-        return height - margin - (v - ymin) / yspan * (height - 2 * margin)
-
+def _scatter_panel(points, fills, title, subtitle=""):
+    width = height = _PANEL_SIZE
+    margin = _PANEL_MARGIN
     parts = [_rect(0, 0, width, height, "#ffffff"), _text(margin, 14, title, size=10)]
     if subtitle:
         parts.append(_text(margin, 25, subtitle, size=8, color="#555555"))
-    for (x, y), fill in zip(coords, fills):
-        parts.append(f'<circle cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3" fill="{fill}" '
-                     'fill-opacity="0.8"/>')
+    parts.extend([point + fill + '" fill-opacity="0.8"/>' for point, fill in zip(points, fills)])
     return _svg_doc(width, height, parts)
 
 
@@ -415,20 +430,20 @@ def emit_featuremap(coords, labels, a, pathway_names, out_dir, prefix):
     if coords.shape[0] != a.shape[0]:
         raise ShapeError("emit_featuremap: coords and activity row counts differ")
     vocabulary = sorted(set(labels))
+    points = _scatter_points(coords)
     written = []
     fills = [class_color(l, vocabulary) for l in labels]
     path = f"{out_dir}/{prefix}-class.svg"
     with atomic_open(path, "w", encoding="utf-8") as fh:
-        fh.write(_scatter_panel(coords, fills, "classes", "PCA 2-D map (PCA substitutes for UMAP)"))
+        fh.write(_scatter_panel(points, fills, "classes", "PCA 2-D map (PCA substitutes for UMAP)"))
     written.append(path)
     name_to_col = {n: j for j, n in enumerate(pathway_names)}
     for name in pathway_names:
         col = a[:, name_to_col[name]]
         vmax = float(np.max(np.abs(col))) or 1.0
-        fills = [_diverging_color(v, vmax) for v in col]
         path = f"{out_dir}/{prefix}-{safe_filename(name)}.svg"
         with atomic_open(path, "w", encoding="utf-8") as fh:
-            fh.write(_scatter_panel(coords, fills, name,
+            fh.write(_scatter_panel(points, _diverging_colors(col, vmax).tolist(), name,
                                     "activity intensity (symmetric about 0)"))
         written.append(path)
     return written

@@ -1,6 +1,10 @@
 """Evaluation metrics and statistics: confusion metrics, macro one-vs-rest
 ROC AUC, Wilcoxon rank-sum, binned mutual information, median/IQR.
 
+Mutual information is computed for every column of a matrix at once: one
+column-wise sort gives all midranks, one ``bincount`` all joint tables and
+one expression all log terms; only each column's final sum is its own.
+
 All functions are pure; the rank-sum test switches to exact enumeration for
 small pooled sizes so tests can pin closed-form p-values.
 """
@@ -165,13 +169,37 @@ def wilcoxon_rank_sum(a, b, exact_threshold: int = 12):
     return u_a, p
 
 
-def mutual_information(feature, labels, bins: int = 8) -> float:
-    """Plug-in MI (nats) between an equal-frequency-binned feature and
-    discrete labels. Binning uses midranks only, so any strictly monotone
-    transform of the feature leaves the value unchanged."""
-    feature = np.asarray(feature, dtype=np.float64)
+def _row_midranks0(rows: np.ndarray):
+    """0-based midranks within every row, in each row's sorted order, and
+    that order. Midranks are exact halves of small integers, so they carry
+    the same bits as ``_midranks(row) - 1``."""
+    n = rows.shape[1]
+    order = np.argsort(rows, axis=1)
+    ranked = np.take_along_axis(rows, order, axis=1)
+    pos = np.arange(n)
+    # a tie group runs from its first sorted position to its last
+    new = np.ones(rows.shape, dtype=bool)
+    new[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
+    last = np.ones(rows.shape, dtype=bool)
+    last[:, :-1] = new[:, 1:]
+    first_pos = np.maximum.accumulate(np.where(new, pos, 0), axis=1)
+    last_pos = np.minimum.accumulate(np.where(last, pos, n)[:, ::-1], axis=1)[:, ::-1]
+    return (first_pos + last_pos) / 2.0, order
+
+
+def mutual_information_columns(features, labels, bins: int = 8) -> np.ndarray:
+    """Plug-in MI (nats) between each column of ``features`` (samples x
+    columns), binned by equal frequency, and discrete labels. Binning uses
+    midranks only, so any strictly monotone transform of a column leaves
+    its value unchanged.
+
+    All columns share one sort, one joint-count ``bincount`` and one log;
+    each column's terms are then summed on their own, so every value equals
+    the one-column estimate bit for bit.
+    """
+    features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels)
-    n = len(feature)
+    n, p = features.shape
     if n < 2:
         raise DataError("mutual_information: need at least 2 samples")
     if len(labels) != n:
@@ -180,16 +208,29 @@ def mutual_information(feature, labels, bins: int = 8) -> float:
     k = label_codes.max() + 1
     if k < 2:
         warnings.warn("mutual_information: constant labels", stacklevel=2)
-        return 0.0
+        return np.zeros(p)
+    if np.isnan(features).any():
+        raise DataError("cannot rank NaN values")
     bins_eff = max(1, min(bins, n))
-    rank0 = _midranks(feature) - 1.0
+    rank0, order = _row_midranks0(np.ascontiguousarray(features.T))
     binned = np.minimum((rank0 * bins_eff / n).astype(int), bins_eff - 1)
-    joint = np.bincount(binned * k + label_codes, minlength=bins_eff * k).reshape(bins_eff, k) / n
-    pf = joint.sum(axis=1, keepdims=True)
-    pl = joint.sum(axis=0, keepdims=True)
+    cells = (np.arange(p)[:, None] * bins_eff + binned) * k + label_codes[order]
+    joint = np.bincount(cells.ravel(), minlength=p * bins_eff * k).reshape(p, bins_eff, k) / n
+    pf = joint.sum(axis=2, keepdims=True)
+    pl = joint.sum(axis=1, keepdims=True)
     nz = joint > 0
-    mi = float(np.sum(joint[nz] * np.log(joint[nz] / (pf @ pl)[nz])))
-    return max(mi, 0.0)
+    terms = joint[nz] * np.log(joint[nz] / (pf * pl)[nz])
+    # a sum per column keeps the one-column estimate's pairwise order
+    counts = nz.sum(axis=(1, 2))
+    starts = np.cumsum(counts) - counts
+    return np.array([max(float(terms[s:s + c].sum()), 0.0)
+                     for s, c in zip(starts.tolist(), counts.tolist())])
+
+
+def mutual_information(feature, labels, bins: int = 8) -> float:
+    """``mutual_information_columns`` for one feature vector."""
+    feature = np.asarray(feature, dtype=np.float64)
+    return float(mutual_information_columns(feature[:, None], labels, bins)[0])
 
 
 def median_iqr(values):

@@ -136,25 +136,32 @@ class AdamState:
 
 
 def adam_step(params, grads, state: AdamState, lr: float) -> AdamState:
-    """One bias-corrected Adam update, applied to ``params`` in place."""
+    """One bias-corrected Adam update, applied to ``params`` in place.
+
+    Raises NumericError, before any parameter is written, when a second
+    moment is non-finite: a non-finite gradient always makes it so, and a
+    finite gradient whose square overflows does too.
+    """
     if lr <= 0:
         raise ValueError(f"learning rate must be positive, got {lr}")
     if len(params) != len(grads) or len(params) != len(state.m):
         raise ShapeError("adam_step: params, grads and state lengths differ")
-    for g in grads:
-        if not np.all(np.isfinite(g)):
-            raise NumericError("adam_step: non-finite gradient")
+    for p, g in zip(params, grads):
+        if p.shape != g.shape:
+            raise ShapeError(f"adam_step: param shape {p.shape} vs grad {g.shape}")
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        if p.shape != g.shape:
-            raise ShapeError(f"adam_step: param shape {p.shape} vs grad {g.shape}")
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
+    with np.errstate(over="ignore", invalid="ignore"):
+        for g, m, v in zip(grads, state.m, state.v):
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g * g
+            if not np.all(np.isfinite(v)):
+                raise NumericError("adam_step: non-finite second moment")
+    for p, m, v in zip(params, state.m, state.v):
         p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
     return state
 

@@ -9,6 +9,7 @@ from pathae.dataio import SurvivalTable
 from pathae.errors import DataError
 from pathae.interpret import (
     KMCurve,
+    _diverging_colors,
     anpw,
     apply_survival_window,
     emit_clustermap,
@@ -347,6 +348,32 @@ class TestSurvivalWindow:
         once = apply_survival_window(table)
         twice = apply_survival_window(once)
         assert once.records == twice.records
+
+
+def _scalar_diverging_color(v: float, vmax: float) -> str:
+    """The per-cell colour function the vectorized map replaced, kept as its
+    reference."""
+    if vmax <= 0:
+        t = 0.0
+    else:
+        t = max(-1.0, min(1.0, v / vmax))
+    if t >= 0:
+        r, g, b = 255, round(255 * (1 - t) + 48 * t), round(255 * (1 - t) + 48 * t)
+    else:
+        t = -t
+        r, g, b = round(255 * (1 - t) + 48 * t), round(255 * (1 - t) + 96 * t), 255
+    return f"#{r:02x}{g:02x}{b:02x}"
+
+
+class TestDivergingColors:
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=1, max_size=20),
+           st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                     st.sampled_from([0.0, -0.0, 1.0])))
+    def test_equals_scalar_reference(self, values, vmax):
+        with np.errstate(all="ignore"):  # the callers pass numpy scalars
+            got = _diverging_colors(values, vmax).tolist()
+            want = [_scalar_diverging_color(np.float64(v), vmax) for v in values]
+        assert got == want
 
 
 class TestEmission:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -12,6 +13,7 @@ from pathae.metrics import (
     confusion_metrics,
     median_iqr,
     mutual_information,
+    mutual_information_columns,
     roc_auc_macro,
     wilcoxon_rank_sum,
 )
@@ -311,3 +313,84 @@ class TestTieRanking:
     def test_nan_is_data_error(self, call):
         with pytest.raises(DataError, match="NaN"):
             call(np.array([0.5, math.nan, 1.0, 2.0]))
+
+
+def _per_column_mutual_information(feature, labels, bins=8):
+    """The one-column estimator the batched routine replaced, kept as its
+    reference."""
+    feature = np.asarray(feature, dtype=np.float64)
+    labels = np.asarray(labels)
+    n = len(feature)
+    if n < 2:
+        raise DataError("mutual_information: need at least 2 samples")
+    if len(labels) != n:
+        raise DataError(f"mutual_information: {n} feature values vs {len(labels)} labels")
+    _, label_codes = np.unique(labels, return_inverse=True)
+    k = label_codes.max() + 1
+    if k < 2:
+        warnings.warn("mutual_information: constant labels", stacklevel=2)
+        return 0.0
+    bins_eff = max(1, min(bins, n))
+    rank0 = _midranks(feature) - 1.0
+    binned = np.minimum((rank0 * bins_eff / n).astype(int), bins_eff - 1)
+    joint = np.bincount(binned * k + label_codes, minlength=bins_eff * k).reshape(bins_eff, k) / n
+    pf = joint.sum(axis=1, keepdims=True)
+    pl = joint.sum(axis=0, keepdims=True)
+    nz = joint > 0
+    mi = float(np.sum(joint[nz] * np.log(joint[nz] / (pf @ pl)[nz])))
+    return max(mi, 0.0)
+
+
+# tie-heavy values, signed zeros and a continuous range; a column may also
+# be made constant
+COLUMN_VALUES = st.one_of(
+    st.sampled_from([-0.0, 0.0, -1.0, 1.0, 2.5, 1e300, -math.inf, math.inf]),
+    st.floats(-1e6, 1e6),
+)
+
+
+@st.composite
+def mi_inputs(draw):
+    n = draw(st.integers(2, 30))
+    p = draw(st.integers(1, 8))
+    columns = []
+    for _ in range(p):
+        if draw(st.booleans()):
+            columns.append([draw(COLUMN_VALUES)] * n)
+        else:
+            columns.append(draw(st.lists(COLUMN_VALUES, min_size=n, max_size=n)))
+    n_classes = draw(st.integers(2, 6))
+    labels = draw(st.lists(st.integers(0, n_classes - 1), min_size=n, max_size=n))
+    return np.array(columns).T, np.array(labels), draw(st.integers(1, 12))
+
+
+class TestMutualInformationColumns:
+    """The batched estimator equals the per-column one bit for bit."""
+
+    @given(mi_inputs())
+    def test_equals_per_column_reference(self, inputs):
+        features, labels, bins = inputs
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # constant labels warn in both
+            got = mutual_information_columns(features, labels, bins)
+            want = [_per_column_mutual_information(col, labels, bins) for col in features.T]
+            one = mutual_information(features[:, 0], labels, bins)
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+        assert one.hex() == want[0].hex()
+
+    @given(mi_inputs(), st.data())
+    def test_nan_in_any_column_is_data_error(self, inputs, data):
+        features, labels, bins = inputs
+        labels[:2] = [0, 1]
+        i = data.draw(st.integers(0, features.shape[0] - 1))
+        j = data.draw(st.integers(0, features.shape[1] - 1))
+        features[i, j] = math.nan
+        with pytest.raises(DataError, match="NaN"):
+            mutual_information_columns(features, labels, bins)
+
+    def test_constant_labels_warn_once_all_zero(self):
+        features = RngStream(5).normal(size=(10, 4))
+        with pytest.warns(UserWarning, match="constant labels") as record:
+            mi = mutual_information_columns(features, ["x"] * 10)
+        assert len(record) == 1
+        np.testing.assert_array_equal(mi, np.zeros(4))

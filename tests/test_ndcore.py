@@ -169,6 +169,17 @@ class TestAdam:
         with pytest.raises(NumericError):
             adam_step(p, [np.array([[np.nan]])], state, lr=0.01)
 
+    def test_overflowing_second_moment_raises_before_any_write(self):
+        from pathae.errors import NumericError
+
+        # 1e200 is finite, but its square overflows the second moment
+        p = [np.array([[1.0, 2.0]]), np.array([[3.0]])]
+        state = AdamState.for_params(p)
+        with pytest.raises(NumericError, match="second moment"):
+            adam_step(p, [np.array([[0.5, -0.5]]), np.array([[1e200]])], state, lr=0.01)
+        np.testing.assert_array_equal(p[0], [[1.0, 2.0]])
+        np.testing.assert_array_equal(p[1], [[3.0]])
+
 
 class TestFiniteDiff:
     def test_quadratic(self):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pathae.pipeline
-from pathae.dataio import ExpressionTable, fit_normalizer
+from pathae.dataio import ExpressionTable, apply_normalizer, fit_normalizer
 from pathae.errors import ConfigError, DataError
 from pathae.metrics import MetricsReport
 from pathae.models import ArchitectureConfig, PathwayMask, TrainConfig, build_model, forward
@@ -24,6 +24,7 @@ from pathae.pipeline import (
     hidden_space,
     stratified_folds,
 )
+from pathae.synth import make_synthetic
 
 
 def signal_data(n_per=24, genes=12, noise=1.0, seed=50):
@@ -230,6 +231,20 @@ class TestCrossValidate:
         # one warning per diverged fold, naming the cell and the divergence
         assert [r.getMessage() for r in caplog.records] == [
             "grid cell 0 diverged: training diverged at epoch 0 (loss=nan)"] * 3
+
+    def test_overflowing_beta_cell_diverges_and_loses(self):
+        # beta = 1e300 keeps the loss finite but overflows Adam's second moment
+        data = make_synthetic(n_classes=2, n_pathways=4, n_genes=40, n_background=10,
+                              n_train=40, n_test=10, seed=1)
+        X = apply_normalizer(fit_normalizer(data.train, "zscore"), data.train).values
+        best, rows = cross_validate(
+            X, np.asarray(data.train_labels), ArchitectureConfig("vae", [8], t_start=0),
+            GridSpec([[8]], betas=[1.0, 1e300]),
+            TrainConfig(epochs=20, learning_rate=1e-3, batch_size=16), folds=2, rng=RngStream(0),
+        )
+        assert [r["beta"] for r in rows] == [1.0, 1e300]
+        assert np.isfinite(rows[0]["mean_roc_auc"]) and np.isnan(rows[1]["mean_roc_auc"])
+        assert best["beta"] == 1.0
 
     def test_every_cell_diverged_is_data_error(self, spy_fit):
         with pytest.raises(DataError, match="every grid cell diverged"):
