@@ -583,6 +583,10 @@ def cmd_interpret(cfg: ExperimentConfig, checkpoint) -> int:
 
 def cmd_survival(cfg: ExperimentConfig, checkpoint) -> int:
     model, table, labeled, y, a = _interpret_inputs(cfg, checkpoint)
+    names = model.pathway_names
+    # ranked before the survival cohort's copy of the table exists, so the
+    # ranking's temporaries do not add to the command's peak memory
+    ranked = interpret.rank_pathways_by_mi(a, y, names, k=cfg.top_pathways)
     surv = dataio.load_survival(
         cfg.survival, cfg.survival_time_column, cfg.survival_event_column
     )
@@ -601,8 +605,6 @@ def cmd_survival(cfg: ExperimentConfig, checkpoint) -> int:
     times = np.asarray([surv.records[s][0] for s in expr.sample_ids])
     events = np.asarray([surv.records[s][1] for s in expr.sample_ids])
 
-    names = model.pathway_names
-    ranked = interpret.rank_pathways_by_mi(a, y, names, k=cfg.top_pathways)
     gene_index = {g: i for i, g in enumerate(expr.gene_names)}
     encoders = model.params.pathway_encoders
 

@@ -5,6 +5,11 @@ logrank tests, plus SVG/CSV emission.
 Plots are written as plain SVG 1.1 so they stay dependency-free, diffable
 and parseable as XML in tests.  2-D maps use PCA (a deterministic stand-in
 for stochastic embedding methods); every emitted map is labeled as such.
+
+The ranking scores every pathway column in one batched mutual-information
+call.  Heatmap and scatter colours come from one vectorized diverging map,
+and each row, column and point coordinate is formatted once, not per cell
+or per panel; the bytes are those of the per-cell formatting.
 """
 
 from __future__ import annotations

@@ -172,19 +172,23 @@ def wilcoxon_rank_sum(a, b, exact_threshold: int = 12):
 def _row_midranks0(rows: np.ndarray):
     """0-based midranks within every row, in each row's sorted order, and
     that order. Midranks are exact halves of small integers, so they carry
-    the same bits as ``_midranks(row) - 1``."""
+    the same bits as ``_midranks(row) - 1``.  Temporaries are reused in
+    place, so the peak stays near three row-sized arrays."""
     n = rows.shape[1]
     order = np.argsort(rows, axis=1)
     ranked = np.take_along_axis(rows, order, axis=1)
+    edge = np.ones(rows.shape, dtype=bool)  # first of its tie group
+    np.not_equal(ranked[:, 1:], ranked[:, :-1], out=edge[:, 1:])
+    del ranked
     pos = np.arange(n)
-    # a tie group runs from its first sorted position to its last
-    new = np.ones(rows.shape, dtype=bool)
-    new[:, 1:] = ranked[:, 1:] != ranked[:, :-1]
-    last = np.ones(rows.shape, dtype=bool)
-    last[:, :-1] = new[:, 1:]
-    first_pos = np.maximum.accumulate(np.where(new, pos, 0), axis=1)
-    last_pos = np.minimum.accumulate(np.where(last, pos, n)[:, ::-1], axis=1)[:, ::-1]
-    return (first_pos + last_pos) / 2.0, order
+    first = np.maximum.accumulate(np.where(edge, pos, 0), axis=1)
+    edge[:, :-1] = edge[:, 1:].copy()  # now: last of its tie group
+    edge[:, -1] = True
+    last = np.where(edge, pos, n)[:, ::-1]
+    np.minimum.accumulate(last, axis=1, out=last)
+    first += last[:, ::-1]  # first plus last position of each tie group
+    del last
+    return first / 2.0, order
 
 
 def mutual_information_columns(features, labels, bins: int = 8) -> np.ndarray:
@@ -213,8 +217,15 @@ def mutual_information_columns(features, labels, bins: int = 8) -> np.ndarray:
         raise DataError("cannot rank NaN values")
     bins_eff = max(1, min(bins, n))
     rank0, order = _row_midranks0(np.ascontiguousarray(features.T))
-    binned = np.minimum((rank0 * bins_eff / n).astype(int), bins_eff - 1)
-    cells = (np.arange(p)[:, None] * bins_eff + binned) * k + label_codes[order]
+    rank0 *= bins_eff
+    rank0 /= n
+    cells = rank0.astype(int)
+    del rank0
+    np.minimum(cells, bins_eff - 1, out=cells)
+    cells += np.arange(p)[:, None] * bins_eff
+    cells *= k
+    cells += label_codes[order]
+    del order
     joint = np.bincount(cells.ravel(), minlength=p * bins_eff * k).reshape(p, bins_eff, k) / n
     pf = joint.sum(axis=2, keepdims=True)
     pl = joint.sum(axis=1, keepdims=True)
