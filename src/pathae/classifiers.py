@@ -6,8 +6,14 @@ The logistic regression minimizes 0.5*||W||^2 + C * sum-of-cross-entropies
 impurity, sqrt(d) candidate features per node and bootstrapped samples, with
 fully deterministic tie-breaking so a fixed seed reproduces the forest.  The
 trees of one fit grow in lockstep: each keeps its own depth-first stack and
-its own stream, and on every step one batched split search scores every
-(feature, threshold) pair of the nodes that all trees are working on.
+its own stream, and on every step batched split searches score every
+(feature, threshold) pair of the nodes that all trees are working on.  The
+step's nodes are sorted by size and packed into chunks: a chunk is cut when
+padding it up to the next node would cost more than one more search call.
+Below 8 classes the search counts classes class-major, so its array work
+runs along the long threshold axis.  Node ids follow the order in which nodes
+are searched, so they may differ from earlier versions; the trees and the
+probabilities do not.
 
 A forest is stored only as flat node arrays, one set for all its trees, and
 prediction runs all trees in lockstep: every row descends every tree at
@@ -29,12 +35,14 @@ from .ndcore import as_stream, require_finite
 CLASSIFIERS = ("lr", "rf")
 
 
-def _encode_labels(y):
-    y = np.asarray(y)
-    classes = np.unique(y)
-    lookup = {c: i for i, c in enumerate(classes)}
-    codes = np.array([lookup[v] for v in y], dtype=np.intp)
-    return classes, codes
+def _label_codes(y, classes, who: str) -> np.ndarray:
+    """Each label's index in ``classes``; a label not among them is a
+    DataError."""
+    lookup = {c: i for i, c in enumerate(classes.tolist())}
+    try:
+        return np.array([lookup[v] for v in np.asarray(y).tolist()], dtype=np.intp)
+    except KeyError as e:
+        raise DataError(f"{who}: label {e.args[0]!r} is not one of the model's classes") from None
 
 
 def _fit_inputs(X, y, who: str):
@@ -43,7 +51,8 @@ def _fit_inputs(X, y, who: str):
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1 or X.shape[1] < 1:
         raise DataError(f"{who}: need a non-empty 2-D matrix, got shape {X.shape}")
-    classes, codes = _encode_labels(y)
+    classes = np.unique(y)
+    codes = _label_codes(y, classes, who)
     if len(codes) != X.shape[0]:
         raise ShapeError(f"{who}: {len(codes)} labels for {X.shape[0]} rows")
     require_finite(X, who)
@@ -130,7 +139,7 @@ def lr_predict_proba(model: LogisticModel, X) -> np.ndarray:
 
 def lr_data_loss(model: LogisticModel, X, y) -> float:
     """Sum of cross-entropies under the fitted model (no penalty term)."""
-    _, codes = _encode_labels(y)
+    codes = _label_codes(y, model.classes, "lr_data_loss")
     proba = lr_predict_proba(model, X)
     return float(-np.sum(np.log(proba[np.arange(len(codes)), codes] + 1e-300)))
 
@@ -194,6 +203,14 @@ class ForestModel:
 # batched split search: a larger group of nodes is searched in chunks, and
 # only a single node larger than the cap is searched as one block.
 _SEARCH_BLOCK = 1 << 18
+# What one more _split_search call costs, in padded block elements: a chunk
+# of nodes grows to the next larger node unless padding the chunk up to it
+# would add more elements than this.
+_SEARCH_OVERHEAD = 3000
+# Below this many classes the search counts classes class-major
+# (_gini_by_class); from 8 terms on numpy sums pairwise, so there the classes
+# stay last and numpy sums them.
+_CLASS_MAJOR_BELOW = 8
 
 
 def _split_search(X, onehot, rows, sizes, features):
@@ -212,29 +229,41 @@ def _split_search(X, onehot, rows, sizes, features):
     threshold) triple is one array expression.  The float operations are
     those of a one-threshold-at-a-time scan (p = counts / size,
     1 - sum(p * p), (nl * gl + nr * gr) / n), so the result is bit-identical
-    to it.
+    to it.  With few classes the counts are laid out class-major,
+    (k, B, m, N), so that every operation runs along the long threshold
+    axis.
 
     Returns, per node: the lowest impurity (inf when every candidate column
     is constant on the node), its feature, its threshold, the split position
     ``cut`` (the left child's size), the node's rows sorted along the
     winning feature, and the left and right children's class counts."""
     B, N = rows.shape
+    k = onehot.shape[1]
     batch = np.arange(B)
     cols = X[rows[:, None, :], features[:, :, None]]  # (B, m, N)
     # the order among equal values is free: no threshold falls between them
     order = cols.argsort(axis=-1)
     vals = np.take_along_axis(cols, order, axis=-1)
     sorted_rows = rows[batch[:, None, None], order]
-    left = onehot.take(sorted_rows, axis=0).cumsum(axis=2)  # (B, m, N, k): left counts at each cut
-    right = left[batch, 0, sizes - 1][:, None, None, :] - left
     nl = np.arange(1.0, N + 1)  # left size at each threshold
     n = sizes.astype(np.float64)[:, None, None]
     nr = n - nl
     with np.errstate(divide="ignore", invalid="ignore"):  # padding thresholds
-        p = left / nl[:, None]
-        gl = 1.0 - (p * p).sum(axis=-1)
-        p = right / nr[..., None]
-        gr = 1.0 - (p * p).sum(axis=-1)
+        if k < _CLASS_MAJOR_BELOW:
+            left = onehot.T.take(sorted_rows, axis=1).cumsum(axis=-1)  # (k, B, m, N)
+            total = left[:, batch, 0, sizes - 1]  # (k, B): the node's class counts
+            gl, gr = _gini_by_class(left, total[:, :, None, None], nl, nr)
+            left, total = np.moveaxis(left, 0, -1), total.T  # views, (B, m, N, k) and (B, k)
+        else:
+            left = onehot.take(sorted_rows, axis=0).cumsum(axis=2)  # (B, m, N, k)
+            total = left[batch, 0, sizes - 1]  # (B, k)
+            p = left / nl[:, None]
+            p *= p
+            gl = 1.0 - p.sum(axis=-1)
+            np.subtract(total[:, None, None, :], left, out=p)  # right counts
+            p /= nr[..., None]
+            p *= p
+            gr = 1.0 - p.sum(axis=-1)
         impurity = (nl * gl + nr * gr) / n  # (B, m, N)
     impurity[..., :-1][vals[..., :-1] == vals[..., 1:]] = np.inf  # no threshold between equal values
     impurity[np.broadcast_to(nl >= n, impurity.shape)] = np.inf  # nor at or past a node's last row
@@ -249,8 +278,27 @@ def _split_search(X, onehot, rows, sizes, features):
     # the midpoint of two adjacent floats can round up to the upper one, and
     # that of two huge ones overflows; the lower value splits the same rows
     thr = np.where((a <= thr) & (thr < b), thr, a)
+    left_counts = left[batch, fi, ti]
     return (flat[batch, best], features[batch, fi], thr, ti + 1, sorted_rows[batch, fi],
-            left[batch, fi, ti], right[batch, fi, ti])
+            left_counts, total - left_counts)
+
+
+def _gini_by_class(left, total, nl, nr):
+    """The left and right children's 1 - sum of p * p, p = counts / size, at
+    every threshold, from class-major left counts and the node's ``total``.
+    The classes are added in order, as numpy sums fewer than 8 terms."""
+    for c in range(len(left)):
+        p = left[c] / nl
+        p *= p
+        q = total[c] - left[c]  # right counts
+        q /= nr
+        q *= q
+        if c == 0:
+            sum_left, sum_right = p, q
+        else:
+            sum_left += p
+            sum_right += q
+    return 1.0 - sum_left, 1.0 - sum_right
 
 
 def _best_split(X, onehot, idx, features):
@@ -275,8 +323,8 @@ def _grow_forest(X, onehot, boots, m_features, rngs):
     depth-first stack of the nodes it has still to search, left child on
     top.  On every step, each unfinished tree pops one node and draws its
     candidate features from the tree's own stream, so every tree draws in
-    pre-order, as a recursive grower would.  One batched search, chunked by
-    node size, then splits all those nodes."""
+    pre-order, as a recursive grower would.  Batched searches, over chunks
+    of those nodes packed by size (``_pack_by_size``), then split them all."""
     d, k = X.shape[1], onehot.shape[1]
     X = np.vstack([X, np.full(d, np.inf)])  # the sentinel row, last
     onehot = np.vstack([onehot, np.zeros(k)])
@@ -287,19 +335,35 @@ def _grow_forest(X, onehot, boots, m_features, rngs):
     stacks = [[(t, boot)] if np.count_nonzero(counts[t]) >= 2 else []
               for t, boot in enumerate(boots)]
     while True:
-        pending = {}  # size class -> [(tree, node, rows, features)]
+        popped = []  # (tree, node, rows, features)
         for t, stack in enumerate(stacks):
             if stack:
                 node, rows = stack.pop()
-                # padding to a power of two stays under twice the size
-                pending.setdefault((len(rows) - 1).bit_length(), []).append(
-                    (t, node, rows, rngs[t].choice(d, size=m_features, replace=False)))
-        if not pending:
+                popped.append((t, node, rows, rngs[t].choice(d, size=m_features, replace=False)))
+        if not popped:
             return nodes
-        for size_class, group in pending.items():
-            per_call = max(1, _SEARCH_BLOCK // (m_features * (1 << size_class) * k))
-            for start in range(0, len(group), per_call):
-                _split_nodes(X, onehot, group[start : start + per_call], stacks, nodes)
+        for chunk in _pack_by_size(popped, m_features * k):
+            _split_nodes(X, onehot, chunk, stacks, nodes)
+
+
+def _pack_by_size(popped, per_row):
+    """Cut the nodes ``popped``, sorted by size, into chunks to search at
+    once.  A chunk is padded to its largest node, and a row of it costs
+    ``per_row`` block elements.  The next node starts a new chunk when
+    padding the chunk up to it would cost more than a search call
+    (``_SEARCH_OVERHEAD``), or when the block would pass ``_SEARCH_BLOCK``."""
+    popped = sorted(popped, key=lambda p: len(p[2]))
+    chunks, chunk, width = [], [], 0
+    for p in popped:
+        size = len(p[2])
+        if chunk and (len(chunk) * (size - width) * per_row > _SEARCH_OVERHEAD
+                      or (len(chunk) + 1) * size * per_row > _SEARCH_BLOCK):
+            chunks.append(chunk)
+            chunk = []
+        chunk.append(p)
+        width = size
+    chunks.append(chunk)
+    return chunks
 
 
 def _split_nodes(X, onehot, chunk, stacks, nodes):
@@ -371,10 +435,8 @@ def rf_predict_proba(model: ForestModel, X) -> np.ndarray:
             break
         at = step
     freq = model.counts / model.counts.sum(axis=1, keepdims=True)
-    acc = np.zeros((X.shape[0], len(model.classes)))
-    for leaves in at:  # tree by tree, in tree order
-        acc += freq[leaves]
-    return acc / len(model.roots)
+    # summed over the tree axis, the outer one, tree by tree in tree order
+    return freq[at].sum(axis=0) / len(model.roots)
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,17 @@ class TestLogisticRegression:
         loss_c2 = lr_data_loss(lr_fit(X, y, C=2.0), X, y)
         assert loss_c2 <= loss_c1 + 1e-6
 
+    def test_data_loss_reads_the_model_class_columns(self):
+        X = np.array([[-2.0], [-1.5], [0.0], [0.2], [1.5], [2.0]])
+        y = np.array(["a", "a", "b", "b", "c", "c"])
+        model = lr_fit(X, y)
+        keep = y != "b"  # a label set without one of the model's classes
+        proba = lr_predict_proba(model, X[keep])
+        want = -np.sum(np.log(proba[np.arange(4), [0, 0, 2, 2]]))
+        assert lr_data_loss(model, X[keep], y[keep]) == pytest.approx(want)
+        with pytest.raises(DataError, match="label 'd' is not one of the model's classes"):
+            lr_data_loss(model, X[:2], np.array(["a", "d"]))
+
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
             lr_fit(np.ones((3, 1)), np.array(["a", "a", "a"]))
@@ -395,6 +406,10 @@ def _grower_case(name):
         return rng.normal(size=(2, 3)), np.array(["a", "b"]), 5
     if name == "deep_random_labels":  # deep trees, predicted on few rows
         return rng.normal(size=(450, 64)), rng.integers(0, 5, size=450), 100
+    if name.startswith("classes_"):  # class-major counts below 8 classes, class-last from 8
+        k = int(name.removeprefix("classes_"))
+        X = np.round(rng.normal(size=(8 * k, 9)), 1)
+        return X, rng.integers(0, k, size=8 * k), 20
     raise KeyError(name)
 
 
@@ -416,7 +431,8 @@ def _held_out_rows(X, trees, rng):
 class TestGrowerMatchesReference:
     @pytest.mark.parametrize("case", ["workload", "ties_12_classes", "one_feature",
                                       "constant_and_duplicated", "wide", "one_row", "two_rows",
-                                      "deep_random_labels"])
+                                      "deep_random_labels", "classes_7", "classes_8",
+                                      "classes_33"])
     def test_same_trees_and_probabilities(self, case):
         X, y, n_trees = _grower_case(case)
         got = rf_fit(X, y, n_trees=n_trees, rng=RngStream(13))
@@ -425,7 +441,9 @@ class TestGrowerMatchesReference:
         assert len(got.trees) == len(trees) == n_trees
         for t, (tree, ref) in enumerate(zip(got.trees, trees)):
             assert _preorder(tree) == _preorder(ref), f"tree {t}"
-        for rows in (X, _held_out_rows(X, trees, RngStream(31))):
+        held_out = _held_out_rows(X, trees, RngStream(31))
+        # one row: only the tree axis of the summed leaf frequencies is long
+        for rows in (X, held_out, held_out[:1]):
             want = _reference_predict_proba(trees, len(classes), rows)
             assert rf_predict_proba(got, rows).tobytes() == want.tobytes()
 
@@ -450,6 +468,8 @@ def test_forest_search_is_batched_within_the_block_budget(monkeypatch, budget):
     if budget is None:
         split_nodes = sum(f is not None for tree in trees for f, _, _ in tree)
         assert len(blocks) < split_nodes / 10
+        # nodes packed by size: power-of-two size classes took 75 searches
+        assert len(blocks) <= 37
 
 
 class TestDispatch:
