@@ -1,19 +1,16 @@
 #!/usr/bin/env python3
-"""A tour of the numeric core: seeded streams, layers, Adam, and the
-finite-difference oracle that keeps every backward pass honest."""
+"""A tour of the numeric core: seeded streams, He init, Adam, and the
+finite-difference oracle that checks the models' analytic gradients."""
 
 import numpy as np
 
+from pathae.models import ArchitectureConfig, build_model, flat_params, forward, loss_and_grads
 from pathae.ndcore import (
     AdamState,
     RngStream,
     adam_step,
-    affine_backward,
-    affine_forward,
-    dropout_forward,
     finite_diff_grad,
     init_weights,
-    relu_forward,
 )
 
 # --- seeded, splittable randomness ----------------------------------------
@@ -27,25 +24,35 @@ child_a, child_b = rng.spawn(2)
 print("spawned streams differ:", not np.allclose(child_a.normal(size=3),
                                                  child_b.normal(size=3)))
 
-# --- a layer forward and its gradient -------------------------------------
-x = rng.normal(size=(4, 3))
-W = init_weights(3, 2, rng)   # He-normal: variance 2/fan_in
-b = np.zeros((1, 2))
-out = affine_forward(x, W, b)
-print("\naffine output shape:", out.shape)
+# --- He-normal initial weights ---------------------------------------------
+W = init_weights(400, 300, rng)
+print(f"\nHe init, fan_in 400: weight variance {W.var():.5f} ~ {2 / 400:.5f}")
 
-# The analytic backward must agree with central differences. This oracle is
-# used across the test suite for every layer and every composite loss.
-upstream = rng.normal(size=out.shape)
-grad_x, grad_W, grad_b = affine_backward(x, W, upstream)
-fd_W = finite_diff_grad(lambda v: float(np.sum(affine_forward(x, v, b) * upstream)), W)
-print("max |analytic - finite difference| on W:", np.abs(grad_W - fd_W).max())
+# --- a model's gradients against central differences -----------------------
+# A tiny dense VAE with dropout. Its analytic backward pass must agree with
+# central differences of the same loss; the test suite runs this check on
+# every model kind. Replaying the dropout stream (seed 9) on every forward
+# keeps the masks fixed while one weight moves.
+arch = ArchitectureConfig(kind="vae", encoder_layer_sizes=[5, 3], dropout_rate=0.3)
+model = build_model(arch, gene_count=6, rng=rng)
+x = rng.normal(size=(4, 6))
+beta = 0.5
+_, grads = loss_and_grads(model, x, forward(model, x, training=True, rng=RngStream(9)), beta)
 
-# --- inverted dropout ------------------------------------------------------
-h = relu_forward(out)
-dropped, mask = dropout_forward(np.ones((2000, 8)), rate=0.5, training=True, rng=rng)
-print("\ndropout keeps the expectation:", round(float(dropped.mean()), 3), "~ 1.0")
-print("survivors are scaled by 1/(1-rate):", sorted(set(np.unique(dropped).tolist())))
+
+def loss_at(p, value):
+    old = p.copy()
+    p[...] = value
+    total, _ = loss_and_grads(model, x, forward(model, x, training=True, rng=RngStream(9)), beta)
+    p[...] = old
+    return total
+
+
+worst = 0.0
+for p, g in zip(flat_params(model), grads):
+    fd = finite_diff_grad(lambda v, p=p: loss_at(p, v), p)
+    worst = max(worst, float(np.abs(g - fd).max()))
+print(f"{len(grads)} parameter tensors; max |analytic - finite difference|: {worst:.2e}")
 
 # --- Adam walks against the gradient ---------------------------------------
 param = [np.array([[4.0]])]

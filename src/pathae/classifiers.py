@@ -137,13 +137,6 @@ def lr_predict_proba(model: LogisticModel, X) -> np.ndarray:
     return softmax_rows(X @ model.weights + model.bias)
 
 
-def lr_data_loss(model: LogisticModel, X, y) -> float:
-    """Sum of cross-entropies under the fitted model (no penalty term)."""
-    codes = _label_codes(y, model.classes, "lr_data_loss")
-    proba = lr_predict_proba(model, X)
-    return float(-np.sum(np.log(proba[np.arange(len(codes)), codes] + 1e-300)))
-
-
 # ---------------------------------------------------------------------------
 # random forest
 # ---------------------------------------------------------------------------
@@ -299,18 +292,6 @@ def _gini_by_class(left, total, nl, nr):
             sum_left += p
             sum_right += q
     return 1.0 - sum_left, 1.0 - sum_right
-
-
-def _best_split(X, onehot, idx, features):
-    """``_split_search`` for one node: the rows ``idx``, unpadded.
-
-    Returns (impurity, feature, threshold), or None when every candidate
-    column is constant on the node."""
-    impurity, feature, threshold, *_ = _split_search(
-        X, onehot, np.asarray(idx)[None, :], np.array([len(idx)]), np.asarray(features)[None, :])
-    if impurity[0] == np.inf:
-        return None
-    return impurity[0], feature[0], threshold[0]
 
 
 def _grow_forest(X, onehot, boots, m_features, rngs):

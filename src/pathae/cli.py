@@ -138,7 +138,11 @@ class ExperimentConfig:
     output_dir: str = ""
 
     def config_hash(self) -> str:
-        doc = json.dumps(asdict(self), sort_keys=True)
+        """Hash of every setting but ``output_dir``, so one config run into
+        two directories gets one hash; input paths are hashed."""
+        settings = asdict(self)
+        del settings["output_dir"]
+        doc = json.dumps(settings, sort_keys=True)
         return hashlib.sha256(doc.encode("utf-8")).hexdigest()[:16]
 
 
@@ -267,6 +271,13 @@ def validate_config(cfg: ExperimentConfig, command: str):
         value = getattr(cfg, key)
         if value not in allowed:
             raise ConfigError(f"unknown {key} {value!r}; expected one of {' | '.join(allowed)}")
+    if cfg.orientation not in dataio.ORIENTATIONS:
+        raise ConfigError(f"[data] orientation = {cfg.orientation!r}: "
+                          f"expected one of {' | '.join(dataio.ORIENTATIONS)}")
+    try:
+        dataio.Scale.parse(cfg.scale)
+    except ConfigError as exc:
+        raise ConfigError(f"[data] scale: {exc}") from None
     for section, key, requirement, test in RANGES:
         value = getattr(cfg, ini_field(section, key))
         if not test(value):
@@ -592,12 +603,8 @@ def cmd_survival(cfg: ExperimentConfig, checkpoint) -> int:
     )
     surv = interpret.apply_survival_window(surv, cfg.survival_window_days)
 
-    if cfg.survival_renorm == "tpm":
-        expr = dataio.fpkm_to_tpm_log(table)
-    elif cfg.survival_renorm == "ipm":
-        expr = dataio.intensity_to_ipm_log(table)
-    else:
-        expr = table
+    # tpm and ipm both mean per-sample parts per million
+    expr = table if cfg.survival_renorm == "none" else dataio.per_million_log(table)
     keep = [i for i, sid in enumerate(expr.sample_ids) if sid in surv.records]
     if len(keep) < 3:
         raise DataError(f"only {len(keep)} samples have survival data; need >= 3")

@@ -48,7 +48,13 @@ class Scale:
         if text == "linear":
             return cls("linear")
         if text.startswith("log2+"):
-            return cls("log2", float(text[len("log2+"):]))
+            try:
+                offset = float(text[len("log2+"):])
+            except ValueError:
+                offset = math.nan
+            if not 0.0 <= offset < math.inf:
+                raise ConfigError(f"the log2 offset of {text!r} must be finite and >= 0")
+            return cls("log2", offset)
         raise ConfigError(f"unknown scale {text!r}; expected 'linear' or 'log2+<offset>'")
 
     def __str__(self):
@@ -221,6 +227,9 @@ def _header_index(header: list[str], column: str, path) -> int:
         ) from None
 
 
+ORIENTATIONS = ("samples_as_rows", "genes_as_rows")
+
+
 def load_expression_tsv(
     path,
     orientation: str = "samples_as_rows",
@@ -229,7 +238,7 @@ def load_expression_tsv(
 ) -> ExpressionTable:
     """Parse a delimited expression matrix (first row and column are
     identifiers). genes_as_rows input is transposed to samples x genes."""
-    if orientation not in ("samples_as_rows", "genes_as_rows"):
+    if orientation not in ORIENTATIONS:
         raise ConfigError(f"unknown orientation {orientation!r}")
     if isinstance(scale, str):
         scale = Scale.parse(scale)
@@ -435,23 +444,15 @@ def per_million(linear_values: np.ndarray) -> np.ndarray:
     return linear_values * 1e6 / sums
 
 
-def _per_million_log(table: ExpressionTable) -> ExpressionTable:
+def per_million_log(table: ExpressionTable) -> ExpressionTable:
+    """The table in log2(per-million + 1): each sample's linear values
+    rescaled to parts per million.  FPKM so becomes TPM, and array
+    intensities become intensities per million (IPM)."""
     linear = table.scale.to_linear(table.values)
     ppm = per_million(linear)
     return ExpressionTable(
         list(table.sample_ids), list(table.gene_names), np.log2(ppm + 1.0), LOG2P1
     )
-
-
-def fpkm_to_tpm_log(table: ExpressionTable) -> ExpressionTable:
-    """log2(FPKM+offset) table -> log2(TPM+1); TPM is FPKM per-sample ppm."""
-    return _per_million_log(table)
-
-
-def intensity_to_ipm_log(table: ExpressionTable) -> ExpressionTable:
-    """log2(intensity+offset) table -> log2(IPM+1); IPM treats intensities
-    as counts normalized per million within each sample."""
-    return _per_million_log(table)
 
 
 # ---------------------------------------------------------------------------

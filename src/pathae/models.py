@@ -559,16 +559,6 @@ def beta_schedule(t, kind: str, beta: float, t_start: int, t_end: int | None = N
     raise ConfigError(f"unknown schedule kind {kind!r}")
 
 
-def loss(model: Model, x, outputs: ForwardOutputs, beta_eff: float = 0.0):
-    """Composite loss value for the model kind: MSE, plus beta_eff * KL for
-    variational kinds."""
-    mse, _ = mse_loss(x, outputs.x_hat)
-    if is_variational(model.arch.kind):
-        kl, _, _ = kl_gaussian(outputs.mu, outputs.logvar)
-        return mse + beta_eff * kl
-    return mse
-
-
 # ---------------------------------------------------------------------------
 # parameter bookkeeping
 # ---------------------------------------------------------------------------
@@ -638,6 +628,8 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def fit(model: Model, X, config: TrainConfig, rng=None) -> list[float]:

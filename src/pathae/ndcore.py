@@ -1,5 +1,5 @@
-"""Deterministic dense-matrix numerics: layers, dropout, Adam, gradient oracle,
-and the finite-matrix check shared by the fitting code.
+"""Deterministic dense-matrix numerics: seeded streams, He init, Adam, the
+gradient oracle, and the finite-matrix check shared by the fitting code.
 
 Everything operates on float64 numpy arrays.  Randomness always flows through
 an explicit numpy ``Generator`` built by ``RngStream(seed)``, so that a fixed
@@ -32,81 +32,11 @@ def as_stream(rng) -> np.random.Generator:
     return RngStream(0 if rng is None else rng)
 
 
-def _as_f64(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64)
-
-
 def require_finite(X: np.ndarray, who: str):
     """DataError naming the first non-finite cell of a 2-D matrix."""
     if not np.isfinite(X).all():
         i, j = np.argwhere(~np.isfinite(X))[0]
         raise DataError(f"{who}: non-finite value {X[i, j]} at row {i}, column {j}")
-
-
-def affine_forward(x, W, b) -> np.ndarray:
-    """out[i, j] = sum_m x[i, m] * W[m, j] + b[0, j]."""
-    x, W, b = _as_f64(x), _as_f64(W), _as_f64(b)
-    if x.ndim != 2 or W.ndim != 2:
-        raise ShapeError(f"affine_forward expects 2-D operands, got {x.shape} and {W.shape}")
-    if x.shape[1] != W.shape[0]:
-        raise ShapeError(f"affine_forward: x has {x.shape[1]} columns but W has {W.shape[0]} rows")
-    b = b.reshape(1, -1)
-    if b.shape[1] != W.shape[1]:
-        raise ShapeError(f"affine_forward: b has width {b.shape[1]}, W has {W.shape[1]} columns")
-    return x @ W + b
-
-
-def affine_backward(x, W, upstream):
-    """Gradients of the affine map given upstream dL/dout.
-
-    Returns (grad_x, grad_W, grad_b).
-    """
-    x, W, upstream = _as_f64(x), _as_f64(W), _as_f64(upstream)
-    if upstream.shape != (x.shape[0], W.shape[1]):
-        raise ShapeError(
-            f"affine_backward: upstream shape {upstream.shape} does not match "
-            f"({x.shape[0]}, {W.shape[1]})"
-        )
-    grad_x = upstream @ W.T
-    grad_W = x.T @ upstream
-    grad_b = upstream.sum(axis=0, keepdims=True)
-    return grad_x, grad_W, grad_b
-
-
-def relu_forward(x) -> np.ndarray:
-    return np.maximum(0.0, _as_f64(x))
-
-
-def relu_backward(upstream, x) -> np.ndarray:
-    """Mask the upstream gradient where the forward input was <= 0.
-
-    The subgradient at exactly 0 is taken to be 0.
-    """
-    upstream, x = _as_f64(upstream), _as_f64(x)
-    if upstream.shape != x.shape:
-        raise ShapeError(f"relu_backward: shapes {upstream.shape} vs {x.shape}")
-    return upstream * (x > 0.0)
-
-
-def dropout_forward(x, rate: float, training: bool, rng: np.random.Generator | None = None):
-    """Inverted dropout: zero entries with probability ``rate`` and scale
-    survivors by 1/(1-rate) so inference is a pure identity.
-
-    Returns (out, mask) where mask already carries the 1/(1-rate) scaling,
-    so backward is just upstream * mask.
-    """
-    x = _as_f64(x)
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        return x, np.ones_like(x)
-    keep = as_stream(rng).uniform(size=x.shape) >= rate
-    mask = keep / (1.0 - rate)
-    return x * mask, mask
-
-
-def dropout_backward(upstream, mask) -> np.ndarray:
-    return _as_f64(upstream) * mask
 
 
 def init_weights(fan_in: int, fan_out: int, rng) -> np.ndarray:
@@ -174,7 +104,7 @@ def finite_diff_grad(f, x, h: float = 1e-5) -> np.ndarray:
     """
     if h <= 0:
         raise ValueError("h must be positive")
-    x = _as_f64(x).copy()
+    x = np.asarray(x, dtype=np.float64).copy()
     grad = np.zeros_like(x)
     it = np.nditer(x, flags=["multi_index"])
     while not it.finished:

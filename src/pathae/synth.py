@@ -16,6 +16,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .dataio import ExpressionTable, LabelTable, PathwaySet, Scale, SurvivalTable
+from .errors import ConfigError
 from .ndcore import as_stream
 
 
@@ -52,9 +53,23 @@ def make_synthetic(
     seed: int = 0,
 ) -> SyntheticData:
     """Generate train/test expression tables, labels, survival records and a
-    pathway set with block-structured factor loadings."""
+    pathway set with block-structured factor loadings.
+
+    Raises ConfigError for a negative seed or background size, no class,
+    factor, pathway or sample, no pathway gene, or fewer pathway genes than
+    pathways."""
+    for name, value, low in (("seed", seed, 0), ("n_classes", n_classes, 1),
+                             ("n_factors", n_factors, 1), ("n_pathways", n_pathways, 1),
+                             ("n_background", n_background, 0), ("n_train", n_train, 1),
+                             ("n_test", n_test, 1)):
+        if value < low:
+            raise ConfigError(f"synthetic fixture: {name} must be >= {low}, got {value}")
     if n_background >= n_genes:
-        raise ValueError("n_background must be smaller than n_genes")
+        raise ConfigError(f"synthetic fixture: n_background ({n_background}) must be "
+                          f"smaller than n_genes ({n_genes})")
+    if n_pathways > n_genes - n_background:
+        raise ConfigError(f"synthetic fixture: {n_pathways} pathways need at least as many "
+                          f"pathway genes, got {n_genes - n_background}")
     rng = as_stream(seed)
     classes = [f"class{c}" for c in range(n_classes)]
     gene_names = [f"G{g:04d}" for g in range(n_genes)]

@@ -36,7 +36,6 @@ from pathae.models import (
     fit,
     flat_params,
     forward,
-    loss,
     loss_and_grads,
     mse_loss,
     pathway_activity_forward,
@@ -47,6 +46,7 @@ from pathae.pipeline import extract_representation
 from pathae.synth import make_synthetic
 
 from conftest import max_rel_err
+from reference import loss
 
 
 def report(line):

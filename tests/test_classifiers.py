@@ -7,10 +7,8 @@ from pathae import classifiers
 from pathae.classifiers import (
     ForestModel,
     TreeNode,
-    _best_split,
     LogisticModel,
     fit_classifier,
-    lr_data_loss,
     lr_fit,
     lr_predict_proba,
     predict_labels,
@@ -20,6 +18,8 @@ from pathae.classifiers import (
 )
 from pathae.errors import ConfigError, DataError, ShapeError
 from pathae.ndcore import RngStream
+
+from reference import _best_split, lr_data_loss
 
 
 class TestLogisticRegression:

@@ -97,6 +97,27 @@ class TestSynth:
         assert len(lines) == 6
 
 
+@pytest.mark.parametrize("command,flags", [
+    ("train", ["--seed", "-1"]),
+    ("validate", ["--seed", "-1"]),
+    ("synth", ["--seed", "-1"]),
+    ("synth", ["--pathways", "0"]),
+    ("synth", ["--n-train", "0"]),
+    ("synth", ["--genes", "10"]),  # fewer genes than the 150 background genes
+])
+def test_bad_seed_or_synth_size_exits_1_before_work(fixture_dir, tmp_path, capsys, command,
+                                                    flags):
+    # each once escaped as an internal error
+    out = tmp_path / "never"
+    if command == "synth":
+        argv = ["synth", "--out", str(out)]
+    else:
+        argv = [command, "-c", write_config(tmp_path / "c.ini", fixture_dir, out)]
+    assert main(argv + flags) == 1
+    assert capsys.readouterr().err.startswith("pathae: config error:")
+    assert not out.exists()
+
+
 class TestTrain:
     def test_writes_checkpoint_and_losses(self, fixture_dir, tmp_path):
         cfg = write_config(tmp_path / "c.ini", fixture_dir, tmp_path / "run")
@@ -234,6 +255,28 @@ class TestConfigValues:
         assert main(["train", "-c", cfg]) == 1
         err = capsys.readouterr().err
         assert err.startswith("pathae: config error:") and f"{where}:" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("scale", "log2+abc"),  # once an internal error
+        ("scale", "log2+nan"),  # once trained silently
+        ("scale", "log2+inf"),
+        ("scale", "log2+-1"),
+        ("scale", "log3"),
+        ("orientation", "genes_as_columns"),
+    ])
+    def test_bad_scale_or_orientation_exits_1_before_work(self, fixture_dir, tmp_path, capsys,
+                                                          monkeypatch, key, value):
+        def no_work(*args, **kwargs):
+            raise AssertionError("expression table read before the config was checked")
+
+        monkeypatch.setattr(pathae.cli.dataio, "load_expression_tsv", no_work)
+        out = tmp_path / "never"
+        cfg = write_config(tmp_path / "c.ini", fixture_dir, out)
+        _replace_in_config(cfg, "[data]\n", f"[data]\n{key} = {value}\n")
+        assert main(["train", "-c", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"pathae: config error: [data] {key}") and repr(value) in err
         assert not out.exists()
 
     def test_doubled_percent_is_a_literal_percent(self, fixture_dir, tmp_path):
@@ -620,6 +663,17 @@ class TestManifest:
         assert len(manifest["config_hash"]) == 16
         for name in manifest["files"]:
             assert (tmp_path / "run" / name).exists()
+
+    def test_hash_ignores_output_dir(self, fixture_dir, tmp_path):
+        cfg = write_config(tmp_path / "c.ini", fixture_dir, tmp_path / "run")
+        hashes = set()
+        for out in ("outA", "outB"):
+            assert main(["train", "-c", cfg, "--output", str(tmp_path / out)]) == 0
+            hashes.add(json.load(open(tmp_path / out / "manifest.json"))["config_hash"])
+        assert len(hashes) == 1
+        moved = write_config(tmp_path / "m.ini", fixture_dir, tmp_path / "run")
+        _replace_in_config(moved, "labels.tsv", "labels2.tsv")  # an input path is hashed
+        assert load_config(moved).config_hash() not in hashes
 
     def test_env_var_default_outdir(self, fixture_dir, tmp_path, monkeypatch):
         monkeypatch.setenv("PATHAE_OUTDIR", str(tmp_path / "envout"))

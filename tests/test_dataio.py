@@ -15,8 +15,6 @@ from pathae.dataio import (
     SurvivalTable,
     apply_normalizer,
     fit_normalizer,
-    fpkm_to_tpm_log,
-    intensity_to_ipm_log,
     intersect_genes,
     load_expression_tsv,
     load_gene_mapping,
@@ -27,6 +25,7 @@ from pathae.dataio import (
     parse_gmt,
     parse_msigdb_json,
     per_million,
+    per_million_log,
     resolve_pathways,
 )
 from pathae.errors import ConfigError, DataError, ParseError
@@ -442,12 +441,17 @@ class TestPerMillion:
 
     def test_table_conversions_log_output(self):
         t = ExpressionTable(["s"], ["A", "B"], np.log2(np.array([[1.0, 3.0]]) + 1), Scale("log2", 1.0))
-        for conv in (fpkm_to_tpm_log, intensity_to_ipm_log):
-            out = conv(t)
-            np.testing.assert_allclose(
-                out.values, np.log2(np.array([[250000.0, 750000.0]]) + 1), rtol=1e-12
-            )
-            assert str(out.scale) == "log2+1"
+        out = per_million_log(t)
+        np.testing.assert_allclose(
+            out.values, np.log2(np.array([[250000.0, 750000.0]]) + 1), rtol=1e-12
+        )
+        assert str(out.scale) == "log2+1"
+
+    @pytest.mark.parametrize("text", ["log2+abc", "log2+", "log2+nan", "log2+inf", "log2+-1"])
+    def test_scale_offset_must_be_finite_and_non_negative(self, text):
+        with pytest.raises(ConfigError, match="offset"):
+            Scale.parse(text)
+        assert Scale.parse("log2+0") == Scale("log2", 0.0)
 
     def test_scale_roundtrip_identity(self):
         scale = Scale("log2", 1.0)

