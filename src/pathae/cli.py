@@ -247,6 +247,7 @@ CLUSTER_AXES = ("both", "cols")
 SURVIVAL_RENORMS = ("none", "tpm", "ipm")
 # Ranges the parsers cannot express: (section, key, requirement, test).
 RANGES = (
+    ("data", "log_offset", "finite and >= 0", lambda v: math.isfinite(v) and v >= 0),
     ("evaluate", "repeats", ">= 1", lambda v: v >= 1),
     ("evaluate", "folds", ">= 2", lambda v: v >= 2),
     ("interpret", "top_pathways", ">= 1", lambda v: v >= 1),
@@ -525,6 +526,8 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
 
 
 def _interpret_inputs(cfg: ExperimentConfig, checkpoint):
+    """The checkpoint and the table on its gene axis: the checkpoint's gene
+    names, or the table's own when it stores none (the counts must agree)."""
     model = models.load_checkpoint(checkpoint)
     pipeline.check_space(model.arch.kind, "a")
     table = _load_expression(cfg, cfg.train_expression)
@@ -542,8 +545,22 @@ def _interpret_inputs(cfg: ExperimentConfig, checkpoint):
     return model, table, labeled, y, a
 
 
+def _top_genes(mask, layers, gene_names, k: int):
+    """A pathway's top genes by |NPW|, named on the table's gene axis."""
+    return interpret.top_genes_by_anpw(layers, [gene_names[i] for i in mask.indices],
+                                       k=min(k, mask.size))
+
+
+def _columns(ranked, names) -> list[int]:
+    """The activity column of each ranked pathway: the first one so named."""
+    first = {}
+    for j, name in enumerate(names):
+        first.setdefault(name, j)
+    return [first[name] for name, _mi in ranked]
+
+
 def cmd_interpret(cfg: ExperimentConfig, checkpoint) -> int:
-    model, _table, _labeled, y, a = _interpret_inputs(cfg, checkpoint)
+    model, table, _labeled, y, a = _interpret_inputs(cfg, checkpoint)
     names = model.pathway_names
     run = _RunDir(cfg, "interpret")
     base = f"{cfg.dataset_name}-{model.arch.kind}"
@@ -553,18 +570,13 @@ def cmd_interpret(cfg: ExperimentConfig, checkpoint) -> int:
 
     npw_rows = []
     for mask, layers in zip(model.masks, model.params.pathway_encoders):
-        gene_names = [model.gene_names[i] for i in mask.indices]
-        for rank, (gene, weight) in enumerate(
-            interpret.top_genes_by_anpw(layers, gene_names, k=min(cfg.top_genes, mask.size)),
-            start=1,
-        ):
+        top = _top_genes(mask, layers, table.gene_names, cfg.top_genes)
+        for rank, (gene, weight) in enumerate(top, start=1):
             npw_rows.append([mask.name, rank, gene, f"{weight:+.6f}"])
     write_csv(run.path(f"anpw-{base}.csv"), ["pathway", "rank", "gene", "npw"], npw_rows)
 
-    column = {}
-    for j, name in enumerate(names):
-        column.setdefault(name, j)
-    top_cols = [column[n] for n, _ in ranked[: cfg.clustermap_pathways]]
+    columns = _columns(ranked, names)
+    top_cols = columns[: cfg.clustermap_pathways]
     sub = a[:, top_cols]
     sub_names = [names[j] for j in top_cols]
     col_tree = interpret.hierarchical_cluster(sub.T, metric=cfg.cluster_metric)
@@ -581,7 +593,7 @@ def cmd_interpret(cfg: ExperimentConfig, checkpoint) -> int:
 
     coords, _fractions = interpret.pca_2d(a)
     featmap_files = interpret.emit_featuremap(
-        coords, list(y), a[:, [column[n] for n, _ in ranked[: cfg.top_pathways]]],
+        coords, list(y), a[:, columns[: cfg.top_pathways]],
         [n for n, _ in ranked[: cfg.top_pathways]],
         run.dir, f"featuremap-{base}-a",
     )
@@ -618,16 +630,8 @@ def cmd_survival(cfg: ExperimentConfig, checkpoint) -> int:
     run = _RunDir(cfg, "survival")
     base = f"{cfg.dataset_name}-{model.arch.kind}"
     results = []
-    for pname, _mi in ranked:
-        j = names.index(pname)
-        mask = model.masks[j]
-        layers = encoders[j]
-        gene_names = [model.gene_names[i] for i in mask.indices]
-        for gene, _w in interpret.top_genes_by_anpw(
-            layers, gene_names, k=min(cfg.top_genes, mask.size)
-        ):
-            if gene not in gene_index:
-                continue
+    for (pname, _mi), j in zip(ranked, _columns(ranked, names)):
+        for gene, _w in _top_genes(model.masks[j], encoders[j], table.gene_names, cfg.top_genes):
             values = expr.values[:, gene_index[gene]]
             low, high = interpret.tercile_split(values)
             if set(low.tolist()) & set(high.tolist()):

@@ -138,10 +138,6 @@ class PathwaySet:
     def __len__(self):
         return len(self.pathways)
 
-    @property
-    def names(self) -> list[str]:
-        return [n for n, _ in self.pathways]
-
 
 @dataclass
 class LabelTable:

@@ -112,49 +112,51 @@ def _pairwise_distance(rows: np.ndarray, metric: str) -> np.ndarray:
 
 def hierarchical_cluster(rows, metric: str = "cosine") -> ClusterTree:
     """Average-linkage agglomeration with deterministic tie-breaking: among
-    equidistant pairs, the lexicographically smallest (i, j) merges first."""
+    equidistant pairs, the lexicographically smallest (i, j) merges first.
+    The matrix keeps its size: a merged-away slot's row and column become
+    inf, so live slots keep their order and the argmin tie rule holds."""
     rows = np.asarray(rows, dtype=np.float64)
     n = rows.shape[0]
     if n < 2:
         raise DataError("hierarchical_cluster: need at least 2 rows")
     dist = _pairwise_distance(rows, metric)
+    if not np.isfinite(dist).all():  # inf marks retired slots below
+        raise DataError("hierarchical_cluster: distances must be finite")
     np.fill_diagonal(dist, np.inf)
 
-    ids = list(range(n))  # active cluster ids, position-aligned with dist
+    ids = list(range(n))  # the cluster each slot holds
     sizes = [1] * n
-    children: dict[int, tuple[int, int]] = {}
     merges = []
-    next_id = n
-    for _ in range(n - 1):
+    for next_id in range(n, 2 * n - 1):
         # row-major argmin == smallest (i, j) among ties
-        flat = int(np.argmin(dist))
-        i, j = divmod(flat, dist.shape[1])
+        i, j = divmod(int(np.argmin(dist)), n)
         if i > j:
             i, j = j, i
         h = float(dist[i, j])
-        id_i, id_j = ids[i], ids[j]
-        a, b = (id_i, id_j) if id_i < id_j else (id_j, id_i)
-        merges.append((a, b, h, sizes[i] + sizes[j]))
-        children[next_id] = (a, b)
-        # average-linkage update into row i, then drop row j
+        a, b = sorted((ids[i], ids[j]))
         wi, wj = sizes[i], sizes[j]
+        merges.append((a, b, h, wi + wj))
+        # average-linkage update into slot i, then retire slot j
         new_row = (wi * dist[i, :] + wj * dist[j, :]) / (wi + wj)
         dist[i, :] = new_row
         dist[:, i] = new_row
         dist[i, i] = np.inf
-        dist = np.delete(np.delete(dist, j, axis=0), j, axis=1)
+        dist[j, :] = np.inf
+        dist[:, j] = np.inf
         sizes[i] = wi + wj
         ids[i] = next_id
-        del sizes[j], ids[j]
-        next_id += 1
 
-    def order(node):
+    # merge k made cluster n + k; walk the tree left child first
+    leaf_order = []
+    stack = [2 * n - 2]
+    while stack:
+        node = stack.pop()
         if node < n:
-            return [node]
-        a, b = children[node]
-        return order(a) + order(b)
-
-    return ClusterTree(merges=merges, leaf_order=order(next_id - 1), n_leaves=n)
+            leaf_order.append(node)
+        else:
+            a, b = merges[node - n][:2]
+            stack += [b, a]
+    return ClusterTree(merges=merges, leaf_order=leaf_order, n_leaves=n)
 
 
 def pca_2d(rows):
@@ -434,6 +436,8 @@ def emit_featuremap(coords, labels, a, pathway_names, out_dir, prefix):
     a = np.asarray(a, dtype=np.float64)
     if coords.shape[0] != a.shape[0]:
         raise ShapeError("emit_featuremap: coords and activity row counts differ")
+    if a.shape[1] != len(pathway_names):
+        raise ShapeError(f"emit_featuremap: {a.shape[1]} columns, {len(pathway_names)} names")
     vocabulary = sorted(set(labels))
     points = _scatter_points(coords)
     written = []
@@ -442,9 +446,7 @@ def emit_featuremap(coords, labels, a, pathway_names, out_dir, prefix):
     with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write(_scatter_panel(points, fills, "classes", "PCA 2-D map (PCA substitutes for UMAP)"))
     written.append(path)
-    name_to_col = {n: j for j, n in enumerate(pathway_names)}
-    for name in pathway_names:
-        col = a[:, name_to_col[name]]
+    for name, col in zip(pathway_names, a.T):
         vmax = float(np.max(np.abs(col))) or 1.0
         path = f"{out_dir}/{prefix}-{safe_filename(name)}.svg"
         with atomic_open(path, "w", encoding="utf-8") as fh:

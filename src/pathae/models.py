@@ -186,11 +186,10 @@ class Model:
     masks: list[PathwayMask]
     params: ModelParams
     gene_names: list[str] | None = None
-    pathway_names: list[str] | None = None
 
-    def __post_init__(self):
-        if self.pathway_names is None:
-            self.pathway_names = [m.name for m in self.masks]
+    @property
+    def pathway_names(self) -> list[str]:
+        return [m.name for m in self.masks]
 
     @cached_property
     def _buckets(self) -> list[_Bucket]:
@@ -696,14 +695,7 @@ def save_checkpoint(model: Model, path):
 
     The pathway stage is written pathway by pathway under ``pathway/{j}/{i}``
     names, so the format does not depend on how the parameters are packed."""
-    tensors = []
-    offset = 0
-    blobs = []
-    for name, arr in _walk(model.params, per_pathway=True):
-        raw = np.ascontiguousarray(arr, dtype="<f8").tobytes()
-        tensors.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        blobs.append(raw)
-        offset += len(raw)
+    views = list(_walk(model.params, per_pathway=True))
     header = {
         "format": 1,
         "kind": model.arch.kind,
@@ -713,15 +705,26 @@ def save_checkpoint(model: Model, path):
         "masks": [
             {"name": m.name, "indices": [int(i) for i in m.indices]} for m in model.masks
         ],
-        "tensors": tensors,
+        "tensors": _tensor_table(views),
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with atomic_open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(f"{len(head)}\n".encode("ascii"))
         fh.write(head)
-        for raw in blobs:
-            fh.write(raw)
+        for _, arr in views:
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+
+
+def _tensor_table(views) -> list[dict]:
+    """The header's tensor table of (name, tensor) views in _walk order: each
+    view's name, shape and byte offset, the tensors back to back."""
+    table = []
+    offset = 0
+    for name, arr in views:
+        table.append({"name": name, "shape": list(arr.shape), "offset": offset})
+        offset += 8 * arr.size
+    return table
 
 
 def load_checkpoint(path) -> Model:
@@ -730,7 +733,8 @@ def load_checkpoint(path) -> Model:
     Raises ConfigError when the file is not a checkpoint at all, and
     DataError naming the path when it is damaged: a truncated or malformed
     header, an unknown format, an architecture or masks that do not validate,
-    a tensor table that does not match them, or a body of the wrong length."""
+    a tensor table other than the one save_checkpoint writes for them, or a
+    body of the wrong length."""
     with open(path, "rb") as fh:
         if fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
             raise ConfigError(f"{path}: not a checkpoint file (bad magic)")
@@ -777,19 +781,15 @@ def _decode_checkpoint(data: bytes) -> Model:
         raise DataError(f"body has {len(body)} bytes, the tensors need {expected}")
     params = _allocate(arch, gene_count, masks)
 
-    table = {t["name"]: t for t in header["tensors"]}
+    # the writer's table exactly, so every offset is the running byte count
     views = list(_walk(params, per_pathway=True))
-    if len(table) != len(header["tensors"]) or sorted(table) != sorted(n for n, _ in views):
+    if header["tensors"] != _tensor_table(views):
         raise DataError("tensor table does not match the architecture")
-    for name, view in views:
-        shape, offset = table[name]["shape"], table[name]["offset"]
-        if shape != list(view.shape):
-            raise DataError(f"tensor {name} has shape {shape}, expected {list(view.shape)}")
-        if not _is_int(offset) or offset < 0 or offset + view.nbytes > len(body):
-            raise DataError(f"tensor {name} offset {offset!r} outside the body")
-        view[...] = np.frombuffer(body, dtype="<f8", count=view.size, offset=offset).reshape(
-            view.shape
-        )
+    values = np.frombuffer(body, dtype="<f8")
+    start = 0
+    for _, view in views:
+        view[...] = values[start : start + view.size].reshape(view.shape)
+        start += view.size
     return Model(
         arch=arch, gene_count=gene_count, masks=masks, params=params, gene_names=gene_names
     )

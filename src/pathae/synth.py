@@ -29,8 +29,6 @@ class SyntheticData:
     labels: LabelTable
     survival: SurvivalTable
     pathways: PathwaySet
-    factors_train: np.ndarray
-    factors_test: np.ndarray
 
 
 def _balanced_labels(n, classes, rng: np.random.Generator) -> np.ndarray:
@@ -102,10 +100,10 @@ def make_synthetic(
         x = np.maximum(x, 0.0)
         ids = [f"{prefix}{i:04d}" for i in range(n)]
         table = ExpressionTable(ids, list(gene_names), x, Scale("log2", 1.0))
-        return table, y, factors
+        return table, y
 
-    train, y_train, f_train = sample_cohort(n_train, "TR")
-    test, y_test, f_test = sample_cohort(n_test, "TE")
+    train, y_train = sample_cohort(n_train, "TR")
+    test, y_test = sample_cohort(n_test, "TE")
 
     label_map = dict(zip(train.sample_ids, y_train.tolist()))
     label_map.update(zip(test.sample_ids, y_test.tolist()))
@@ -132,8 +130,6 @@ def make_synthetic(
         labels=labels,
         survival=survival,
         pathways=PathwaySet(pathways),
-        factors_train=f_train,
-        factors_test=f_test,
     )
 
 

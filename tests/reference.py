@@ -6,6 +6,9 @@ regression through one penalized objective, and training takes its loss
 from ``models.loss_and_grads``.  The shape-checked layer ops, the one-node
 split search, the unpenalized logistic data loss and the composite model
 loss below are kept only as slow, plain references for that code.
+``hierarchical_cluster`` is the clustering that deletes each merged row and
+column from a shrinking matrix; ``pathae.interpret`` keeps the matrix at
+full size instead.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from __future__ import annotations
 import numpy as np
 
 from pathae.classifiers import LogisticModel, _label_codes, _split_search, lr_predict_proba
-from pathae.errors import ShapeError
+from pathae.errors import DataError, ShapeError
+from pathae.interpret import ClusterTree, _pairwise_distance
 from pathae.models import ForwardOutputs, Model, is_variational, kl_gaussian, mse_loss
 from pathae.ndcore import as_stream
 
@@ -115,3 +119,50 @@ def loss(model: Model, x, outputs: ForwardOutputs, beta_eff: float = 0.0):
         kl, _, _ = kl_gaussian(outputs.mu, outputs.logvar)
         return mse + beta_eff * kl
     return mse
+
+
+def hierarchical_cluster(rows, metric: str = "cosine") -> ClusterTree:
+    """Average-linkage agglomeration with deterministic tie-breaking: among
+    equidistant pairs, the lexicographically smallest (i, j) merges first."""
+    rows = np.asarray(rows, dtype=np.float64)
+    n = rows.shape[0]
+    if n < 2:
+        raise DataError("hierarchical_cluster: need at least 2 rows")
+    dist = _pairwise_distance(rows, metric)
+    np.fill_diagonal(dist, np.inf)
+
+    ids = list(range(n))  # active cluster ids, position-aligned with dist
+    sizes = [1] * n
+    children: dict[int, tuple[int, int]] = {}
+    merges = []
+    next_id = n
+    for _ in range(n - 1):
+        # row-major argmin == smallest (i, j) among ties
+        flat = int(np.argmin(dist))
+        i, j = divmod(flat, dist.shape[1])
+        if i > j:
+            i, j = j, i
+        h = float(dist[i, j])
+        id_i, id_j = ids[i], ids[j]
+        a, b = (id_i, id_j) if id_i < id_j else (id_j, id_i)
+        merges.append((a, b, h, sizes[i] + sizes[j]))
+        children[next_id] = (a, b)
+        # average-linkage update into row i, then drop row j
+        wi, wj = sizes[i], sizes[j]
+        new_row = (wi * dist[i, :] + wj * dist[j, :]) / (wi + wj)
+        dist[i, :] = new_row
+        dist[:, i] = new_row
+        dist[i, i] = np.inf
+        dist = np.delete(np.delete(dist, j, axis=0), j, axis=1)
+        sizes[i] = wi + wj
+        ids[i] = next_id
+        del sizes[j], ids[j]
+        next_id += 1
+
+    def order(node):
+        if node < n:
+            return [node]
+        a, b = children[node]
+        return order(a) + order(b)
+
+    return ClusterTree(merges=merges, leaf_order=order(next_id - 1), n_leaves=n)

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import configparser
 import contextlib
 import csv
@@ -16,7 +17,8 @@ import pathae.pipeline
 from pathae.cli import (
     INI_KEYS, PARSERS, ExperimentConfig, _RunDir, build_parser, ini_field, load_config, main,
 )
-from pathae.models import count_params, load_checkpoint
+from pathae.models import build_model, count_params, load_checkpoint, save_checkpoint
+from pathae.ndcore import RngStream
 from pathae.pipeline import REPORT_CSV_COLUMNS
 
 
@@ -297,6 +299,9 @@ class TestConfigValues:
                   st.integers(max_value=1)),
         st.tuples(st.just(("survival", "interpret", "survival_window_days")),
                   st.floats(max_value=0.0) | st.sampled_from([float("nan"), float("inf")])),
+        st.tuples(st.just(("train", "data", "log_offset")),
+                  st.floats(max_value=-5e-324)
+                  | st.sampled_from([float("nan"), float("inf")])),
         # checked by ArchitectureConfig and TrainConfig, under their section
         st.tuples(st.just(("train", "model", "dropout")),
                   st.floats().filter(lambda v: not 0.0 <= v < 1.0)),
@@ -316,6 +321,7 @@ class TestConfigValues:
     @example(case=(("interpret", "interpret", "top_genes"), -1))
     @example(case=(("survival", "interpret", "top_pathways"), -1))
     @example(case=(("interpret", "interpret", "clustermap_pathways"), 1))
+    @example(case=(("train", "data", "log_offset"), float("nan")))
     # NaN and inf once passed and trained, then exited 3 on a diverged loss
     @example(case=(("train", "train", "learning_rate"), float("nan")))
     @example(case=(("train", "train", "learning_rate"), float("inf")))
@@ -557,6 +563,25 @@ class TestInterpret:
         cfg2 = write_config(tmp_path / "c2.ini", fixture_dir, tmp_path / "run2")
         assert main(["interpret", "-c", cfg2, "--checkpoint", ckpt]) == 1
 
+    def test_checkpoint_without_gene_names_reads_the_table_genes(self, fixture_dir,
+                                                                trained_checkpoint, tmp_path):
+        # saved as README's quickstart saves one: build_model without gene_names
+        trained = load_checkpoint(trained_checkpoint[1])
+        model = build_model(trained.arch, trained.gene_count, trained.masks, RngStream(0))
+        ckpt = tmp_path / "unnamed.ckpt"
+        save_checkpoint(model, ckpt)
+        header = (fixture_dir / "train_expression.tsv").read_text().split("\n", 1)[0]
+        genes = header.split("\t")[1:]
+        members = {(m.name, genes[i]) for m in model.masks for i in m.indices}
+        cfg = write_config(tmp_path / "c.ini", fixture_dir, tmp_path / "run")
+        for command in ("interpret", "survival"):
+            assert main([command, "-c", cfg, "--checkpoint", str(ckpt)]) == 0
+        anpw = list(csv.reader(open(tmp_path / "run" / "anpw-synth-paae.csv")))
+        tested = list(csv.reader(open(tmp_path / "run" / "survival-tests-synth-paae.csv")))
+        # no pathway has more genes than top_genes = 10, so anpw lists them all
+        assert {(r[0], r[2]) for r in anpw[1:]} == members
+        assert tested[1:] and {(r[0], r[1]) for r in tested[1:]} <= members
+
     @pytest.mark.parametrize("command", ["interpret", "survival"])
     def test_truncated_checkpoint_is_data_error(self, fixture_dir, trained_checkpoint, tmp_path,
                                                 command):
@@ -591,6 +616,34 @@ class TestSurvival:
         )
         Path(cfg).write_text(text)
         assert main(["survival", "-c", cfg, "--checkpoint", ckpt]) == 1
+
+
+class TestOneEncoderRead:
+    def test_read_commands_read_pathway_encoders_once(self):
+        # ModelParams.pathway_encoders rebuilds the view lists of all P
+        # pathways on each access; a read per pathway makes interpret and
+        # survival O(P^2)
+        tree = ast.parse(Path(pathae.cli.__file__).read_text(encoding="utf-8"))
+        readers = {}
+        in_loops = []
+        for fn in tree.body:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Attribute) and node.attr == "pathway_encoders":
+                    readers[fn.name] = readers.get(fn.name, 0) + 1
+                repeated = []
+                if isinstance(node, (ast.For, ast.While)):
+                    repeated = node.body + node.orelse
+                elif isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp)):
+                    repeated = [node.elt]
+                elif isinstance(node, ast.DictComp):
+                    repeated = [node.key, node.value]
+                in_loops += [fn.name for part in repeated for sub in ast.walk(part)
+                             if isinstance(sub, ast.Attribute)
+                             and sub.attr == "pathway_encoders"]
+        assert readers == {"cmd_interpret": 1, "cmd_survival": 1}
+        assert in_loops == []
 
 
 def _replace_in_config(cfg, old, new):

@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pathae.dataio import SurvivalTable
 from pathae.errors import DataError
@@ -28,6 +28,7 @@ from pathae.models import ArchitectureConfig, PathwayMask, build_model, forward
 from pathae.ndcore import RngStream, finite_diff_grad
 
 from conftest import max_rel_err
+from reference import hierarchical_cluster as reference_cluster
 
 
 def linear_stack(*weight_matrices):
@@ -120,7 +121,33 @@ class TestRankPathways:
         assert len(ranked) == 2
 
 
+@st.composite
+def cluster_rows(draw):
+    """2-60 rows of small integers, so distances tie often, picked with
+    repeats from a pool of distinct rows and optionally scaled off the
+    integers."""
+    n = draw(st.integers(2, 60))
+    width = draw(st.integers(1, 4))
+    pool = draw(st.lists(st.lists(st.integers(-2, 2), min_size=width, max_size=width),
+                         min_size=1, max_size=n))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+    scale = draw(st.sampled_from([1.0, 1.0 / 3.0, 1e-3]))
+    return np.array([pool[i] for i in picks], dtype=np.float64) * scale
+
+
 class TestHierarchicalCluster:
+    @settings(max_examples=50)
+    @given(cluster_rows(), st.sampled_from(["cosine", "euclidean"]))
+    def test_equals_shrinking_matrix_reference(self, rows, metric):
+        if metric == "cosine":
+            rows[~rows.any(axis=1)] = 1.0  # cosine distance needs nonzero rows
+        got, want = hierarchical_cluster(rows, metric), reference_cluster(rows, metric)
+
+        def exact(tree):
+            return [(a, b, h.hex(), size) for a, b, h, size in tree.merges], tree.leaf_order
+
+        assert exact(got) == exact(want)
+
     def test_identical_rows_merge_first_at_zero(self):
         rows = np.array([[1.0, 2.0], [1.0, 2.0], [5.0, -1.0]])
         tree = hierarchical_cluster(rows, metric="cosine")
@@ -146,6 +173,14 @@ class TestHierarchicalCluster:
         tree = hierarchical_cluster(rows, metric="euclidean")
         heights = [m[2] for m in tree.merges]
         assert all(b >= a - 1e-12 for a, b in zip(heights, heights[1:]))
+
+    @pytest.mark.parametrize("rows,metric", [
+        ([[0.0], [1e200], [-1e200]], "euclidean"),  # squares overflow
+        ([[1.0, 0.0], [math.nan, 1.0], [0.0, 1.0]], "cosine"),
+    ])
+    def test_non_finite_distance_error(self, rows, metric):
+        with np.errstate(all="ignore"), pytest.raises(DataError, match="finite"):
+            hierarchical_cluster(np.array(rows), metric=metric)
 
     def test_zero_row_cosine_error(self):
         with pytest.raises(DataError, match="row 1"):

@@ -946,10 +946,14 @@ class TestCheckpoint:
             lambda h, body: ({**h, "arch": {**h["arch"], "pathway_hidden_sizes": [10**11]}},
                              body),
             lambda h, body: ({**h, "gene_count": 10**12, "gene_names": None}, body),
+            # the two biases have the same shape, so each offset stays in range
+            lambda h, body: ({**h, "tensors": swap_offsets(h["tensors"], "pathway/0/0/b",
+                                                           "pathway/1/0/b")}, body),
         ],
         ids=["format", "not-a-dict", "trailing-bytes", "gene-count", "gene-names", "arch-value",
              "arch-shapes", "mask-bounds", "float-index", "missing-tensor", "tensor-shape",
-             "offset", "huge-encoder-layer", "huge-pathway-layer", "huge-gene-count"],
+             "offset", "huge-encoder-layer", "huge-pathway-layer", "huge-gene-count",
+             "swapped-offsets"],
     )
     def test_damaged_header_is_data_error_naming_path(self, tmp_path, damage):
         path = tmp_path / "m.ckpt"
@@ -978,6 +982,13 @@ class TestCheckpoint:
 
 
 MAGIC = b"PATHAE-CKPT-v1\n"
+
+
+def swap_offsets(tensors, first, second):
+    """A copy of a tensor table with the offsets of two named tensors swapped."""
+    offsets = {t["name"]: t["offset"] for t in tensors}
+    swap = {first: offsets[second], second: offsets[first]}
+    return [{**t, "offset": swap.get(t["name"], t["offset"])} for t in tensors]
 
 
 def split_checkpoint(data):
