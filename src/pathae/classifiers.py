@@ -7,9 +7,12 @@ impurity, sqrt(d) candidate features per node and bootstrapped samples, with
 fully deterministic tie-breaking so a fixed seed reproduces the forest.  The
 trees of one fit grow in lockstep: each keeps its own depth-first stack and
 its own stream, and on every step batched split searches score every
-(feature, threshold) pair of the nodes that all trees are working on.  The
-step's nodes are sorted by size and packed into chunks: a chunk is cut when
-padding it up to the next node would cost more than one more search call.
+(feature, threshold) pair of the nodes that all trees are working on.  A
+tree draws its nodes' candidate features in blocks, one ``integers`` call
+per block, and gets exactly the sets that one ``choice`` call per node
+would give, so the forests are the same bit for bit.  The step's nodes
+are sorted by size and packed into chunks: a chunk is cut when padding it
+up to the next node would cost more than one more search call.
 Below 8 classes the search counts classes class-major, so its array work
 runs along the long threshold axis.  Node ids follow the order in which nodes
 are searched, so they may differ from earlier versions; the trees and the
@@ -98,8 +101,8 @@ def lr_fit(X, y, C: float = 1.0, max_iter: int = 100, tol: float = 1e-6) -> Logi
     k = len(classes)
     if k < 2:
         raise DataError(f"lr_fit needs at least 2 classes, got {k}")
-    if C <= 0:
-        raise ValueError(f"C must be positive, got {C}")
+    if not 0 < C < math.inf:
+        raise ValueError(f"C must be positive and finite, got {C}")
     onehot = np.zeros((n, k))
     onehot[np.arange(n), codes] = 1.0
 
@@ -200,6 +203,9 @@ _SEARCH_BLOCK = 1 << 18
 # of nodes grows to the next larger node unless padding the chunk up to it
 # would add more elements than this.
 _SEARCH_OVERHEAD = 3000
+# Candidate-feature sets drawn per refill of a tree's block: one
+# Generator.integers call per tree and refill (_draw_features)
+_DRAW_BLOCK = 16
 # Below this many classes the search counts classes class-major
 # (_gini_by_class); from 8 terms on numpy sums pairwise, so there the classes
 # stay last and numpy sums them.
@@ -294,6 +300,32 @@ def _gini_by_class(left, total, nl, nr):
     return 1.0 - sum_left, 1.0 - sum_right
 
 
+def _draw_features(streams, d, m):
+    """The next ``_DRAW_BLOCK`` candidate-feature sets of each stream, sorted:
+    an int64 array of shape (len(streams), _DRAW_BLOCK, m).
+
+    Row j of a stream's block is ``np.sort(stream.choice(d, m,
+    replace=False))`` for the stream's j-th such call, and the stream ends
+    where those calls leave it.  With m = ceil(sqrt(d)) ``choice`` always
+    runs Floyd's sample (its other method needs d > 10000 and m > d // 50),
+    then shuffles it: 2m - 1 bounded draws, in [0, h) for h = d - m
+    + 1 .. d, then h = m .. 2, each one Lemire draw.  ``integers`` with the
+    same bounds as an array makes the same draws, so one call per stream
+    makes a whole block.  Floyd's rule then runs on all rows at once: draw k
+    becomes d - m + k when it is already chosen.  The shuffle draws are
+    dropped, since the rows are sorted."""
+    highs = np.concatenate([np.arange(d - m + 1, d + 1), np.arange(m, 1, -1)])
+    tiled = np.tile(highs, _DRAW_BLOCK)
+    draws = np.concatenate([s.integers(0, tiled).reshape(_DRAW_BLOCK, -1)[:, :m]
+                            for s in streams])
+    chosen = np.empty_like(draws)
+    for k in range(m):
+        taken = (chosen[:, :k] == draws[:, k, None]).any(axis=1)
+        chosen[:, k] = np.where(taken, d - m + k, draws[:, k])
+    chosen.sort(axis=1)
+    return chosen.reshape(len(streams), _DRAW_BLOCK, m)
+
+
 def _grow_forest(X, onehot, boots, m_features, rngs):
     """Grow one tree per bootstrap sample, all trees in lockstep, and return
     the node arrays (feature, threshold, left, right, counts); tree t's root
@@ -302,10 +334,17 @@ def _grow_forest(X, onehot, boots, m_features, rngs):
     A node is a leaf when it is pure (this covers fewer than two samples) or
     when its candidate columns are all constant on it.  Each tree keeps a
     depth-first stack of the nodes it has still to search, left child on
-    top.  On every step, each unfinished tree pops one node and draws its
-    candidate features from the tree's own stream, so every tree draws in
-    pre-order, as a recursive grower would.  Batched searches, over chunks
-    of those nodes packed by size (``_pack_by_size``), then split them all."""
+    top.  On every step, each unfinished tree pops one node and takes the
+    next row of its block of candidate-feature draws (``_draw_features``),
+    so every tree draws in pre-order, as a recursive grower would.  A tree's
+    block is refilled from its own stream only when it is used up, and all
+    trees that need a refill on a step are refilled at once.  Batched
+    searches, over chunks of those nodes packed by size (``_pack_by_size``),
+    then split them all.
+
+    Each stream in ``rngs`` is private to one fit and has already drawn its
+    bootstrap sample, so the draws left in a block when its tree is done
+    change nothing."""
     d, k = X.shape[1], onehot.shape[1]
     X = np.vstack([X, np.full(d, np.inf)])  # the sentinel row, last
     onehot = np.vstack([onehot, np.zeros(k)])
@@ -315,14 +354,20 @@ def _grow_forest(X, onehot, boots, m_features, rngs):
     nodes = ([0] * n_trees, [0.0] * n_trees, list(range(n_trees)), list(range(n_trees)), counts)
     stacks = [[(t, boot)] if np.count_nonzero(counts[t]) >= 2 else []
               for t, boot in enumerate(boots)]
+    blocks = np.empty((n_trees, _DRAW_BLOCK, m_features), dtype=np.int64)
+    cursor = np.full(n_trees, _DRAW_BLOCK)  # every block starts used up
     while True:
-        popped = []  # (tree, node, rows, features)
-        for t, stack in enumerate(stacks):
-            if stack:
-                node, rows = stack.pop()
-                popped.append((t, node, rows, rngs[t].choice(d, size=m_features, replace=False)))
+        popped = [(t, *stack.pop()) for t, stack in enumerate(stacks) if stack]
         if not popped:
             return nodes
+        trees = np.array([p[0] for p in popped])
+        refill = trees[cursor[trees] == _DRAW_BLOCK]
+        if len(refill):
+            blocks[refill] = _draw_features([rngs[t] for t in refill.tolist()], d, m_features)
+            cursor[refill] = 0
+        features = blocks[trees, cursor[trees]]
+        cursor[trees] += 1
+        popped = [(*p, f) for p, f in zip(popped, features)]  # (tree, node, rows, features)
         for chunk in _pack_by_size(popped, m_features * k):
             _split_nodes(X, onehot, chunk, stacks, nodes)
 
@@ -350,12 +395,13 @@ def _pack_by_size(popped, per_row):
 def _split_nodes(X, onehot, chunk, stacks, nodes):
     """Search a chunk of nodes padded to the largest one's size, append the
     children of every node that splits to ``nodes``, and push those that are
-    not pure onto their tree's stack, left on top."""
+    not pure onto their tree's stack, left on top.  Each node's features
+    arrive sorted, so ties resolve to the lowest feature index."""
     sizes = [len(c[2]) for c in chunk]
     rows = np.full((len(chunk), max(sizes)), len(X) - 1)
     for b, (_, _, node_rows, _) in enumerate(chunk):
         rows[b, : sizes[b]] = node_rows
-    features = np.sort([c[3] for c in chunk], axis=1)
+    features = np.array([c[3] for c in chunk])
     impurity, feature, threshold, cut, sorted_rows, left_counts, right_counts = _split_search(
         X, onehot, rows, np.array(sizes), features)
     found = (impurity < np.inf).tolist()
@@ -387,8 +433,8 @@ def rf_fit(X, y, n_trees: int = 100, rng=None) -> ForestModel:
     """Bootstrap-aggregated CART trees, grown until pure or fewer than two
     samples, with ceil(sqrt(d)) candidate features per node."""
     X, classes, codes = _fit_inputs(X, y, "rf_fit")
-    if n_trees < 1:
-        raise ValueError(f"n_trees must be at least 1, got {n_trees}")
+    if isinstance(n_trees, bool) or not isinstance(n_trees, (int, np.integer)) or n_trees < 1:
+        raise ValueError(f"n_trees must be an integer of at least 1, got {n_trees!r}")
     n, d = X.shape
     onehot = np.eye(len(classes))[codes]
     rngs = as_stream(rng).spawn(n_trees)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathae import classifiers
 from pathae.classifiers import (
@@ -58,6 +59,12 @@ class TestLogisticRegression:
     def test_single_class_rejected(self):
         with pytest.raises(DataError):
             lr_fit(np.ones((3, 1)), np.array(["a", "a", "a"]))
+
+    @pytest.mark.parametrize("C", [math.nan, math.inf, 0.0, -1.0])
+    def test_non_positive_or_non_finite_c_rejected(self, C):
+        X = np.array([[-1.0], [1.0], [-2.0], [2.0]])
+        with pytest.raises(ValueError, match="C must be positive and finite"):
+            lr_fit(X, np.array(["a", "b", "a", "b"]), C=C)
 
     def test_zero_weight_model_uniform_rows(self):
         model = LogisticModel(np.zeros((2, 3)), np.zeros((1, 3)), np.array(["a", "b", "c"]))
@@ -142,11 +149,17 @@ class TestRandomForest:
         with pytest.raises(DataError):
             rf_fit(np.empty((0, 2)), np.array([]))
 
-    @pytest.mark.parametrize("n_trees", [0, -1])
+    @pytest.mark.parametrize("n_trees", [0, -1, 2.0, True, "3", None])
     def test_no_trees_rejected(self, n_trees):
         X, y = xor_data(n=20, seed=1)
-        with pytest.raises(ValueError, match="n_trees"):
+        with pytest.raises(ValueError, match="n_trees must be an integer of at least 1"):
             rf_fit(X, y, n_trees=n_trees, rng=RngStream(0))
+
+    def test_numpy_integer_tree_count_accepted(self):
+        X, y = xor_data(n=20, seed=1)
+        model = rf_fit(X, y, n_trees=np.int64(2), rng=RngStream(0))
+        assert model.roots.dtype == np.intp
+        assert rf_predict_proba(model, X).shape == (20, 2)
 
     @pytest.mark.parametrize("a, b", [
         (1.0 + 2.0 ** -52, 1.0 + 2.0 ** -51),  # the midpoint rounds up to b
@@ -446,6 +459,39 @@ class TestGrowerMatchesReference:
         for rows in (X, held_out, held_out[:1]):
             want = _reference_predict_proba(trees, len(classes), rows)
             assert rf_predict_proba(got, rows).tobytes() == want.tobytes()
+
+
+def test_deep_case_refills_a_block():
+    """The reference comparison covers a refill: some tree of the
+    ``deep_random_labels`` case searches more nodes than one block holds."""
+    X, y, n_trees = _grower_case("deep_random_labels")
+    model = rf_fit(X, y, n_trees=n_trees, rng=RngStream(13))
+    # every node with two or more classes is searched; the others are pure
+    searched = [sum(np.count_nonzero(counts) >= 2 for _, _, counts in _preorder(tree))
+                for tree in model.trees]
+    assert max(searched) > classifiers._DRAW_BLOCK
+
+
+@settings(max_examples=20)
+@given(d=st.sampled_from([1, 2, 3, 16, 320, 12000]), seed=st.integers(0, 2**32 - 1),
+       n_streams=st.integers(1, 3), blocks=st.integers(2, 3), skip=st.integers(0, 3))
+def test_feature_blocks_match_successive_choice_calls(d, seed, n_streams, blocks, skip):
+    """Each block row is a sorted ``choice(d, ceil(sqrt(d)), replace=False)``
+    of its own stream, and every stream ends where those calls leave it.
+    d = 12000 is past ``choice``'s switch at 10,000, where it still runs
+    Floyd's sample because m <= d // 50."""
+    m = math.ceil(math.sqrt(d))
+    got_rngs, want_rngs = RngStream(seed).spawn(n_streams), RngStream(seed).spawn(n_streams)
+    for rng in got_rngs + want_rngs:
+        rng.integers(0, 7, size=skip)  # an odd count leaves half a 64-bit draw
+    got = np.concatenate([classifiers._draw_features(got_rngs, d, m) for _ in range(blocks)],
+                         axis=1)
+    assert got.dtype == np.int64
+    for got_rng, want_rng, rows in zip(got_rngs, want_rngs, got):
+        want = [np.sort(want_rng.choice(d, size=m, replace=False))
+                for _ in range(blocks * classifiers._DRAW_BLOCK)]
+        assert rows.tolist() == np.array(want).tolist()
+        assert got_rng.integers(0, 1 << 40) == want_rng.integers(0, 1 << 40)
 
 
 @pytest.mark.parametrize("budget", [None, 1 << 13])
