@@ -526,8 +526,10 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
 
 
 def _interpret_inputs(cfg: ExperimentConfig, checkpoint):
-    """The checkpoint and the table on its gene axis: the checkpoint's gene
-    names, or the table's own when it stores none (the counts must agree)."""
+    """(model, table, y, a): the checkpoint, the table on its gene axis (the
+    checkpoint's gene names, or the table's own when it stores none; the
+    counts must agree), and the labels and pathway activities of the labeled
+    samples."""
     model = models.load_checkpoint(checkpoint)
     pipeline.check_space(model.arch.kind, "a")
     table = _load_expression(cfg, cfg.train_expression)
@@ -541,8 +543,9 @@ def _interpret_inputs(cfg: ExperimentConfig, checkpoint):
     labeled, y = _align_labeled(table, label_table)
     norm = dataio.fit_normalizer(labeled, cfg.normalization, offset=cfg.log_offset)
     X = dataio.apply_normalizer(norm, labeled).values
+    del labeled  # a row subset's copy, freed before the forward pass
     a = pipeline.extract_representation(model, X, "a")
-    return model, table, labeled, y, a
+    return model, table, y, a
 
 
 def _top_genes(mask, layers, gene_names, k: int):
@@ -560,7 +563,7 @@ def _columns(ranked, names) -> list[int]:
 
 
 def cmd_interpret(cfg: ExperimentConfig, checkpoint) -> int:
-    model, table, _labeled, y, a = _interpret_inputs(cfg, checkpoint)
+    model, table, y, a = _interpret_inputs(cfg, checkpoint)
     names = model.pathway_names
     run = _RunDir(cfg, "interpret")
     base = f"{cfg.dataset_name}-{model.arch.kind}"
@@ -605,7 +608,7 @@ def cmd_interpret(cfg: ExperimentConfig, checkpoint) -> int:
 
 
 def cmd_survival(cfg: ExperimentConfig, checkpoint) -> int:
-    model, table, labeled, y, a = _interpret_inputs(cfg, checkpoint)
+    model, table, y, a = _interpret_inputs(cfg, checkpoint)
     names = model.pathway_names
     # ranked before the survival cohort's copy of the table exists, so the
     # ranking's temporaries do not add to the command's peak memory

@@ -111,7 +111,14 @@ class ExpressionTable:
         return self.values.shape[1]
 
     def select_samples(self, indices) -> "ExpressionTable":
+        """The table of the given rows, in the given order, its values a C-order
+        copy.  Keeping every row in order of a table whose values are already
+        in C order returns this table itself: pathae never writes a table's
+        ``values`` in place, so the two can share them.  (The order matters:
+        numpy's sums and matmuls may round differently over another layout.)"""
         indices = list(indices)
+        if indices == list(range(self.n_samples)) and self.values.flags.c_contiguous:
+            return self
         return ExpressionTable(
             [self.sample_ids[i] for i in indices],
             list(self.gene_names),
@@ -405,8 +412,11 @@ def apply_normalizer(norm: Normalizer, table: ExpressionTable) -> ExpressionTabl
     if list(table.gene_names) != list(norm.gene_names):
         raise DataError("apply_normalizer: gene axis does not match the fitted normalizer")
     if norm.kind == "zscore":
-        sd = norm.sd
-        out = np.where(sd > 0, (table.values - norm.mean) / np.where(sd > 0, sd, 1.0), 0.0)
+        # (v - mean) / sd, and 0.0 where sd is not > 0, in one owned array
+        flat = ~(norm.sd > 0)
+        out = table.values - norm.mean
+        out /= np.where(flat, 1.0, norm.sd)
+        out[:, flat] = 0.0
         return ExpressionTable(list(table.sample_ids), list(table.gene_names), out, LINEAR)
     if norm.kind == "percentile":
         out = np.empty_like(table.values)

@@ -155,11 +155,15 @@ class ModelParams:
 
 class _Bucket(NamedTuple):
     """Pathways whose sizes fall in one power-of-two range, padded to the
-    largest of them so that layer 0 runs as one batched matmul."""
+    largest of them so that layer 0 runs as one batched matmul.  Layer 0
+    gathers the input and weight blocks from ``x`` and ``W`` themselves, at
+    in-range indices, and then zeroes the pad slots in the gathered blocks."""
 
     pathways: np.ndarray  # (P_b,) pathway indices
-    genes: np.ndarray  # (P_b, m_b) gene columns; pad slots name the zero column gene_count
-    rows: np.ndarray  # (P_b, m_b) layer-0 weight rows; pad slots name the zero row N
+    genes: np.ndarray  # (P_b, m_b) gene columns; pad slots name gene_count
+    columns: np.ndarray  # genes with the pad slots at gene_count - 1, for the gather
+    rows: np.ndarray  # (P_b, m_b) layer-0 weight rows; pad slots name N, a spare gradient row
+    pad: np.ndarray  # (P_b, m_b) bool, True at the pad slots
 
 
 def _layer0_buckets(masks: list[PathwayMask], gene_count: int) -> list[_Bucket]:
@@ -175,7 +179,10 @@ def _layer0_buckets(masks: list[PathwayMask], gene_count: int) -> list[_Bucket]:
         for r, j in enumerate(members):
             genes[r, : sizes[j]] = masks[j].indices
             rows[r, : sizes[j]] = np.arange(offsets[j], offsets[j + 1])
-        buckets.append(_Bucket(np.asarray(members, dtype=np.intp), genes, rows))
+        buckets.append(
+            _Bucket(np.asarray(members, dtype=np.intp), genes, np.minimum(genes, gene_count - 1),
+                    rows, genes == gene_count)
+        )
     return buckets
 
 
@@ -321,38 +328,40 @@ def _layers_forward(h, layers, rate, uniform, layer0=_affine):
     Runs dense (B, in) and pathway (P, B, in) stacks alike.  ``uniform(shape)``
     draws the dropout uniforms, None when dropout is off; ``layer0(x, W, b)``
     is layer 0's affine map, returning (output, input for the gradient).
-    Every array a layer writes in place is one it allocated itself."""
+    Each layer caches (input for the gradient, mask): for a hidden layer the
+    mask is the bool ``pre > 0`` without dropout and ``drop * (pre > 0)``
+    with it, where ``drop`` is the scaled keep mask; the final layer's mask
+    is None.  Every array a layer writes in place is one it allocated itself."""
     caches = []
     last = len(layers) - 1
     for i, (W, b) in enumerate(layers):
         h, lin_in = (layer0 if i == 0 else _affine)(h, W, b)
+        mask = None
         if i < last:
-            pre = h
-            h = np.maximum(0.0, h)
-            mask = None
+            mask = h > 0.0
+            np.maximum(0.0, h, out=h)
             if uniform is not None:
-                mask = (uniform(h.shape) >= rate) / (1.0 - rate)
-                h *= mask
-            caches.append((lin_in, pre, mask))
-        else:
-            caches.append((lin_in, None, None))
+                drop = (uniform(h.shape) >= rate) / (1.0 - rate)
+                h *= drop
+                drop *= mask
+                mask = drop
+        caches.append((lin_in, mask))
     return h, caches
 
 
 def _layers_backward(g, layers, caches, layer0_grads=None):
     """(input gradient, [(gW, gb), ...]) of a _layers_forward stack.  A given
     ``layer0_grads(lin_in, g)`` computes layer 0's pair instead, and no input
-    gradient is formed (None is returned for it).  The upstream ``g`` is
-    never written; below the last layer g is this loop's own array."""
+    gradient is formed (None is returned for it).  Below the last layer the
+    gradient is multiplied by the cached mask, ``g *= mask``.  The upstream
+    ``g`` is never written; below the last layer g is this loop's own array."""
     grads = [None] * len(layers)
     last = len(layers) - 1
     for i in range(last, -1, -1):
         W, _b = layers[i]
-        lin_in, pre, mask = caches[i]
+        lin_in, mask = caches[i]
         if i < last:
-            if mask is not None:
-                g *= mask
-            g *= pre > 0.0
+            g *= mask
         if i == 0 and layer0_grads is not None:
             grads[0] = layer0_grads(lin_in, g)
             return None, grads
@@ -403,12 +412,18 @@ def _pathway_forward_cached(model, x, training, rng):
         uniform = lambda shape: next(per_layer).reshape(shape)
 
     def layer0(x, W, b):
-        x_pad = np.concatenate([x, np.zeros((n, 1))], axis=1)
-        W_pad = np.concatenate([W, np.zeros((1, W.shape[1]))])
-        blocks = [x_pad[:, bk.genes].transpose(1, 0, 2) for bk in model._buckets]
+        blocks = []
         h = np.empty((n_pw, n, W.shape[1]))
-        for bk, xb in zip(model._buckets, blocks):
-            h[bk.pathways] = xb @ W_pad[bk.rows]
+        for bk in model._buckets:
+            # (P_b, m_b, B) in memory whatever x's order, so that the
+            # matmul's bytes do not depend on it
+            xb = x.T[bk.columns]
+            xb[bk.pad] = 0.0
+            Wb = np.take(W, bk.rows, axis=0, mode="clip")
+            Wb[bk.pad] = 0.0
+            xb = xb.transpose(0, 2, 1)
+            h[bk.pathways] = xb @ Wb
+            blocks.append(xb)
         h += b[:, None, :]
         return h, blocks
 
@@ -666,6 +681,9 @@ def fit(model: Model, X, config: TrainConfig, rng=None) -> list[float]:
                 if not np.isfinite(value):
                     raise TrainingDiverged(epoch, value)
                 adam_step(params, grads, state, config.learning_rate)
+                # so that this step's caches and gradients are freed before
+                # the next step's forward allocates its own
+                del outs, grads
             except TrainingDiverged:
                 raise
             except NumericError as exc:

@@ -8,7 +8,9 @@ split search, the unpenalized logistic data loss and the composite model
 loss below are kept only as slow, plain references for that code.
 ``hierarchical_cluster`` is the clustering that deletes each merged row and
 column from a shrinking matrix; ``pathae.interpret`` keeps the matrix at
-full size instead.
+full size instead.  ``zscore_values`` is the zscore normalizer as one
+``np.where`` over two full-size temporaries; ``pathae.dataio`` forms the
+same values in one owned array.
 """
 
 from __future__ import annotations
@@ -166,3 +168,9 @@ def hierarchical_cluster(rows, metric: str = "cosine") -> ClusterTree:
         return order(a) + order(b)
 
     return ClusterTree(merges=merges, leaf_order=order(next_id - 1), n_leaves=n)
+
+
+def zscore_values(values, mean, sd) -> np.ndarray:
+    """(values - mean) / sd per column, and 0.0 in the columns whose sd is
+    not > 0."""
+    return np.where(sd > 0, (values - mean) / np.where(sd > 0, sd, 1.0), 0.0)

@@ -5,6 +5,7 @@ import contextlib
 import csv
 import io
 import json
+import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import fields
 from pathlib import Path
@@ -17,7 +18,10 @@ import pathae.pipeline
 from pathae.cli import (
     INI_KEYS, PARSERS, ExperimentConfig, _RunDir, build_parser, ini_field, load_config, main,
 )
-from pathae.models import build_model, count_params, load_checkpoint, save_checkpoint
+from pathae.dataio import load_expression_tsv, parse_gmt, resolve_pathways
+from pathae.models import (
+    ArchitectureConfig, build_model, count_params, load_checkpoint, save_checkpoint,
+)
 from pathae.ndcore import RngStream
 from pathae.pipeline import REPORT_CSV_COLUMNS
 
@@ -591,6 +595,35 @@ class TestInterpret:
         cut.write_bytes(data[: len(data) // 2])
         cfg = write_config(tmp_path / "c.ini", fixture_dir, tmp_path / "run")
         assert main([command, "-c", cfg, "--checkpoint", str(cut)]) == 2
+
+
+class TestReadPathMemory:
+    def test_interpret_peak_is_under_four_and_a_half_tables(self, tmp_path):
+        """interpret holds the table, its normalized copy and the layer-0
+        blocks (0.9 of a table here) at its peak, not the row-selected and
+        zero-padded copies it once made: about 3.8 tables' bytes, against
+        5.8 before."""
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--seed", "3", "--pathways", "16",
+                     "--genes", "800", "--background", "80", "--n-train", "120",
+                     "--n-test", "10"]) == 0
+        table = load_expression_tsv(str(data / "train_expression.tsv"))
+        masks, _ = resolve_pathways(parse_gmt(str(data / "pathways.gmt")), table.gene_names)
+        arch = ArchitectureConfig(kind="paae", encoder_layer_sizes=[16], pathway_hidden_sizes=[8])
+        model = build_model(arch, table.n_genes, masks, RngStream(0),
+                            gene_names=list(table.gene_names))
+        save_checkpoint(model, tmp_path / "m.ckpt")
+        table_bytes = table.values.nbytes
+        del table, model
+        tracemalloc.start()
+        try:
+            rc = main(["interpret", "-c", str(data / "config.ini"), "--checkpoint",
+                       str(tmp_path / "m.ckpt"), "--output", str(tmp_path / "run")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 4.5 * table_bytes
 
 
 class TestSurvival:

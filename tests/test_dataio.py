@@ -5,7 +5,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pathae.dataio import (
     ExpressionTable,
@@ -31,6 +31,8 @@ from pathae.dataio import (
 from pathae.errors import ConfigError, DataError, ParseError
 from pathae.ndcore import RngStream
 from pathae.synth import _write_expression, make_synthetic, write_fixture
+
+from reference import zscore_values
 
 
 def write(path, text):
@@ -387,7 +389,76 @@ def _columns_table(columns):
                            [f"g{j}" for j in range(values.shape[1])], values)
 
 
+class TestSelectSamples:
+    """pathae never writes a table's ``values`` in place (no ``values[...] =``,
+    augmented assignment or ``out=values`` anywhere in the package), so a
+    selection that keeps every row in order may share them."""
+
+    def _table(self, values):
+        return ExpressionTable([f"s{i}" for i in range(values.shape[0])],
+                               [f"g{j}" for j in range(values.shape[1])], values)
+
+    def test_all_rows_in_order_is_the_same_table(self):
+        t = self._table(RngStream(0).normal(size=(5, 3)))
+        assert t.select_samples(range(5)) is t
+        assert t.select_samples([0, 1, 2, 3, 4]) is t
+
+    @pytest.mark.parametrize("indices", [[0, 2, 4], [4, 3, 2, 1, 0], [1, 0, 2, 3, 4], []])
+    def test_other_selections_are_copies(self, indices):
+        t = self._table(RngStream(0).normal(size=(5, 3)))
+        sub = t.select_samples(indices)
+        assert sub is not t
+        assert not np.shares_memory(sub.values, t.values)
+        assert sub.sample_ids == [t.sample_ids[i] for i in indices]
+        np.testing.assert_array_equal(sub.values, t.values[indices])
+
+    def test_all_rows_of_a_non_c_order_table_are_a_c_order_copy(self):
+        # the copy's layout is what sums and matmuls downstream see
+        t = self._table(np.asfortranarray(RngStream(0).normal(size=(5, 3))))
+        sub = t.select_samples(range(5))
+        assert sub is not t and sub.values.flags.c_contiguous
+        np.testing.assert_array_equal(sub.values, t.values)
+
+
+# a cell: either signed zero, or a signed magnitude from 1e-300 to 1e300
+_WIDE_CELLS = st.one_of(
+    st.sampled_from([0.0, -0.0]),
+    st.builds(lambda sign, mant, exp: sign * mant * 10.0 ** exp, st.sampled_from([-1.0, 1.0]),
+              st.floats(1.0, 9.99), st.integers(-300, 299)),
+)
+
+
+@st.composite
+def _wide_tables(draw):
+    """Columns of wide-range cells, some constant (sd = 0)."""
+    n = draw(st.integers(1, 6))
+    cols = []
+    for _ in range(draw(st.integers(1, 5))):
+        if draw(st.booleans()):
+            cols.append([draw(_WIDE_CELLS)] * n)
+        else:
+            cols.append(draw(st.lists(_WIDE_CELLS, min_size=n, max_size=n)))
+    values = np.array(cols, dtype=np.float64).T
+    return ExpressionTable([f"s{i}" for i in range(n)], [f"g{j}" for j in range(len(cols))],
+                           values)
+
+
 class TestNormalizerProperties:
+    @settings(max_examples=40)
+    @given(_wide_tables())
+    @example(ExpressionTable(["a", "b", "c"], ["const", "zeros", "wide"],
+                             [[0.5, 0.0, 1e300], [0.5, -0.0, -1e-300], [0.5, 0.0, 3e-300]]))
+    def test_zscore_bytes_equal_the_where_expression(self, t):
+        with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+            norm = fit_normalizer(t, "zscore")
+            expected = zscore_values(t.values, norm.mean, norm.sd)
+            if not np.isfinite(expected).all():
+                with pytest.raises(DataError):
+                    apply_normalizer(norm, t)
+                return
+            out = apply_normalizer(norm, t).values
+        assert out.tobytes() == expected.tobytes()
+
     @given(_QUARTER_COLUMNS)
     def test_zscore_centres_and_scales(self, columns):
         t = _columns_table(columns)

