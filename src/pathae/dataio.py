@@ -196,6 +196,23 @@ def _read_delimited(path, delimiter=None):
             yield lineno, line.split(delimiter)
 
 
+def _count_lines(path, chunk_size: int = 1 << 16) -> int:
+    """The number of lines _read_delimited's text mode sees, blank ones
+    included: each \\n, \\r or \\r\\n ends one, and so does the end of a file
+    whose last line has no newline.  Read in binary chunks; the \\n are
+    counted by numpy, and the \\r only in a chunk that has one."""
+    count, last = 0, b"\n"
+    with open(path, "rb") as fh:
+        while chunk := fh.read(chunk_size):
+            count += int(np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n")))
+            if b"\r" in chunk:
+                count += chunk.count(b"\r") - chunk.count(b"\r\n")
+            if last == b"\r" and chunk[:1] == b"\n":
+                count -= 1  # a \r\n split between two chunks
+            last = chunk[-1:]
+    return count + (last not in (b"\n", b"\r"))
+
+
 def _read_table(path, columns=(), delimiter=None):
     """Read a table whose first non-empty line is its header.
 
@@ -246,7 +263,10 @@ def load_expression_tsv(
     if isinstance(scale, str):
         scale = Scale.parse(scale)
     header, _, lines = _read_table(path, delimiter=delimiter)
-    rows = []
+    # one array for the whole table, with a row for every line after the
+    # header; blank lines, which the reader skips, leave rows unused
+    values = np.empty((max(_count_lines(path) - 1, 0), len(header) - 1))
+    row_ids = []
     for lineno, fields in lines:
         try:
             numeric = np.array(fields[1:], dtype=np.float64)
@@ -255,12 +275,12 @@ def load_expression_tsv(
             ok = False
         if not ok:
             numeric = _parse_cells(path, lineno, fields[1:])
-        rows.append((fields[0], numeric))
-    if not rows:
+        values[len(row_ids)] = numeric
+        row_ids.append(fields[0])
+    if not row_ids:
         raise ParseError(f"{path}: no data rows")
+    values = values[: len(row_ids)]
     col_ids = header[1:]
-    row_ids = [r for r, _ in rows]
-    values = np.vstack([v for _, v in rows])
     if orientation == "genes_as_rows":
         sample_ids, gene_names = col_ids, row_ids
         values = values.T

@@ -12,7 +12,9 @@ and sample z with the reparameterization trick during training; at inference
 they use mu and dropout is disabled everywhere.
 
 Training is plain mini-batch Adam over hand-derived backprop; there is no
-autodiff anywhere in the package.
+autodiff anywhere in the package.  ``fit`` runs its steps in one workspace
+of buffers made before the first step (see _Workspace); inference keeps no
+caches for a backward pass.
 """
 
 from __future__ import annotations
@@ -157,13 +159,16 @@ class _Bucket(NamedTuple):
     """Pathways whose sizes fall in one power-of-two range, padded to the
     largest of them so that layer 0 runs as one batched matmul.  Layer 0
     gathers the input and weight blocks from ``x`` and ``W`` themselves, at
-    in-range indices, and then zeroes the pad slots in the gathered blocks."""
+    in-range indices, and then zeroes the pad slots in the gathered blocks.
+    The pathway stage runs with its pathways in bucket order, so that a
+    bucket's rows of every activation are the contiguous ``span``."""
 
     pathways: np.ndarray  # (P_b,) pathway indices
     genes: np.ndarray  # (P_b, m_b) gene columns; pad slots name gene_count
     columns: np.ndarray  # genes with the pad slots at gene_count - 1, for the gather
     rows: np.ndarray  # (P_b, m_b) layer-0 weight rows; pad slots name N, a spare gradient row
     pad: np.ndarray  # (P_b, m_b) bool, True at the pad slots
+    span: slice  # the bucket's rows in bucket order
 
 
 def _layer0_buckets(masks: list[PathwayMask], gene_count: int) -> list[_Bucket]:
@@ -171,6 +176,7 @@ def _layer0_buckets(masks: list[PathwayMask], gene_count: int) -> list[_Bucket]:
     offsets = np.cumsum([0] + sizes)
     keys = [(s - 1).bit_length() for s in sizes]
     buckets = []
+    start = 0
     for key in sorted(set(keys)):
         members = [j for j, k in enumerate(keys) if k == key]
         width = max(sizes[j] for j in members)
@@ -181,8 +187,9 @@ def _layer0_buckets(masks: list[PathwayMask], gene_count: int) -> list[_Bucket]:
             rows[r, : sizes[j]] = np.arange(offsets[j], offsets[j + 1])
         buckets.append(
             _Bucket(np.asarray(members, dtype=np.intp), genes, np.minimum(genes, gene_count - 1),
-                    rows, genes == gene_count)
+                    rows, genes == gene_count, slice(start, start + len(members)))
         )
+        start += len(members)
     return buckets
 
 
@@ -201,6 +208,11 @@ class Model:
     @cached_property
     def _buckets(self) -> list[_Bucket]:
         return _layer0_buckets(self.masks, self.gene_count)
+
+    @cached_property
+    def _bucket_order(self) -> np.ndarray:
+        """The pathway indices in bucket order."""
+        return np.concatenate([bk.pathways for bk in self._buckets])
 
 
 @dataclass
@@ -312,49 +324,168 @@ def build_model(
 # ---------------------------------------------------------------------------
 
 
-def _affine(x, W, b):
-    h = x @ W
-    h += b
-    return h, x
+class _Workspace:
+    """The buffers of one fit, in one allocation that every step reuses.
+
+    ``get(slot, shape)`` returns a slot's leading elements as a C-order array
+    of that shape, so the last, shorter batch runs in leading slices of
+    buffers sized by the full batch.  Arrays whose lifetimes do not overlap
+    share a slot:
+
+    - ``"x"``: the batch.
+    - ``"scratch"``: the batch transposed for the layer-0 gather, then the
+      pathway stage's dropout uniforms, then the squared error of the loss.
+    - ``(stack, i)``: layer i's output; in the backward pass, the gradient
+      with respect to it.  The decoder's last is x_hat, then the MSE gradient.
+    - ``(stack, "mask", i)`` and ``(stack, "drop", i)``: hidden layer i's
+      ReLU mask and scaled keep mask.  The pathway stage keeps all its keep
+      masks in ``("pathway", "drop")``.
+    - ``("block", k)``: bucket k's layer-0 input block.
+    - ``"wblock"``: a bucket's layer-0 weight block, then its weight gradient.
+    - ``"a"``: the pathway activities.
+
+    The slots are sized from the model's layer shapes before the first step
+    (``for_fit``), so that the fit makes one allocation and releases it in
+    one piece.  A request the sizes do not cover gets an array of its own,
+    kept in the slot, and is counted in ``misses``.
+    """
+
+    def __init__(self, sizes: dict):
+        """``sizes`` maps (slot, dtype) to the slot's length in elements."""
+        nbytes = [n * np.dtype(dtype).itemsize for (_, dtype), n in sizes.items()]
+        starts = np.cumsum([0] + [-(-b // 64) * 64 for b in nbytes])  # 64-byte aligned
+        arena = np.empty(int(starts[-1]), np.uint8)
+        self._flat = {
+            key: arena[start : start + b].view(key[1])
+            for key, start, b in zip(sizes, starts, nbytes)
+        }
+        self.misses = 0
+
+    @classmethod
+    def for_fit(cls, model: Model, rows: int) -> "_Workspace":
+        """A workspace for training steps of up to ``rows`` rows."""
+        arch = model.arch
+        sizes = {}
+
+        def need(slot, n, dtype=np.float64):
+            sizes[slot, dtype] = max(sizes.get((slot, dtype), 0), n)
+
+        def stack(name, layers, rows, dropout):
+            widths = [w[-1] for w, _ in layers]
+            for i, w in enumerate(widths):
+                need((name, i), rows * w)
+                if i < len(widths) - 1:
+                    need((name, "mask", i), rows * w, bool)
+                    if dropout:
+                        need((name, "drop", i), rows * w)
+
+        pathway, encoder, decoder, _ = _layer_shapes(arch, model.gene_count, model.masks)
+        dropout = arch.dropout_rate > 0.0
+        need("x", rows * model.gene_count)
+        need("scratch", rows * model.gene_count)
+        if pathway:
+            n_pw = len(model.masks)
+            hidden = sum(arch.pathway_hidden_sizes)
+            for k, bk in enumerate(model._buckets):
+                need(("block", k), bk.columns.size * rows)
+                need("wblock", bk.rows.size * pathway[0][0][1])
+            if dropout and hidden:
+                need("scratch", n_pw * rows * hidden)
+                need(("pathway", "drop"), n_pw * rows * hidden)
+            stack("pathway", pathway, n_pw * rows, False)
+            need("a", rows * n_pw)
+        stack("encoder", encoder, rows, dropout)
+        stack("decoder", decoder, rows, dropout)
+        return cls(sizes)
+
+    def get(self, slot, shape, dtype=np.float64):
+        size = math.prod(shape)
+        flat = self._flat.get((slot, dtype))
+        if flat is None or flat.size < size:
+            self.misses += 1
+            flat = self._flat[slot, dtype] = np.empty(size, dtype)
+        return flat[:size].reshape(shape)
+
+    def column_blocks(self, x, buckets):
+        """Each bucket's (P_b, m_b, B) block of x's columns, in its slot.
+
+        np.take buffers its output unless mode is "clip" or "wrap", and it
+        first copies a source that is not C-contiguous, such as x.T (7.7 MB
+        on a 300 x 3200 table).  So the blocks are taken from a C-order copy
+        of x.T, made once in the scratch slot."""
+        xT = self.get("scratch", x.shape[::-1])
+        np.copyto(xT, x.T)
+        for k, bk in enumerate(buckets):
+            out = self.get(("block", k), bk.columns.shape + (x.shape[0],))
+            yield np.take(xT, bk.columns, axis=0, mode="clip", out=out)
+
+
+class _Fresh:
+    """The workspace of a lone forward, loss_and_grads or inference call: a
+    new array per request, freed with its last reference."""
+
+    @staticmethod
+    def get(slot, shape, dtype=np.float64):
+        return np.empty(shape, dtype)
+
+    @staticmethod
+    def column_blocks(x, buckets):
+        """Each bucket's (P_b, m_b, B) block of x's columns, a new C-order
+        array; indexing x.T reads x where it is, with no copy of it."""
+        for bk in buckets:
+            yield x.T[bk.columns]
 
 
 def _affine_grads(lin_in, g):
     return np.swapaxes(lin_in, -1, -2) @ g, g.sum(axis=-2, keepdims=True)
 
 
-def _layers_forward(h, layers, rate, uniform, layer0=_affine):
+def _layers_forward(h, layers, ws, stack, drop_of=None, keep=False, layer0=None):
     """Hidden layers: affine -> ReLU -> dropout. Final layer: affine only.
 
-    Runs dense (B, in) and pathway (P, B, in) stacks alike.  ``uniform(shape)``
-    draws the dropout uniforms, None when dropout is off; ``layer0(x, W, b)``
-    is layer 0's affine map, returning (output, input for the gradient).
-    Each layer caches (input for the gradient, mask): for a hidden layer the
-    mask is the bool ``pre > 0`` without dropout and ``drop * (pre > 0)``
-    with it, where ``drop`` is the scaled keep mask; the final layer's mask
-    is None.  Every array a layer writes in place is one it allocated itself."""
-    caches = []
+    Runs dense (B, in) and pathway (P, B, in) stacks alike, layer i's output
+    in the workspace slot ``(stack, i)``.  ``drop_of(i, shape)`` gives hidden
+    layer i's scaled keep mask, and is None when dropout is off;
+    ``layer0(x, W, b, keep)`` replaces layer 0's affine map, returning
+    (output, input for the gradient).  With ``keep`` each layer caches
+    (input for the gradient, mask): for a hidden layer the mask is the bool
+    ``pre > 0`` without dropout and ``drop * (pre > 0)`` with it; the final
+    layer's mask is None.  Without ``keep`` no mask is formed and the caches
+    are None, as inference runs no backward pass."""
+    caches = [] if keep else None
     last = len(layers) - 1
     for i, (W, b) in enumerate(layers):
-        h, lin_in = (layer0 if i == 0 else _affine)(h, W, b)
+        if i == 0 and layer0 is not None:
+            out, lin_in = layer0(h, W, b, keep)
+        else:
+            out = np.matmul(h, W, out=ws.get((stack, i), h.shape[:-1] + W.shape[-1:]))
+            out += b
+            lin_in = h
+        h = out
         mask = None
         if i < last:
-            mask = h > 0.0
+            if keep:
+                mask = np.greater(h, 0.0, out=ws.get((stack, "mask", i), h.shape, bool))
             np.maximum(0.0, h, out=h)
-            if uniform is not None:
-                drop = (uniform(h.shape) >= rate) / (1.0 - rate)
+            if drop_of is not None:
+                drop = drop_of(i, h.shape)
                 h *= drop
-                drop *= mask
-                mask = drop
-        caches.append((lin_in, mask))
+                if keep:
+                    drop *= mask
+                    mask = drop
+        if keep:
+            caches.append((lin_in, mask))
     return h, caches
 
 
-def _layers_backward(g, layers, caches, layer0_grads=None):
+def _layers_backward(g, layers, caches, ws, stack, layer0_grads=None):
     """(input gradient, [(gW, gb), ...]) of a _layers_forward stack.  A given
     ``layer0_grads(lin_in, g)`` computes layer 0's pair instead, and no input
     gradient is formed (None is returned for it).  Below the last layer the
-    gradient is multiplied by the cached mask, ``g *= mask``.  The upstream
-    ``g`` is never written; below the last layer g is this loop's own array."""
+    gradient is multiplied by the cached mask, ``g *= mask``.  The gradient
+    with respect to layer i's output goes into its slot ``(stack, i)``: that
+    output, layer i + 1's input, has just been read for the last time.  The
+    upstream ``g`` is never written."""
     grads = [None] * len(layers)
     last = len(layers) - 1
     for i in range(last, -1, -1):
@@ -366,20 +497,29 @@ def _layers_backward(g, layers, caches, layer0_grads=None):
             grads[0] = layer0_grads(lin_in, g)
             return None, grads
         grads[i] = _affine_grads(lin_in, g)
+        out = ws.get((stack, i - 1), lin_in.shape) if i > 0 else None
         if W.shape[-1] == 1:
             # one product per element; einsum, like matmul, adds it to a zero,
             # so a -0.0 product comes out +0.0 as matmul's does
-            g = np.einsum("...bk,...ik->...bi", g, W)
+            g = np.einsum("...bk,...ik->...bi", g, W, out=out)
         else:
-            g = g @ np.swapaxes(W, -1, -2)
+            g = np.matmul(g, np.swapaxes(W, -1, -2), out=out)
     return g, grads
 
 
-def _dense_uniform(model: Model, training, rng):
-    """Dropout source of the dense stacks: a fresh draw per layer."""
-    if training and model.arch.dropout_rate > 0.0:
-        return rng.random
-    return None
+def _keep_mask(u, rate):
+    """The scaled keep mask ``(u >= rate) / (1 - rate)`` of uniforms u, in u."""
+    np.greater_equal(u, rate, out=u)
+    u /= 1.0 - rate
+    return u
+
+
+def _dense_dropout(model: Model, training, rng, ws, stack):
+    """Dropout of a dense stack: a fresh draw per hidden layer."""
+    rate = model.arch.dropout_rate
+    if not (training and rate > 0.0):
+        return None
+    return lambda i, shape: _keep_mask(rng.random(out=ws.get((stack, "drop", i), shape)), rate)
 
 
 def _as_input(x, width: int, what: str) -> np.ndarray:
@@ -394,67 +534,99 @@ def pathway_activity_forward(model: Model, x, training=False, rng=None):
     if not is_pathway_kind(model.arch.kind):
         raise ConfigError(f"{model.arch.kind} has no pathway activity space")
     x = _as_input(x, model.gene_count, "input")
-    a, _ = _pathway_forward_cached(model, x, training, as_stream(rng))
-    return a
+    return _pathway_forward(model, x, training, as_stream(rng), _Fresh, keep=False)[0]
 
 
-def _pathway_forward_cached(model, x, training, rng):
-    """Pathway stage on the packed tensors: one batched matmul per layer, and
-    per size bucket for layer 0.  Dropout for the whole stage is one uniform
-    draw, sliced so that each pathway and layer gets the values the
-    pathway-by-pathway, layer-by-layer order would give it."""
+def _pathway_forward(model, x, training, rng, ws, keep):
+    """Pathway stage on the packed tensors, its pathways in bucket order: one
+    batched matmul per layer, and per size bucket for layer 0.  Returns the
+    (B, P) activities in pathway order and, with ``keep``, the cache of the
+    backward pass: (the stage's layers in bucket order, their caches).
+    Dropout for the whole stage is one uniform draw in pathway order, sliced
+    so that each pathway and layer gets the values the pathway-by-pathway,
+    layer-by-layer order would give it."""
     n, n_pw = x.shape[0], len(model.masks)
     widths = model.arch.pathway_hidden_sizes
-    uniform = None
-    if training and model.arch.dropout_rate > 0.0 and widths:
-        draws = rng.random((n_pw, n * sum(widths)))
-        per_layer = iter(np.split(draws, np.cumsum([n * w for w in widths[:-1]]), axis=1))
-        uniform = lambda shape: next(per_layer).reshape(shape)
+    rate = model.arch.dropout_rate
+    order = model._bucket_order
+    (W0, b0), *later = model.params.pathway
+    layers = [(W0, b0[order])] + [(W[order], b[order]) for W, b in later]
 
-    def layer0(x, W, b):
+    drop_of = None
+    if training and rate > 0.0 and widths:
+        drops = []
+
+        def drop_of(i, shape):
+            if not drops:  # drawn after layer 0's gather, done with the scratch slot
+                draws = rng.random(out=ws.get("scratch", (n_pw, n * sum(widths))))
+                keep_masks = np.take(draws, order, axis=0, mode="clip",
+                                     out=ws.get(("pathway", "drop"), draws.shape))
+                _keep_mask(keep_masks, rate)
+                drops.extend(np.split(keep_masks, np.cumsum([n * w for w in widths[:-1]]), axis=1))
+            return drops[i].reshape(shape)
+
+    def layer0(x, W, b, keep):
+        h = ws.get(("pathway", 0), (n_pw, n, W.shape[1]))
         blocks = []
-        h = np.empty((n_pw, n, W.shape[1]))
-        for bk in model._buckets:
-            # (P_b, m_b, B) in memory whatever x's order, so that the
-            # matmul's bytes do not depend on it
-            xb = x.T[bk.columns]
+        for bk, xb in zip(model._buckets, ws.column_blocks(x, model._buckets)):
             xb[bk.pad] = 0.0
-            Wb = np.take(W, bk.rows, axis=0, mode="clip")
+            Wb = np.take(W, bk.rows, axis=0, mode="clip",
+                         out=ws.get("wblock", bk.rows.shape + W.shape[1:]))
             Wb[bk.pad] = 0.0
-            xb = xb.transpose(0, 2, 1)
-            h[bk.pathways] = xb @ Wb
-            blocks.append(xb)
+            # the block is (P_b, m_b, B) in memory whatever x's order, so
+            # that the matmul's bytes do not depend on it
+            np.matmul(xb.transpose(0, 2, 1), Wb, out=h[bk.span])
+            if keep:
+                blocks.append(xb)
+            del xb, Wb  # without keep, each block goes after its matmul
         h += b[:, None, :]
         return h, blocks
 
-    h, caches = _layers_forward(x, model.params.pathway, model.arch.dropout_rate, uniform, layer0)
-    return np.ascontiguousarray(h[:, :, 0].T), caches
+    h, caches = _layers_forward(x, layers, ws, "pathway", drop_of, keep, layer0)
+    a = ws.get("a", (n, n_pw))
+    a[:, order] = h[:, :, 0].T
+    return a, ((layers, caches) if keep else None)
 
 
-def _pathway_backward(model, grad_a, caches):
-    """Gradients of the packed pathway tensors given dL/da of shape (B, P)."""
-    W0 = model.params.pathway[0][0]
+def _pathway_backward(model, grad_a, cache, ws):
+    """Gradients of the packed pathway tensors, in pathway order, given dL/da
+    of shape (B, P) and the cache of _pathway_forward."""
+    layers, caches = cache
+    order = model._bucket_order
+    W0 = layers[0][0]
 
     def layer0_grads(blocks, g):
         gW = np.empty((W0.shape[0] + 1, W0.shape[1]))  # the last row takes the pad slots
         for bk, xb in zip(model._buckets, blocks):
-            gW[bk.rows] = xb.transpose(0, 2, 1) @ g[bk.pathways]
+            gW[bk.rows] = np.matmul(xb, g[bk.span],
+                                    out=ws.get("wblock", bk.rows.shape + W0.shape[1:]))
         return gW[:-1], g.sum(axis=1)
 
-    g = np.ascontiguousarray(grad_a.T)[:, :, None]
-    return _layers_backward(g, model.params.pathway, caches, layer0_grads)[1]
+    g = np.ascontiguousarray(grad_a.T[order])[:, :, None]
+    grads = _layers_backward(g, layers, caches, ws, "pathway", layer0_grads)[1]
+    # layer 0's weight rows are in pathway order already; the rest are not
+    return [
+        (gW if i == 0 else _in_pathway_order(gW, order), _in_pathway_order(gb, order))
+        for i, (gW, gb) in enumerate(grads)
+    ]
+
+
+def _in_pathway_order(t, order):
+    out = np.empty_like(t)
+    out[order] = t
+    return out
 
 
 def encode(model: Model, inp, training=False, rng=None):
     """Latent encoder. Returns z for deterministic kinds, (mu, logvar) for
     variational kinds (the final layer is split into halves)."""
     inp = _as_input(inp, model.params.encoder[0][0].shape[0], "encoder input")
-    out, _ = _encode_cached(model, inp, _dense_uniform(model, training, as_stream(rng)))
-    return out
+    drop_of = _dense_dropout(model, training, as_stream(rng), _Fresh, "encoder")
+    return _encode(model, inp, drop_of, _Fresh, keep=False)[0]
 
 
-def _encode_cached(model, inp, uniform):
-    h, cache = _layers_forward(inp, model.params.encoder, model.arch.dropout_rate, uniform)
+def _encode(model, inp, drop_of, ws, keep):
+    h, cache = _layers_forward(inp, model.params.encoder, ws, "encoder", drop_of, keep)
     if is_variational(model.arch.kind):
         d = model.arch.latent_dim
         return (h[:, :d], h[:, d:]), cache
@@ -478,40 +650,47 @@ def reparameterize(mu, logvar, rng=None, eps=None):
 
 def decode(model: Model, z, training=False, rng=None):
     z = _as_input(z, model.arch.latent_dim, "latent input")
-    uniform = _dense_uniform(model, training, as_stream(rng))
-    return _layers_forward(z, model.params.decoder, model.arch.dropout_rate, uniform)[0]
+    drop_of = _dense_dropout(model, training, as_stream(rng), _Fresh, "decoder")
+    return _layers_forward(z, model.params.decoder, _Fresh, "decoder", drop_of)[0]
 
 
 def forward(model: Model, x, training=False, rng=None) -> ForwardOutputs:
-    """Full forward pass; caches are kept for the matching backward pass.
+    """Full forward pass.  Training keeps the caches of the matching backward
+    pass; inference (training=False) keeps none, so ``caches`` is None, and
+    each layer-0 block is freed after its matmul.
 
-    Inference (training=False) disables dropout and uses mu as z for
-    variational kinds, so repeated calls are deterministic.
+    Inference disables dropout and uses mu as z for variational kinds, so
+    repeated calls are deterministic.
     """
-    rng = as_stream(rng)
     x = _as_input(x, model.gene_count, "input")
-    uniform = _dense_uniform(model, training, rng)
+    return _forward(model, x, training, as_stream(rng), _Fresh)
+
+
+def _forward(model, x, training, rng, ws) -> ForwardOutputs:
+    """forward on a checked input, its arrays taken from the workspace ``ws``."""
     caches = {}
     a = None
     enc_in = x
     if is_pathway_kind(model.arch.kind):
-        a, caches["pathway"] = _pathway_forward_cached(model, x, training, rng)
+        a, caches["pathway"] = _pathway_forward(model, x, training, rng, ws, training)
         enc_in = a
-    enc_out, caches["encoder"] = _encode_cached(model, enc_in, uniform)
+    drop_of = _dense_dropout(model, training, rng, ws, "encoder")
+    enc_out, caches["encoder"] = _encode(model, enc_in, drop_of, ws, training)
     if is_variational(model.arch.kind):
         mu, logvar = enc_out
         if training:
-            z, eps = reparameterize(mu, logvar, rng)
-            caches["eps"] = eps
+            z, caches["eps"] = reparameterize(mu, logvar, rng)
         else:
             z = mu
     else:
         mu = logvar = None
         z = enc_out
+    drop_of = _dense_dropout(model, training, rng, ws, "decoder")
     x_hat, caches["decoder"] = _layers_forward(
-        z, model.params.decoder, model.arch.dropout_rate, uniform
+        z, model.params.decoder, ws, "decoder", drop_of, training
     )
-    return ForwardOutputs(x_hat=x_hat, z=z, a=a, mu=mu, logvar=logvar, caches=caches)
+    return ForwardOutputs(x_hat=x_hat, z=z, a=a, mu=mu, logvar=logvar,
+                          caches=caches if training else None)
 
 
 # ---------------------------------------------------------------------------
@@ -527,8 +706,14 @@ def mse_loss(x, x_hat):
     x_hat = np.asarray(x_hat, dtype=np.float64)
     if x.shape != x_hat.shape:
         raise ShapeError(f"mse_loss: shapes {x.shape} vs {x_hat.shape}")
-    diff = x_hat - x
-    value = float(np.mean(diff * diff))
+    return _mse_loss(x, x_hat)
+
+
+def _mse_loss(x, x_hat, diff=None, square=None):
+    """mse_loss with the difference formed in ``diff`` and its square in
+    ``square``, given arrays or new ones."""
+    diff = np.subtract(x_hat, x, out=diff)
+    value = float(np.mean(np.multiply(diff, diff, out=square)))
     diff *= 2.0  # the gradient 2.0 * diff / diff.size, formed in diff's own memory
     diff /= diff.size
     return value, diff
@@ -592,14 +777,22 @@ def count_params(model_or_params) -> int:
 
 def loss_and_grads(model: Model, x, outputs: ForwardOutputs, beta_eff: float = 0.0):
     """Composite loss plus gradients for every parameter, aligned with
-    flat_params ordering. Requires outputs produced by forward()."""
-    caches = outputs.caches
-    if caches is None:
+    flat_params ordering. Requires outputs of forward(..., training=True);
+    inference outputs keep no caches and raise ValueError."""
+    if outputs.caches is None:
         raise ValueError("loss_and_grads needs outputs with caches from forward()")
-    x = np.asarray(x, dtype=np.float64)
+    return _loss_and_grads(model, np.asarray(x, dtype=np.float64), outputs, beta_eff, _Fresh)
 
-    total, grad_xhat = mse_loss(x, outputs.x_hat)
-    grad_z, dec_grads = _layers_backward(grad_xhat, model.params.decoder, caches["decoder"])
+
+def _loss_and_grads(model, x, outputs, beta_eff, ws):
+    """loss_and_grads, its arrays taken from the workspace ``ws``."""
+    caches = outputs.caches
+    # the MSE gradient takes x_hat's own slot: x_hat is not read again
+    diff = ws.get(("decoder", len(model.params.decoder) - 1), x.shape)
+    total, grad_xhat = _mse_loss(x, outputs.x_hat, diff, ws.get("scratch", x.shape))
+    grad_z, dec_grads = _layers_backward(
+        grad_xhat, model.params.decoder, caches["decoder"], ws, "decoder"
+    )
 
     if is_variational(model.arch.kind):
         kl, kl_gmu, kl_glogvar = kl_gaussian(outputs.mu, outputs.logvar)
@@ -615,9 +808,10 @@ def loss_and_grads(model: Model, x, outputs: ForwardOutputs, beta_eff: float = 0
     pathway = is_pathway_kind(model.arch.kind)
     # only the pathway stage needs the gradient of the encoder's input
     grad_enc_in, enc_grads = _layers_backward(
-        enc_upstream, model.params.encoder, caches["encoder"], None if pathway else _affine_grads
+        enc_upstream, model.params.encoder, caches["encoder"], ws, "encoder",
+        None if pathway else _affine_grads,
     )
-    pw_grads = _pathway_backward(model, grad_enc_in, caches["pathway"]) if pathway else []
+    pw_grads = _pathway_backward(model, grad_enc_in, caches["pathway"], ws) if pathway else []
     grads = ModelParams(pw_grads, enc_grads, dec_grads)
     flat = [g for _, g in _walk(grads, per_pathway=False)]
     return total, flat
@@ -650,12 +844,23 @@ def fit(model: Model, X, config: TrainConfig, rng=None) -> list[float]:
     """Mini-batch Adam training; beta scheduling by epoch for variational
     kinds. Returns the per-epoch mean training loss (length == epochs).
 
+    Every step runs in one workspace (see _Workspace), allocated here in
+    one piece before the first step, sized for a full batch from the
+    model's layer shapes: the batch, the layer-0 blocks, the dropout draws,
+    each layer's activations and masks, x_hat, the MSE difference and
+    square and the backward pass's activation gradients are written into
+    its buffers, and the last, shorter batch uses their leading elements.
+    So a step allocates only arrays of parameter size, of (B, P) or
+    smaller, and no step hands its buffers back to the allocator for the
+    next to fault in again.  The workspace is freed when fit returns.
+
     Raises DataError naming the first non-finite cell of X, before any
     draw, and TrainingDiverged as soon as a batch loss is non-finite,
     naming the epoch.
     """
     rng = as_stream(rng if rng is not None else config.seed)
-    X = _as_input(X, model.gene_count, "training matrix")
+    # C order, so that np.take gathers the batch without copying X first
+    X = np.ascontiguousarray(_as_input(X, model.gene_count, "training matrix"))
     n = X.shape[0]
     if n == 0:
         raise ShapeError("fit: empty training matrix")
@@ -663,6 +868,7 @@ def fit(model: Model, X, config: TrainConfig, rng=None) -> list[float]:
     params = flat_params(model)
     state = AdamState.for_params(params)
     arch = model.arch
+    ws = _Workspace.for_fit(model, min(n, config.batch_size))
     history: list[float] = []
     for epoch in range(config.epochs):
         beta_eff = (
@@ -674,15 +880,15 @@ def fit(model: Model, X, config: TrainConfig, rng=None) -> list[float]:
         epoch_loss = 0.0
         for start in range(0, n, config.batch_size):
             idx = order[start : start + config.batch_size]
-            xb = X[idx]
+            xb = np.take(X, idx, axis=0, mode="clip", out=ws.get("x", (len(idx), X.shape[1])))
             try:
-                outs = forward(model, xb, training=True, rng=rng)
-                value, grads = loss_and_grads(model, xb, outs, beta_eff)
+                outs = _forward(model, xb, True, rng, ws)
+                value, grads = _loss_and_grads(model, xb, outs, beta_eff, ws)
                 if not np.isfinite(value):
                     raise TrainingDiverged(epoch, value)
                 adam_step(params, grads, state, config.learning_rate)
-                # so that this step's caches and gradients are freed before
-                # the next step's forward allocates its own
+                # so that this step's gradients are freed before the next
+                # step's forward allocates its own
                 del outs, grads
             except TrainingDiverged:
                 raise

@@ -83,16 +83,27 @@ def adam_step(params, grads, state: AdamState, lr: float) -> AdamState:
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     bc1 = 1.0 - b1**state.t
     bc2 = 1.0 - b2**state.t
+    # each expression is formed in as few temporaries as its operands allow:
+    # (1 - b2) * g * g in one, lr * (m / bc1) / (sqrt(v / bc2) + eps) in two
     with np.errstate(over="ignore", invalid="ignore"):
         for g, m, v in zip(grads, state.m, state.v):
             m *= b1
             m += (1.0 - b1) * g
             v *= b2
-            v += (1.0 - b2) * g * g
+            g2 = (1.0 - b2) * g
+            g2 *= g
+            v += g2
+            del g2
             if not np.all(np.isfinite(v)):
                 raise NumericError("adam_step: non-finite second moment")
     for p, m, v in zip(params, state.m, state.v):
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
+        step = m / bc1
+        step *= lr
+        denom = v / bc2
+        np.sqrt(denom, out=denom)
+        denom += ADAM_EPS
+        step /= denom
+        p -= step
     return state
 
 

@@ -2,11 +2,13 @@ import codecs
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from pathae import dataio
 from pathae.dataio import (
     ExpressionTable,
     LabelTable,
@@ -90,6 +92,36 @@ class TestLoadExpression:
     def test_table_rejects_non_finite(self):
         with pytest.raises(DataError, match="finite"):
             ExpressionTable(["a"], ["G"], [[np.inf]])
+
+    @pytest.mark.parametrize("orientation", ["samples_as_rows", "genes_as_rows"])
+    def test_blank_lines_leave_no_rows(self, tmp_path, orientation):
+        p = tmp_path / "e.tsv"
+        p.write_bytes(b"id\tA\tB\r\n\r\nR1\t1\t2\n\n\rR2\t3\t4\r\n\n")
+        t = load_expression_tsv(str(p), orientation=orientation)
+        values = np.array([[1.0, 2.0], [3.0, 4.0]])
+        if orientation == "genes_as_rows":
+            values = values.T
+            assert t.values.flags.f_contiguous  # the parsed rows, transposed
+        else:
+            assert t.values.flags.c_contiguous
+        assert t.values.tobytes(order="A") == values.tobytes(order="A")
+
+    def test_peak_is_under_one_and_a_half_tables(self, tmp_path):
+        """The parse fills one preallocated array, row by row: about 1.3
+        times the table's bytes at its peak on this fixture, against 2.3
+        when the row arrays and their np.vstack were held at once."""
+        data = make_synthetic(n_pathways=16, n_genes=800, n_background=80, n_train=120,
+                              n_test=1, seed=3)
+        path = write_fixture(str(tmp_path), data)["train_expression"]
+        table_bytes = data.train.values.nbytes
+        del data
+        tracemalloc.start()
+        try:
+            load_expression_tsv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * table_bytes
 
 
 def _reference_parse(path, lines):
@@ -786,3 +818,16 @@ class TestParserProperties:
     @given(data=_JSON_BYTES | _table_bytes() | st.binary(max_size=40))
     def test_msigdb_json(self, scratch, data):
         _loads_or_data_error(parse_msigdb_json, scratch / "p.json", data)
+
+
+class TestCountLines:
+    @settings(max_examples=60)
+    @given(data=_table_bytes() | st.binary(max_size=40), chunk_size=st.integers(1, 5))
+    def test_counts_text_mode_lines(self, scratch, data, chunk_size):
+        """As many lines as text mode reads, blank ones included, for any
+        chunk size, so a \\r\\n split between chunks counts once."""
+        path = scratch / "c.tsv"
+        path.write_bytes(data)
+        with open(path, encoding="latin-1") as fh:
+            expected = sum(1 for _ in fh)
+        assert dataio._count_lines(str(path), chunk_size) == expected

@@ -31,7 +31,7 @@ from pathae.models import (
     reparameterize,
     save_checkpoint,
 )
-from pathae.ndcore import RngStream, finite_diff_grad
+from pathae.ndcore import AdamState, RngStream, adam_step, finite_diff_grad
 
 from conftest import max_rel_err
 from reference import (
@@ -480,6 +480,21 @@ class TestStepMatchesReference:
         assert _bytes(grads) == _bytes(ref_grads)
 
 
+class TestInferenceKeepsNoCaches:
+    @pytest.mark.parametrize("kind", ["ae", "vae", "paae", "pavae"])
+    def test_caches_none_and_loss_and_grads_rejects(self, kind):
+        masks = make_masks([3, 1, 2], 6) if kind in ("paae", "pavae") else None
+        arch = ArchitectureConfig(kind=kind, encoder_layer_sizes=[4, 2],
+                                  pathway_hidden_sizes=[3, 2], dropout_rate=0.3)
+        model = build_model(arch, 6, masks, RngStream(0))
+        x = RngStream(1).normal(size=(5, 6))
+        outs = forward(model, x, training=False)
+        assert outs.caches is None
+        with pytest.raises(ValueError, match="caches"):
+            loss_and_grads(model, x, outs)
+        assert forward(model, x, training=True, rng=RngStream(2)).caches is not None
+
+
 class TestInputChecks:
     GENES = 6
 
@@ -856,11 +871,12 @@ class TestFit:
         assert "epoch 0" in str(err.value)
 
     def test_peak_memory_is_one_steps_buffers(self):
-        """fit frees a step's caches and gradients before the next forward.
-        With B = 64, G = 800 and 80 pathways of 10 genes the traced peak is
-        about 9.1 (B, G) arrays' bytes, Adam's moments included; it was 11.6
-        when each step's forward ran while the previous step's caches and
-        gradients were still held."""
+        """fit runs every step in one workspace, whose buffers are shared by
+        arrays that are not alive at once.  With B = 64, G = 800 and 80
+        pathways of 10 genes the traced peak is about 8.0 (B, G) arrays'
+        bytes, Adam's moments included; it was 9.1 when each step allocated
+        its own arrays, and 11.6 when a step's forward ran while the previous
+        step's caches and gradients were still held."""
         B, G, P = 64, 800, 80
         arch = ArchitectureConfig(kind="paae", encoder_layer_sizes=[16], pathway_hidden_sizes=[8],
                                   dropout_rate=0.25)
@@ -872,7 +888,52 @@ class TestFit:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 10.0 * B * G * 8
+        assert peak < 8.8 * B * G * 8
+
+    @pytest.mark.parametrize("kind", ["ae", "vae", "paae", "pavae"])
+    @pytest.mark.parametrize("hidden", [[], [3], [3, 1]])
+    @pytest.mark.parametrize("dropout", [0.0, 0.3])
+    def test_steps_equal_the_public_step(self, kind, hidden, dropout, monkeypatch):
+        """fit's steps, run in its workspace, give the bytes of forward,
+        loss_and_grads and adam_step called on their own, over unequal
+        pathway sizes (several layer-0 buckets) and a shorter last batch;
+        and the workspace sized before the first step holds every buffer the
+        steps ask for."""
+        masks = make_masks([1, 4, 2, 3, 9, 2], 21) if kind in ("paae", "pavae") else None
+        arch = ArchitectureConfig(kind=kind, encoder_layer_sizes=[5, 2], pathway_hidden_sizes=hidden,
+                                  dropout_rate=dropout, beta=0.5)
+        X = RngStream(3).normal(size=(11, 21))
+        config = TrainConfig(epochs=3, batch_size=4, learning_rate=1e-2)
+        workspaces = []
+        sized = models._Workspace.for_fit.__func__
+
+        def for_fit(cls, *args):
+            workspaces.append(sized(cls, *args))
+            return workspaces[-1]
+
+        monkeypatch.setattr(models._Workspace, "for_fit", classmethod(for_fit))
+        model = build_model(arch, 21, masks, RngStream(4))
+        history = fit(model, X, config, RngStream(5))
+        assert [ws.misses for ws in workspaces] == [0]
+
+        ref = build_model(arch, 21, masks, RngStream(4))
+        rng = RngStream(5)
+        params = flat_params(ref)
+        state = AdamState.for_params(params)
+        ref_history = []
+        for epoch in range(config.epochs):
+            beta = beta_schedule(epoch, arch.schedule, arch.beta, arch.t_start, arch.t_end)
+            beta = beta if models.is_variational(kind) else 0.0
+            total = 0.0
+            order = rng.permutation(len(X))
+            for start in range(0, len(X), config.batch_size):
+                xb = X[order[start : start + config.batch_size]]
+                value, grads = loss_and_grads(ref, xb, forward(ref, xb, True, rng), beta)
+                adam_step(params, grads, state, config.learning_rate)
+                total += value * len(xb)
+            ref_history.append(total / len(X))
+        assert [h.hex() for h in history] == [h.hex() for h in ref_history]
+        assert _bytes(flat_params(model)) == _bytes(params)
 
     def test_history_length(self):
         arch = ArchitectureConfig(kind="ae", encoder_layer_sizes=[2], dropout_rate=0.0)

@@ -2,6 +2,7 @@ import ast
 import csv
 import io
 import logging
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +105,25 @@ class TestExtractRepresentation:
         for space in spaces:
             np.testing.assert_array_equal(extract_representation(model, X, space),
                                           getattr(outs, space))
+
+    def test_peak_is_under_two_tables(self):
+        """Inference keeps no caches and frees each layer-0 block after its
+        matmul, which writes into the activation array itself: on a 300 x
+        3200 table in 320 pathways of 9 genes the traced peak is about 1.7
+        tables' bytes, against 2.5 when every block, each bucket's matmul
+        result and the activations were held at once."""
+        G, P = 3200, 320
+        masks = [PathwayMask(f"P{j}", np.arange(9 * j, 9 * j + 9)) for j in range(P)]
+        arch = ArchitectureConfig(kind="paae", encoder_layer_sizes=[16], pathway_hidden_sizes=[8])
+        model = build_model(arch, G, masks, RngStream(0))
+        X = RngStream(1).normal(size=(300, G))
+        tracemalloc.start()
+        try:
+            extract_representation(model, X, "a")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.0 * X.nbytes
 
     def test_hidden_space_rule(self):
         assert hidden_space("ae") == "z"
