@@ -525,11 +525,13 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def _interpret_inputs(cfg: ExperimentConfig, checkpoint):
-    """(model, table, y, a): the checkpoint, the table on its gene axis (the
-    checkpoint's gene names, or the table's own when it stores none; the
-    counts must agree), and the labels and pathway activities of the labeled
-    samples."""
+def _interpret_inputs(cfg: ExperimentConfig, checkpoint, keep_table: bool):
+    """(model, genes, y, a, table): the checkpoint, the gene axis it is read
+    on (the checkpoint's gene names, or the table's own when it stores none;
+    the counts must agree), and the labels and pathway activities of the
+    labeled samples.  ``table`` is the expression table on that axis when
+    ``keep_table``, else None, and then its values are freed before the
+    forward pass."""
     model = models.load_checkpoint(checkpoint)
     pipeline.check_space(model.arch.kind, "a")
     table = _load_expression(cfg, cfg.train_expression)
@@ -539,13 +541,16 @@ def _interpret_inputs(cfg: ExperimentConfig, checkpoint):
         raise DataError(
             f"table has {table.n_genes} genes but checkpoint expects {model.gene_count}"
         )
+    genes = table.gene_names
     label_table = dataio.load_labels(cfg.labels, cfg.label_column, cfg.drop_label_values)
     labeled, y = _align_labeled(table, label_table)
+    if not keep_table:
+        table = None
     norm = dataio.fit_normalizer(labeled, cfg.normalization, offset=cfg.log_offset)
     X = dataio.apply_normalizer(norm, labeled).values
-    del labeled  # a row subset's copy, freed before the forward pass
+    del labeled  # a row subset's copy, or the table itself, freed before the forward pass
     a = pipeline.extract_representation(model, X, "a")
-    return model, table, y, a
+    return model, genes, y, a, table
 
 
 def _top_genes(mask, layers, gene_names, k: int):
@@ -563,7 +568,7 @@ def _columns(ranked, names) -> list[int]:
 
 
 def cmd_interpret(cfg: ExperimentConfig, checkpoint) -> int:
-    model, table, y, a = _interpret_inputs(cfg, checkpoint)
+    model, genes, y, a, _ = _interpret_inputs(cfg, checkpoint, keep_table=False)
     names = model.pathway_names
     run = _RunDir(cfg, "interpret")
     base = f"{cfg.dataset_name}-{model.arch.kind}"
@@ -573,7 +578,7 @@ def cmd_interpret(cfg: ExperimentConfig, checkpoint) -> int:
 
     npw_rows = []
     for mask, layers in zip(model.masks, model.params.pathway_encoders):
-        top = _top_genes(mask, layers, table.gene_names, cfg.top_genes)
+        top = _top_genes(mask, layers, genes, cfg.top_genes)
         for rank, (gene, weight) in enumerate(top, start=1):
             npw_rows.append([mask.name, rank, gene, f"{weight:+.6f}"])
     write_csv(run.path(f"anpw-{base}.csv"), ["pathway", "rank", "gene", "npw"], npw_rows)
@@ -608,7 +613,7 @@ def cmd_interpret(cfg: ExperimentConfig, checkpoint) -> int:
 
 
 def cmd_survival(cfg: ExperimentConfig, checkpoint) -> int:
-    model, table, y, a = _interpret_inputs(cfg, checkpoint)
+    model, genes, y, a, table = _interpret_inputs(cfg, checkpoint, keep_table=True)
     names = model.pathway_names
     # ranked before the survival cohort's copy of the table exists, so the
     # ranking's temporaries do not add to the command's peak memory
@@ -634,7 +639,7 @@ def cmd_survival(cfg: ExperimentConfig, checkpoint) -> int:
     base = f"{cfg.dataset_name}-{model.arch.kind}"
     results = []
     for (pname, _mi), j in zip(ranked, _columns(ranked, names)):
-        for gene, _w in _top_genes(model.masks[j], encoders[j], table.gene_names, cfg.top_genes):
+        for gene, _w in _top_genes(model.masks[j], encoders[j], genes, cfg.top_genes):
             values = expr.values[:, gene_index[gene]]
             low, high = interpret.tercile_split(values)
             if set(low.tolist()) & set(high.tolist()):

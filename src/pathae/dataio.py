@@ -12,7 +12,10 @@ JSON is read by ``json``.
 An expression row is converted by one numpy call.  Only a row that call
 rejects, or that holds a non-finite value, is scanned again cell by cell,
 to name the bad cell; the accept set is that of ``float()``, and values
-that are not finite are rejected.
+that are not finite are rejected.  A parsed expression file leaves its
+parse in a cache file beside it, ``<path>.pathae-table``, keyed by the
+SHA-256 of the file's bytes; a later load of the same bytes reads that
+instead of the text.
 
 Tables are immutable values: every operation returns a new table.  Parsers
 reject malformed input, bytes that are not UTF-8 included, with a
@@ -21,13 +24,17 @@ ParseError naming the file and, for line-based formats, the line.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import math
+import os
+import stat
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import ConfigError, DataError, ParseError
 from .metrics import tie_groups
 from .models import PathwayMask
@@ -196,21 +203,32 @@ def _read_delimited(path, delimiter=None):
             yield lineno, line.split(delimiter)
 
 
-def _count_lines(path, chunk_size: int = 1 << 16) -> int:
-    """The number of lines _read_delimited's text mode sees, blank ones
-    included: each \\n, \\r or \\r\\n ends one, and so does the end of a file
-    whose last line has no newline.  Read in binary chunks; the \\n are
-    counted by numpy, and the \\r only in a chunk that has one."""
-    count, last = 0, b"\n"
+def _count_lines(path, chunk_size: int = 1 << 16):
+    """(lines, digest, stamp): the number of lines _read_delimited's text
+    mode sees, blank ones included: each \\n, \\r or \\r\\n ends one, and so
+    does the end of a file whose last line has no newline.  Read in binary
+    chunks; the \\n are counted by numpy, and the \\r only in a chunk that has
+    one.  The same pass hashes the bytes: ``digest`` is their SHA-256 in hex
+    for a regular file and None for any other, and ``stamp`` is the file's
+    _stamp as the pass began."""
+    count, last, sha = 0, b"\n", hashlib.sha256()
     with open(path, "rb") as fh:
+        st = os.fstat(fh.fileno())
         while chunk := fh.read(chunk_size):
+            sha.update(chunk)
             count += int(np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n")))
             if b"\r" in chunk:
                 count += chunk.count(b"\r") - chunk.count(b"\r\n")
             if last == b"\r" and chunk[:1] == b"\n":
                 count -= 1  # a \r\n split between two chunks
             last = chunk[-1:]
-    return count + (last not in (b"\n", b"\r"))
+    count += last not in (b"\n", b"\r")
+    return count, sha.hexdigest() if stat.S_ISREG(st.st_mode) else None, _stamp(st)
+
+
+def _stamp(st) -> tuple[int, int, int]:
+    """What changes when a file is rewritten: (size, mtime in ns, inode)."""
+    return st.st_size, st.st_mtime_ns, st.st_ino
 
 
 def _read_table(path, columns=(), delimiter=None):
@@ -257,15 +275,43 @@ def load_expression_tsv(
     delimiter: str | None = None,
 ) -> ExpressionTable:
     """Parse a delimited expression matrix (first row and column are
-    identifiers). genes_as_rows input is transposed to samples x genes."""
+    identifiers). genes_as_rows input is transposed to samples x genes.
+
+    The rows are read from the file's table cache when it matches the
+    file's bytes and the delimiter, and parsed from the text otherwise; a
+    text parse then writes the cache (see _read_table_cache)."""
     if orientation not in ORIENTATIONS:
         raise ConfigError(f"unknown orientation {orientation!r}")
     if isinstance(scale, str):
         scale = Scale.parse(scale)
+    delimiter = delimiter or _delimiter_for(path)
+    n_lines, digest, stamp = _count_lines(path)
+    parsed = _read_table_cache(path, digest, delimiter) if digest else None
+    if parsed is None:
+        parsed = _parse_expression(path, delimiter, n_lines)
+        if digest:
+            _write_table_cache(path, stamp, digest, delimiter, parsed)
+    header, row_ids, values = parsed
+    col_ids = header[1:]
+    if orientation == "genes_as_rows":
+        sample_ids, gene_names = col_ids, row_ids
+        values = values.T
+    else:
+        sample_ids, gene_names = row_ids, col_ids
+    if len(set(sample_ids)) != len(sample_ids):
+        dupes = sorted({s for s in sample_ids if sample_ids.count(s) > 1})
+        raise ParseError(f"{path}: duplicate sample ids: {dupes[:5]}")
+    return ExpressionTable(sample_ids, gene_names, values, scale)
+
+
+def _parse_expression(path, delimiter, n_lines):
+    """(header, row_ids, values) from the text of a file of ``n_lines``
+    lines: the header fields, the first field of each data row and its
+    other fields as a float64 matrix in C order."""
     header, _, lines = _read_table(path, delimiter=delimiter)
     # one array for the whole table, with a row for every line after the
     # header; blank lines, which the reader skips, leave rows unused
-    values = np.empty((max(_count_lines(path) - 1, 0), len(header) - 1))
+    values = np.empty((max(n_lines - 1, 0), len(header) - 1))
     row_ids = []
     for lineno, fields in lines:
         try:
@@ -279,17 +325,64 @@ def load_expression_tsv(
         row_ids.append(fields[0])
     if not row_ids:
         raise ParseError(f"{path}: no data rows")
-    values = values[: len(row_ids)]
-    col_ids = header[1:]
-    if orientation == "genes_as_rows":
-        sample_ids, gene_names = col_ids, row_ids
-        values = values.T
-    else:
-        sample_ids, gene_names = row_ids, col_ids
-    if len(set(sample_ids)) != len(sample_ids):
-        dupes = sorted({s for s in sample_ids if sample_ids.count(s) > 1})
-        raise ParseError(f"{path}: duplicate sample ids: {dupes[:5]}")
-    return ExpressionTable(sample_ids, gene_names, values, scale)
+    return header, row_ids, values[: len(row_ids)]
+
+
+# The table cache: the magic line, a one-line JSON header (the SHA-256 of
+# the expression file's bytes, the delimiter they were split on, the header
+# fields, the row ids and the value matrix's shape), then the values as
+# little-endian float64 in C order.
+_TABLE_CACHE_MAGIC = b"PATHAE-TABLE-v1\n"
+
+
+def _table_cache_path(path) -> str:
+    """The table cache of the expression file at ``path``."""
+    return os.fspath(path) + ".pathae-table"
+
+
+def _read_table_cache(path, digest: str, delimiter: str):
+    """(header, row_ids, values) from the table cache of the file at
+    ``path``, or None unless it exists and holds the parse of bytes with
+    this digest split on this delimiter.  A damaged, truncated or stale
+    cache is None, never an error.  The body's length is checked against
+    the header's shape before the values are allocated."""
+    try:
+        with open(_table_cache_path(path), "rb") as fh:
+            if fh.readline(len(_TABLE_CACHE_MAGIC)) != _TABLE_CACHE_MAGIC:
+                return None
+            head = json.loads(fh.readline())
+            if head["digest"] != digest or head["delimiter"] != delimiter:
+                return None
+            header, row_ids, (rows, cols) = head["header"], head["row_ids"], head["shape"]
+            if not (rows == len(row_ids) >= 1 and cols == len(header) - 1
+                    and 8 * rows * cols == os.fstat(fh.fileno()).st_size - fh.tell()):
+                return None
+            values = np.empty((rows, cols), dtype="<f8")
+            if fh.readinto(values) != values.nbytes or not np.isfinite(values).all():
+                return None
+    except (OSError, ValueError, KeyError, TypeError, RecursionError):
+        return None
+    return header, row_ids, values
+
+
+def _write_table_cache(path, stamp, digest: str, delimiter: str, parsed):
+    """Write the table cache of the file at ``path``, unless the file's
+    _stamp has changed since it was hashed: bytes that changed under the
+    parse may not be the ones the digest names.  A directory the cache
+    cannot be written to (OSError) means no cache, not an error."""
+    header, row_ids, values = parsed
+    cache = _table_cache_path(path)
+    head = {"delimiter": delimiter, "digest": digest, "header": header, "row_ids": row_ids,
+            "shape": list(values.shape)}
+    try:
+        if _stamp(os.stat(path)) != stamp:
+            return
+        with atomic_open(cache, "wb") as fh:
+            fh.write(_TABLE_CACHE_MAGIC)
+            fh.write(json.dumps(head).encode("ascii") + b"\n")
+            fh.write(np.ascontiguousarray(values, dtype="<f8"))
+    except OSError as exc:
+        log.debug("no table cache written for %s: %s", cache, exc)
 
 
 def _parse_cells(path, lineno, cells) -> np.ndarray:

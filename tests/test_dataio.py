@@ -1,8 +1,13 @@
 import codecs
+import contextlib
+import hashlib
 import json
 import math
+import os
 import re
 import tracemalloc
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -115,6 +120,8 @@ class TestLoadExpression:
         path = write_fixture(str(tmp_path), data)["train_expression"]
         table_bytes = data.train.values.nbytes
         del data
+        # the text parse, not a table cache read
+        Path(dataio._table_cache_path(path)).unlink(missing_ok=True)
         tracemalloc.start()
         try:
             load_expression_tsv(path)
@@ -825,9 +832,206 @@ class TestCountLines:
     @given(data=_table_bytes() | st.binary(max_size=40), chunk_size=st.integers(1, 5))
     def test_counts_text_mode_lines(self, scratch, data, chunk_size):
         """As many lines as text mode reads, blank ones included, for any
-        chunk size, so a \\r\\n split between chunks counts once."""
+        chunk size, so a \\r\\n split between chunks counts once; the same
+        pass hashes every byte."""
         path = scratch / "c.tsv"
         path.write_bytes(data)
         with open(path, encoding="latin-1") as fh:
             expected = sum(1 for _ in fh)
-        assert dataio._count_lines(str(path), chunk_size) == expected
+        count, digest, _stamp = dataio._count_lines(str(path), chunk_size)
+        assert count == expected
+        assert digest == hashlib.sha256(data).hexdigest()
+
+
+# Ids as a table cell can hold them: any text but surrogates, the line ends
+# and the two delimiters.
+_IDS = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t,\n\r"),
+               min_size=1, max_size=6) | st.sampled_from(["S 1", " ", "géne", "一ß"])
+_CACHE_VALUES = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -2.2250738585072e-308, 1e-300, -1e-300, 1e300, -1e300,
+     1.7976931348623157e308])
+
+
+def _write_table(path, col_ids, row_ids, values, delimiter):
+    lines = [delimiter.join(["id", *col_ids])]
+    lines += [delimiter.join([rid, *map(repr, row)]) for rid, row in zip(row_ids, values)]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return str(path)
+
+
+@contextlib.contextmanager
+def _text_reads():
+    """The paths _read_table opens while the block runs."""
+    seen = []
+    real = dataio._read_table
+
+    def spy(path, *args, **kwargs):
+        seen.append(os.fspath(path))
+        return real(path, *args, **kwargs)
+
+    with mock.patch.object(dataio, "_read_table", spy):
+        yield seen
+
+
+def _same_table(a, b):
+    assert a.sample_ids == b.sample_ids and a.gene_names == b.gene_names
+    assert a.scale == b.scale
+    assert a.values.flags.c_contiguous == b.values.flags.c_contiguous
+    assert a.values.tobytes(order="A") == b.values.tobytes(order="A")
+
+
+class TestTableCache:
+    """A parse leaves <path>.pathae-table; a later load of the same bytes
+    reads it instead of the text, and gets the same table."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), orientation=st.sampled_from(dataio.ORIENTATIONS),
+           suffix=st.sampled_from([".tsv", ".csv"]))
+    def test_round_trip(self, scratch, data, orientation, suffix):
+        rows = data.draw(st.lists(_IDS, min_size=1, max_size=4, unique=True))
+        cols = data.draw(st.lists(_IDS, min_size=1, max_size=4, unique=True))
+        values = data.draw(st.lists(st.lists(_CACHE_VALUES, min_size=len(cols),
+                                             max_size=len(cols)),
+                                    min_size=len(rows), max_size=len(rows)))
+        path = _write_table(scratch / ("rt" + suffix), cols, rows, values,
+                            "," if suffix == ".csv" else "\t")
+        cache = Path(dataio._table_cache_path(path))
+        cache.unlink(missing_ok=True)
+        with _text_reads() as seen:
+            parsed = load_expression_tsv(path, orientation=orientation)
+        assert seen == [path] and cache.exists()
+        with _text_reads() as seen:
+            cached = load_expression_tsv(path, orientation=orientation)
+        assert seen == []
+        _same_table(parsed, cached)
+        expected = np.array(values)
+        if orientation == "genes_as_rows":
+            expected = expected.T
+        assert cached.values.tobytes() == expected.tobytes()
+
+    def _cached_table(self, tmp_path):
+        path = write(tmp_path / "e.tsv", "id\tG1\tG2\nS1\t1.5\t-0.0\nS2\t5e-324\t1e300\n")
+        table = load_expression_tsv(path)
+        cache = Path(dataio._table_cache_path(path))
+        return path, table, cache, cache.read_bytes()
+
+    @staticmethod
+    def _edit_header(data, **changes):
+        magic, head, body = data.split(b"\n", 2)
+        head = json.loads(head)
+        head.update(changes)
+        return b"\n".join([magic, json.dumps(head).encode("ascii"), body])
+
+    @pytest.mark.parametrize("damage", [
+        "truncated_body", "wrong_digest", "wrong_delimiter", "shape_larger_than_file",
+        "non_finite_body", "no_header", "not_a_cache", "empty",
+    ])
+    def test_damaged_cache_is_reparsed_and_rewritten(self, tmp_path, damage):
+        path, table, cache, good = self._cached_table(tmp_path)
+        bad = {
+            "truncated_body": lambda: good[:-3],
+            "wrong_digest": lambda: self._edit_header(good, digest="0" * 64),
+            "wrong_delimiter": lambda: self._edit_header(good, delimiter=","),
+            "shape_larger_than_file": lambda: self._edit_header(good, shape=[2, 10 ** 12]),
+            "non_finite_body": lambda: good[:-8] + np.array([np.nan]).tobytes(),
+            "no_header": lambda: good.split(b"\n", 1)[0] + b"\n",
+            "not_a_cache": lambda: b"id\tG1\nS1\t1\n",
+            "empty": lambda: b"",
+        }[damage]()
+        cache.write_bytes(bad)
+        with _text_reads() as seen:
+            again = load_expression_tsv(path)
+        assert seen == [path]
+        _same_table(table, again)
+        assert cache.read_bytes() == good
+
+    def test_other_delimiter_is_a_miss(self, tmp_path):
+        path = write(tmp_path / "e.txt", "id\tG1\nS1\t3\n")
+        with _text_reads() as seen:
+            by_tab = load_expression_tsv(path)
+            by_comma = load_expression_tsv(path, delimiter=",")
+            again_by_tab = load_expression_tsv(path)
+        assert seen == [path] * 3
+        assert by_tab.gene_names == ["G1"] and by_tab.values.tolist() == [[3.0]]
+        assert by_comma.sample_ids == ["S1\t3"] and by_comma.values.shape == (1, 0)
+        _same_table(by_tab, again_by_tab)
+
+    def test_rewrite_with_same_size_and_mtime_is_a_miss(self, tmp_path):
+        path = write(tmp_path / "e.tsv", "id\tG1\nS1\t1.5\n")
+        assert load_expression_tsv(path).values[0, 0] == 1.5
+        st_before = os.stat(path)
+        write(tmp_path / "e.tsv", "id\tG1\nS1\t2.5\n")
+        os.utime(path, ns=(st_before.st_atime_ns, st_before.st_mtime_ns))
+        assert os.stat(path).st_size == st_before.st_size
+        assert os.stat(path).st_mtime_ns == st_before.st_mtime_ns
+        assert load_expression_tsv(path).values[0, 0] == 2.5
+
+    def test_file_changed_during_the_parse_writes_no_cache(self, tmp_path):
+        path = write(tmp_path / "e.tsv", "id\tG1\nS1\t1.5\n")
+        real = dataio._parse_expression
+
+        def parse_then_touch(*args):
+            parsed = real(*args)
+            os.utime(path, ns=(0, 0))
+            return parsed
+
+        with mock.patch.object(dataio, "_parse_expression", parse_then_touch):
+            load_expression_tsv(path)
+        assert not os.path.exists(dataio._table_cache_path(path))
+
+    def test_unwritable_directory_loads_without_cache(self, tmp_path, monkeypatch):
+        """What opening a file in a read-only dataset directory raises;
+        modes alone cannot show it to a process running as root."""
+        def denied(target, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", os.fspath(target))
+
+        monkeypatch.setattr(dataio, "atomic_open", denied)
+        path = write(tmp_path / "e.tsv", "id\tG1\nS1\t1.5\n")
+        assert load_expression_tsv(path).values[0, 0] == 1.5
+        assert sorted(os.listdir(tmp_path)) == ["e.tsv"]
+
+    def test_cache_path_taken_by_a_directory(self, tmp_path):
+        path = write(tmp_path / "e.tsv", "id\tG1\nS1\t1.5\n")
+        os.mkdir(dataio._table_cache_path(path))
+        for _ in range(2):
+            assert load_expression_tsv(path).values[0, 0] == 1.5
+        assert sorted(os.listdir(tmp_path)) == ["e.tsv", "e.tsv.pathae-table"]
+
+    @pytest.mark.parametrize("text", [
+        "", "\n\n", "id\tG1\n", "id\tG1\tG2\nS1\t1\n", "id\tG1\nS1\tNA\n", "id\tG1\nS1\tinf\n",
+    ], ids=["empty", "blank", "no_rows", "ragged", "non_numeric", "non_finite"])
+    def test_failed_parse_leaves_no_cache(self, tmp_path, text):
+        path = write(tmp_path / "e.tsv", text)
+        with pytest.raises(ParseError):
+            load_expression_tsv(path)
+        assert os.listdir(tmp_path) == ["e.tsv"]
+
+    def test_checks_after_the_parse_run_on_a_hit(self, tmp_path):
+        path = write(tmp_path / "e.tsv", "id\tS1\tS1\nG1\t1\t2\n")
+        for _ in range(2):  # a parse, then a cache read
+            with pytest.raises(ParseError, match="duplicate sample ids"):
+                load_expression_tsv(path, orientation="genes_as_rows")
+        assert os.path.exists(dataio._table_cache_path(path))
+
+    def test_non_regular_file_has_no_digest(self):
+        assert dataio._count_lines(os.devnull)[:2] == (0, None)
+
+    def test_hit_peak_is_under_one_and_three_tenths_tables(self, tmp_path):
+        """A cache read fills one preallocated array from the file: about
+        1.21 times the table's bytes at its peak on this fixture (the
+        values, one bool mask of them, the ids)."""
+        data = make_synthetic(n_pathways=16, n_genes=800, n_background=80, n_train=120,
+                              n_test=1, seed=3)
+        path = write_fixture(str(tmp_path), data)["train_expression"]
+        table_bytes = data.train.values.nbytes
+        del data
+        load_expression_tsv(path)
+        tracemalloc.start()
+        try:
+            with _text_reads() as seen:
+                load_expression_tsv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seen == []
+        assert peak < 1.3 * table_bytes
