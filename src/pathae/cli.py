@@ -553,10 +553,16 @@ def _interpret_inputs(cfg: ExperimentConfig, checkpoint, keep_table: bool):
     return model, genes, y, a, table
 
 
-def _top_genes(mask, layers, gene_names, k: int):
-    """A pathway's top genes by |NPW|, named on the table's gene axis."""
-    return interpret.top_genes_by_anpw(layers, [gene_names[i] for i in mask.indices],
-                                       k=min(k, mask.size))
+def _anpw_rows(model, genes, k: int) -> list[list]:
+    """The anpw CSV's rows: each pathway's top genes by |NPW|, named on the
+    gene axis ``genes``, with their rank and signed weight."""
+    top = interpret.pathway_top_genes(model, genes, k)
+    counts = np.diff(top.starts)
+    names = model.pathway_names
+    pathways = np.repeat(np.arange(len(names)), counts).tolist()
+    ranks = (np.arange(top.genes.size) - np.repeat(top.starts[:-1], counts) + 1).tolist()
+    return [[names[j], rank, genes[g], f"{w:+.6f}"]
+            for j, rank, g, w in zip(pathways, ranks, top.genes.tolist(), top.npw.tolist())]
 
 
 def _columns(ranked, names) -> list[int]:
@@ -576,12 +582,8 @@ def cmd_interpret(cfg: ExperimentConfig, checkpoint) -> int:
     ranked = interpret.rank_pathways_by_mi(a, y, names)
     write_csv(run.path(f"mi-{base}-a.csv"), ["pathway", "mutual_information"], ranked)
 
-    npw_rows = []
-    for mask, layers in zip(model.masks, model.params.pathway_encoders):
-        top = _top_genes(mask, layers, genes, cfg.top_genes)
-        for rank, (gene, weight) in enumerate(top, start=1):
-            npw_rows.append([mask.name, rank, gene, f"{weight:+.6f}"])
-    write_csv(run.path(f"anpw-{base}.csv"), ["pathway", "rank", "gene", "npw"], npw_rows)
+    write_csv(run.path(f"anpw-{base}.csv"), ["pathway", "rank", "gene", "npw"],
+              _anpw_rows(model, genes, cfg.top_genes))
 
     columns = _columns(ranked, names)
     top_cols = columns[: cfg.clustermap_pathways]
@@ -633,31 +635,31 @@ def cmd_survival(cfg: ExperimentConfig, checkpoint) -> int:
     events = np.asarray([surv.records[s][1] for s in expr.sample_ids])
 
     gene_index = {g: i for i, g in enumerate(expr.gene_names)}
-    encoders = model.params.pathway_encoders
+    top = interpret.pathway_top_genes(model, genes, cfg.top_genes)
+    tested = [(pname, genes[g]) for (pname, _mi), j in zip(ranked, _columns(ranked, names))
+              for g in top.genes[top.starts[j] : top.starts[j + 1]].tolist()]
+    groups = interpret.tercile_splits(expr.values[:, [gene_index[g] for _, g in tested]])
 
     run = _RunDir(cfg, "survival")
     base = f"{cfg.dataset_name}-{model.arch.kind}"
     results = []
-    for (pname, _mi), j in zip(ranked, _columns(ranked, names)):
-        for gene, _w in _top_genes(model.masks[j], encoders[j], genes, cfg.top_genes):
-            values = expr.values[:, gene_index[gene]]
-            low, high = interpret.tercile_split(values)
-            if set(low.tolist()) & set(high.tolist()):
-                results.append((pname, gene, len(low), len(high), float("nan"), float("nan"), False,
-                                "degenerate terciles"))
-                continue
-            stat, p = interpret.logrank_test(times[low], events[low], times[high], events[high])
-            significant = p <= 0.05
-            results.append((pname, gene, len(low), len(high), stat, p, significant, ""))
-            if significant:
-                km_low = interpret.km_estimate(times[low], events[low])
-                km_high = interpret.km_estimate(times[high], events[high])
-                interpret.emit_km_plot(
-                    [("low tercile", km_low, "#2166ac"), ("high tercile", km_high, "#b2182c")],
-                    f"{gene} ({pname})",
-                    run.path(f"km-{base}-{interpret.safe_filename(gene)}.svg"),
-                    subtitle=f"logrank p = {p:.4g}, {cfg.survival_window_days:.0f}-day window",
-                )
+    for (pname, gene), (low, high) in zip(tested, groups):
+        if set(low.tolist()) & set(high.tolist()):
+            results.append((pname, gene, len(low), len(high), float("nan"), float("nan"), False,
+                            "degenerate terciles"))
+            continue
+        stat, p = interpret.logrank_test(times[low], events[low], times[high], events[high])
+        significant = p <= 0.05
+        results.append((pname, gene, len(low), len(high), stat, p, significant, ""))
+        if significant:
+            km_low = interpret.km_estimate(times[low], events[low])
+            km_high = interpret.km_estimate(times[high], events[high])
+            interpret.emit_km_plot(
+                [("low tercile", km_low, "#2166ac"), ("high tercile", km_high, "#b2182c")],
+                f"{gene} ({pname})",
+                run.path(f"km-{base}-{interpret.safe_filename(gene)}.svg"),
+                subtitle=f"logrank p = {p:.4g}, {cfg.survival_window_days:.0f}-day window",
+            )
 
     write_csv(run.path(f"survival-tests-{base}.csv"),
               ["pathway", "gene", "n_low", "n_high", "logrank_chi2", "p", "significant", "note"],

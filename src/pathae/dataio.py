@@ -15,7 +15,8 @@ to name the bad cell; the accept set is that of ``float()``, and values
 that are not finite are rejected.  A parsed expression file leaves its
 parse in a cache file beside it, ``<path>.pathae-table``, keyed by the
 SHA-256 of the file's bytes; a later load of the same bytes reads that
-instead of the text.
+instead of the text.  A pipe or FIFO is parsed as it is read, and has no
+cache.
 
 Tables are immutable values: every operation returns a new table.  Parsers
 reject malformed input, bytes that are not UTF-8 included, with a
@@ -203,27 +204,38 @@ def _read_delimited(path, delimiter=None):
             yield lineno, line.split(delimiter)
 
 
-def _count_lines(path, chunk_size: int = 1 << 16):
-    """(lines, digest, stamp): the number of lines _read_delimited's text
-    mode sees, blank ones included: each \\n, \\r or \\r\\n ends one, and so
-    does the end of a file whose last line has no newline.  Read in binary
-    chunks; the \\n are counted by numpy, and the \\r only in a chunk that has
-    one.  The same pass hashes the bytes: ``digest`` is their SHA-256 in hex
-    for a regular file and None for any other, and ``stamp`` is the file's
-    _stamp as the pass began."""
-    count, last, sha = 0, b"\n", hashlib.sha256()
+def _count_lines(path, chunk_size: int = 1 << 16) -> int:
+    """The number of lines _read_delimited's text mode sees, blank ones
+    included: each \\n, \\r or \\r\\n ends one, and so does the end of a file
+    whose last line has no newline.  Read in binary chunks; the \\n are
+    counted by numpy, and the \\r only in a chunk that has one."""
+    count, last = 0, b"\n"
     with open(path, "rb") as fh:
-        st = os.fstat(fh.fileno())
         while chunk := fh.read(chunk_size):
-            sha.update(chunk)
             count += int(np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord("\n")))
             if b"\r" in chunk:
                 count += chunk.count(b"\r") - chunk.count(b"\r\n")
             if last == b"\r" and chunk[:1] == b"\n":
                 count -= 1  # a \r\n split between two chunks
             last = chunk[-1:]
-    count += last not in (b"\n", b"\r")
-    return count, sha.hexdigest() if stat.S_ISREG(st.st_mode) else None, _stamp(st)
+    return count + (last not in (b"\n", b"\r"))
+
+
+def _file_digest(path, chunk_size: int = 1 << 16):
+    """(digest, stamp) of a regular file: the SHA-256 of its bytes in hex,
+    read in one binary pass through one buffer of ``chunk_size`` bytes, and
+    the file's _stamp as the pass began.  None for any other file, such as
+    a pipe or a FIFO, which is not opened here: it can be read only once."""
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        return None
+    sha = hashlib.sha256()
+    buf = bytearray(chunk_size)
+    view = memoryview(buf)
+    with open(path, "rb", buffering=0) as fh:
+        st = os.fstat(fh.fileno())
+        while n := fh.readinto(buf):
+            sha.update(view[:n])
+    return sha.hexdigest(), _stamp(st)
 
 
 def _stamp(st) -> tuple[int, int, int]:
@@ -277,20 +289,23 @@ def load_expression_tsv(
     """Parse a delimited expression matrix (first row and column are
     identifiers). genes_as_rows input is transposed to samples x genes.
 
-    The rows are read from the file's table cache when it matches the
-    file's bytes and the delimiter, and parsed from the text otherwise; a
-    text parse then writes the cache (see _read_table_cache)."""
+    A regular file is hashed in one binary pass, and its rows are read from
+    its table cache when that matches the digest and the delimiter (see
+    _read_table_cache).  Otherwise its lines are counted and its text is
+    parsed, and the parse writes the cache.  Any other file, such as a pipe,
+    a FIFO or /dev/stdin, is parsed in one text pass, with no hash, no count
+    and no cache."""
     if orientation not in ORIENTATIONS:
         raise ConfigError(f"unknown orientation {orientation!r}")
     if isinstance(scale, str):
         scale = Scale.parse(scale)
     delimiter = delimiter or _delimiter_for(path)
-    n_lines, digest, stamp = _count_lines(path)
-    parsed = _read_table_cache(path, digest, delimiter) if digest else None
+    hashed = _file_digest(path)
+    parsed = _read_table_cache(path, hashed[0], delimiter) if hashed else None
     if parsed is None:
-        parsed = _parse_expression(path, delimiter, n_lines)
-        if digest:
-            _write_table_cache(path, stamp, digest, delimiter, parsed)
+        parsed = _parse_expression(path, delimiter, _count_lines(path) if hashed else None)
+        if hashed:
+            _write_table_cache(path, hashed[1], hashed[0], delimiter, parsed)
     header, row_ids, values = parsed
     col_ids = header[1:]
     if orientation == "genes_as_rows":
@@ -304,14 +319,18 @@ def load_expression_tsv(
     return ExpressionTable(sample_ids, gene_names, values, scale)
 
 
-def _parse_expression(path, delimiter, n_lines):
-    """(header, row_ids, values) from the text of a file of ``n_lines``
-    lines: the header fields, the first field of each data row and its
-    other fields as a float64 matrix in C order."""
+def _parse_expression(path, delimiter, n_lines=None):
+    """(header, row_ids, values) from the text of the file: the header
+    fields, the first field of each data row and its other fields as a
+    float64 matrix in C order.
+
+    Given ``n_lines``, the file's line count, the rows are parsed into one
+    array with a row for every line after the header; blank lines, which
+    the reader skips, leave rows unused.  A file read without a count (a
+    pipe) fills an array that doubles as its rows arrive."""
     header, _, lines = _read_table(path, delimiter=delimiter)
-    # one array for the whole table, with a row for every line after the
-    # header; blank lines, which the reader skips, leave rows unused
-    values = np.empty((max(n_lines - 1, 0), len(header) - 1))
+    width = len(header) - 1
+    values = np.empty((max(n_lines - 1, 0) if n_lines is not None else 16, width))
     row_ids = []
     for lineno, fields in lines:
         try:
@@ -321,6 +340,8 @@ def _parse_expression(path, delimiter, n_lines):
             ok = False
         if not ok:
             numeric = _parse_cells(path, lineno, fields[1:])
+        if len(row_ids) == len(values):
+            values = np.concatenate([values, np.empty((len(values) + 16, width))])
         values[len(row_ids)] = numeric
         row_ids.append(fields[0])
     if not row_ids:

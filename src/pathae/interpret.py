@@ -7,7 +7,8 @@ and parseable as XML in tests.  2-D maps use PCA (a deterministic stand-in
 for stochastic embedding methods); every emitted map is labeled as such.
 
 The ranking scores every pathway column in one batched mutual-information
-call.  Heatmap and scatter colours come from one vectorized diverging map,
+call, and every pathway's neural path weights and top genes come from the
+model's packed pathway tensors at once.  Heatmap and scatter colours come from one vectorized diverging map,
 and each row, column and point coordinate is formatted once, not per cell
 or per panel; the bytes are those of the per-cell formatting.
 """
@@ -19,6 +20,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 from xml.sax.saxutils import escape
 
 import numpy as np
@@ -63,6 +65,57 @@ def top_genes_by_anpw(pathway_layers, gene_names, k: int = 10):
         k = len(npw)
     ranked = sorted(zip(gene_names, npw), key=lambda t: (-abs(t[1]), t[0]))
     return [(name, float(w)) for name, w in ranked[:k]]
+
+
+class TopGenes(NamedTuple):
+    """Every pathway's top genes by |NPW|, best first: pathway j's are the
+    entries ``starts[j]`` to ``starts[j + 1]``."""
+
+    starts: np.ndarray  # (P + 1,)
+    genes: np.ndarray  # columns of the gene axis
+    npw: np.ndarray  # their signed neural path weights
+
+
+def pathway_npw(params) -> np.ndarray:
+    """Every pathway's neural path weights, from a model's packed pathway
+    tensors: one per layer-0 weight row, so pathway j's are entries
+    ``pathway_offsets[j]`` to ``pathway_offsets[j + 1]``.
+
+    The pathways of one exact size are chained as one batched matmul per
+    layer, in neural_path_weights' order, which gives each pathway the
+    bits of neural_path_weights on its own stack."""
+    (W0, _b0), *later = params.pathway
+    offsets = np.asarray(params.pathway_offsets)
+    sizes = np.diff(offsets)
+    npw = np.empty(W0.shape[0])
+    for size in np.unique(sizes):
+        members = np.flatnonzero(sizes == size)
+        rows = offsets[members, None] + np.arange(size)
+        h = W0[rows]
+        for W, _b in later:
+            h = h @ W[members]
+        npw[rows] = h[..., 0]
+    return npw
+
+
+def pathway_top_genes(model, gene_names, k: int = 10) -> TopGenes:
+    """top_genes_by_anpw for every pathway of a model at once, the genes
+    named on the axis ``gene_names``: each pathway's min(k, size) genes by
+    |NPW|, descending, ties broken by name and then by mask order.  The
+    weights come from pathway_npw and are ranked by one lexsort."""
+    offsets = np.asarray(model.params.pathway_offsets)
+    sizes = np.diff(offsets)
+    npw = pathway_npw(model.params)
+    genes = np.concatenate([m.indices for m in model.masks])
+    names = sorted(set(gene_names))
+    name_rank = dict(zip(names, range(len(names))))
+    by_name = np.array([name_rank[gene_names[g]] for g in genes.tolist()], dtype=np.intp)
+    pathway = np.repeat(np.arange(sizes.size), sizes)
+    order = np.lexsort((by_name, -np.abs(npw), pathway))
+    counts = np.minimum(sizes, k)
+    starts = np.concatenate([[0], np.cumsum(counts)])
+    top = order[np.repeat(offsets[:-1] - starts[:-1], counts) + np.arange(starts[-1])]
+    return TopGenes(starts, genes[top], npw[top])
 
 
 def rank_pathways_by_mi(a, labels, pathway_names, k: int | None = None):
@@ -266,14 +319,19 @@ def tercile_split(values):
     Constant input degenerates to both groups covering every sample, which
     callers must reject before a logrank test.
     """
+    return tercile_splits(np.reshape(values, (-1, 1)))[0]
+
+
+def tercile_splits(values):
+    """tercile_split of each column of a (samples, columns) matrix, as a
+    list of (low, high) pairs; the thresholds of all columns come from one
+    percentile call."""
     values = np.asarray(values, dtype=np.float64)
-    if values.size < 3:
-        raise DataError(f"tercile_split: need at least 3 samples, got {values.size}")
-    lo_thr = np.percentile(values, 100.0 / 3.0)
-    hi_thr = np.percentile(values, 200.0 / 3.0)
-    low = np.nonzero(values <= lo_thr)[0]
-    high = np.nonzero(values >= hi_thr)[0]
-    return low, high
+    if values.shape[0] < 3:
+        raise DataError(f"tercile_split: need at least 3 samples, got {values.shape[0]}")
+    lo_thr, hi_thr = np.percentile(values, [100.0 / 3.0, 200.0 / 3.0], axis=0)
+    low, high = values <= lo_thr, values >= hi_thr
+    return [(np.flatnonzero(lo), np.flatnonzero(hi)) for lo, hi in zip(low.T, high.T)]
 
 
 def apply_survival_window(table: SurvivalTable, limit_days: float = 1825.0) -> SurvivalTable:

@@ -71,6 +71,14 @@ class PathwayMask:
     def size(self) -> int:
         return int(self.indices.size)
 
+    @classmethod
+    def _checked(cls, name, indices: np.ndarray) -> "PathwayMask":
+        """A mask whose intp indices were checked with those of other masks,
+        made without checking them again."""
+        mask = object.__new__(cls)
+        mask.name, mask.indices = name, indices
+        return mask
+
 
 @dataclass
 class ArchitectureConfig:
@@ -268,30 +276,83 @@ def _allocate(arch: ArchitectureConfig, gene_count: int, masks: list[PathwayMask
     return ModelParams(pathway, encoder, decoder, offsets)
 
 
-def _walk(params: ModelParams, per_pathway: bool):
-    """The one walk over a model's parameters: (name, tensor) pairs, pathway
-    stage then encoder then decoder, per layer W then b.
+def _walk(params: ModelParams, sections=("pathway", "encoder", "decoder")):
+    """The one walk over a model's parameters: (name, tensor) pairs, the
+    packed pathway stage then encoder then decoder (or the given
+    ``sections``), per layer W then b.  These are the tensors training
+    updates."""
+    for section in sections:
+        for i, (W, b) in enumerate(getattr(params, section)):
+            yield f"{section}/{i}/W", W
+            yield f"{section}/{i}/b", b
 
-    With ``per_pathway`` the pathway stage is walked as each pathway's views
-    under the checkpoint's ``pathway/{j}/{i}`` names, pathway by pathway:
-    the order build_model draws initial weights in.  Without it the packed
-    tensors are walked; those are what training updates."""
-    if per_pathway:
-        pathway = (
-            (f"pathway/{j}/{i}", W, b)
-            for j, stack in enumerate(params.pathway_encoders)
-            for i, (W, b) in enumerate(stack)
-        )
-    else:
-        pathway = ((f"pathway/{i}", W, b) for i, (W, b) in enumerate(params.pathway))
-    dense = (
-        (f"{section}/{i}", W, b)
-        for section in ("encoder", "decoder")
-        for i, (W, b) in enumerate(getattr(params, section))
-    )
-    for prefix, W, b in itertools.chain(pathway, dense):
-        yield f"{prefix}/W", W
-        yield f"{prefix}/b", b
+
+_DENSE = ("encoder", "decoder")
+
+
+class _PathwayOrder(NamedTuple):
+    """The index map between the packed pathway tensors and the checkpoint's
+    pathway order: pathway by pathway, each pathway's layers in turn, W then
+    b (``pathway/{j}/{i}/W``, ``pathway/{j}/{i}/b``), each flattened.
+
+    It is a table of blocks.  Block (j, t) is pathway j's part of packed
+    tensor t, for t the packed tensors W0, b0, W1, b1, ... in _walk order:
+    its rows of layer 0's W, or its slice of any other tensor.  Each block
+    is contiguous on both sides of the map."""
+
+    lengths: np.ndarray  # (P, T) elements per block
+    packed: np.ndarray  # (P, T) first element among the packed tensors, flattened back to back
+    body: np.ndarray  # (P, T) first position in pathway order
+    fan_in: np.ndarray  # (P, T) a W block's rows; 0 for a b block
+
+    def to_body(self) -> np.ndarray:
+        """The packed element at each position in pathway order."""
+        return _ranges(self.packed, self.lengths)
+
+    def positions(self, t: int) -> np.ndarray:
+        """The position in pathway order of each element of packed tensor t."""
+        return _ranges(self.body[:, t], self.lengths[:, t])
+
+
+def _ranges(starts, lengths) -> np.ndarray:
+    """The ranges ``starts[k]`` to ``starts[k] + lengths[k]`` back to back,
+    k in the arrays' C order."""
+    starts, lengths = np.ravel(starts), np.ravel(lengths)
+    firsts = np.cumsum(lengths) - lengths
+    return np.repeat(starts - firsts, lengths) + np.arange(lengths.sum())
+
+
+def _pathway_order(params: ModelParams) -> _PathwayOrder:
+    offsets = np.asarray(params.pathway_offsets)
+    sizes = np.diff(offsets)
+    n_pw = sizes.size
+    lengths, packed, fans = [], [], []  # per packed tensor, per pathway
+    base = 0
+    for i, (W, b) in enumerate(params.pathway):
+        if i == 0:  # (N, h1): pathway j owns rows offsets[j] to offsets[j + 1]
+            lengths.append(sizes * W.shape[1])
+            packed.append(base + offsets[:-1] * W.shape[1])
+            fans.append(sizes)
+        else:  # (P, h_in, h_out)
+            block = W.shape[1] * W.shape[2]
+            lengths.append(np.full(n_pw, block))
+            packed.append(base + np.arange(n_pw) * block)
+            fans.append(np.full(n_pw, W.shape[1]))
+        base += W.size
+        lengths.append(np.full(n_pw, b.shape[-1]))
+        packed.append(base + np.arange(n_pw) * b.shape[-1])
+        fans.append(np.zeros(n_pw, np.intp))
+        base += b.size
+    lengths, packed, fans = (np.stack(c, axis=1) for c in (lengths, packed, fans))
+    body = (np.cumsum(lengths) - lengths.ravel()).reshape(lengths.shape)
+    return _PathwayOrder(lengths, packed, body, fans)
+
+
+def _fill_pathway(params: ModelParams, order: _PathwayOrder, values: np.ndarray):
+    """Fill the packed pathway tensors from ``values`` in pathway order: one
+    gather per tensor."""
+    for t, (_, tensor) in enumerate(_walk(params, ("pathway",))):
+        np.take(values, order.positions(t), out=tensor.reshape(-1), mode="clip")
 
 
 def build_model(
@@ -313,9 +374,18 @@ def build_model(
     else:
         masks = []
     params = _allocate(arch, gene_count, masks)
-    for name, t in _walk(params, per_pathway=True):
-        if name.endswith("/W"):
-            t[...] = init_weights(*t.shape, rng)
+    # He-normal weights drawn in the checkpoint's order: the pathway stage
+    # pathway by pathway in one draw, then the dense layers
+    if params.pathway:
+        order = _pathway_order(params)
+        lengths, fans = order.lengths[:, ::2], order.fan_in[:, ::2]  # the W blocks
+        draws = rng.normal(size=lengths.sum())
+        starts = (np.cumsum(lengths) - lengths.ravel()).reshape(lengths.shape)
+        for i, (W, _b) in enumerate(params.pathway):
+            scale = np.repeat(np.sqrt(2.0 / fans[:, i]), lengths[:, i])
+            np.multiply(draws[_ranges(starts[:, i], lengths[:, i])], scale, out=W.reshape(-1))
+    for W, _b in params.encoder + params.decoder:
+        W[...] = init_weights(*W.shape, rng)
     return Model(arch=arch, gene_count=gene_count, masks=masks, params=params, gene_names=gene_names)
 
 
@@ -766,13 +836,13 @@ def beta_schedule(t, kind: str, beta: float, t_start: int, t_end: int | None = N
 def flat_params(model: Model) -> list[np.ndarray]:
     """The parameter tensors training updates, in place: the packed pathway
     stage, then encoder, then decoder, per layer W then b."""
-    return [t for _, t in _walk(model.params, per_pathway=False)]
+    return [t for _, t in _walk(model.params)]
 
 
 def count_params(model_or_params) -> int:
     """Number of trainable scalars; the packed storage holds no padding."""
     params = model_or_params.params if isinstance(model_or_params, Model) else model_or_params
-    return int(sum(t.size for _, t in _walk(params, per_pathway=False)))
+    return int(sum(t.size for _, t in _walk(params)))
 
 
 def loss_and_grads(model: Model, x, outputs: ForwardOutputs, beta_eff: float = 0.0):
@@ -813,7 +883,7 @@ def _loss_and_grads(model, x, outputs, beta_eff, ws):
     )
     pw_grads = _pathway_backward(model, grad_enc_in, caches["pathway"], ws) if pathway else []
     grads = ModelParams(pw_grads, enc_grads, dec_grads)
-    flat = [g for _, g in _walk(grads, per_pathway=False)]
+    flat = [g for _, g in _walk(grads)]
     return total, flat
 
 
@@ -918,36 +988,56 @@ def save_checkpoint(model: Model, path):
     the file is replaced atomically, never left half-written.
 
     The pathway stage is written pathway by pathway under ``pathway/{j}/{i}``
-    names, so the format does not depend on how the parameters are packed."""
-    views = list(_walk(model.params, per_pathway=True))
+    names, so the format does not depend on how the parameters are packed;
+    its bytes are gathered from the packed tensors through one index map
+    (see _PathwayOrder)."""
+    params = model.params
     header = {
         "format": 1,
         "kind": model.arch.kind,
         "arch": asdict(model.arch),
         "gene_count": model.gene_count,
         "gene_names": model.gene_names,
-        "masks": [
-            {"name": m.name, "indices": [int(i) for i in m.indices]} for m in model.masks
-        ],
-        "tensors": _tensor_table(views),
+        "masks": [{"name": m.name, "indices": m.indices.tolist()} for m in model.masks],
+        "tensors": _tensor_table(params),
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body = []
+    if params.pathway:
+        packed = np.concatenate([t.reshape(-1) for _, t in _walk(params, ("pathway",))])
+        body.append(packed[_pathway_order(params).to_body()])
+    body += [t for _, t in _walk(params, _DENSE)]
     with atomic_open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
         fh.write(f"{len(head)}\n".encode("ascii"))
         fh.write(head)
-        for _, arr in views:
+        for arr in body:
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _tensor_table(views) -> list[dict]:
-    """The header's tensor table of (name, tensor) views in _walk order: each
-    view's name, shape and byte offset, the tensors back to back."""
+def _tensor_table(params: ModelParams) -> list[dict]:
+    """The header's tensor table, built from the tensors' shapes: each
+    tensor's name, shape and byte offset in the checkpoint's order (the
+    pathway stage pathway by pathway, then encoder, then decoder), the
+    tensors back to back."""
+    shapes = []
+    if params.pathway:
+        (W0, b0), *later = params.pathway
+        stack = [(W0.shape[1], b0.shape[1])] + [(W.shape[1:], b.shape[1:]) for W, b in later]
+        sizes = np.diff(params.pathway_offsets).tolist()
+        shapes = [
+            (f"pathway/{j}/{i}/{kind}", shape)
+            for j, m in enumerate(sizes)
+            for i, (w, b) in enumerate(stack)
+            for kind, shape in (("W", [m, w] if i == 0 else list(w)),
+                                ("b", [1, b] if i == 0 else list(b)))
+        ]
+    shapes += [(name, list(t.shape)) for name, t in _walk(params, _DENSE)]
     table = []
     offset = 0
-    for name, arr in views:
-        table.append({"name": name, "shape": list(arr.shape), "offset": offset})
-        offset += 8 * arr.size
+    for name, shape in shapes:
+        table.append({"name": name, "shape": shape, "offset": offset})
+        offset += 8 * math.prod(shape)
     return table
 
 
@@ -965,7 +1055,7 @@ def load_checkpoint(path) -> Model:
         data = fh.read()
     try:
         return _decode_checkpoint(data)
-    except (KeyError, IndexError, TypeError, ValueError, PathaeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, OverflowError, PathaeError) as exc:
         # ValueError covers JSON and UTF-8 decoding; the rest, a header of
         # the wrong structure
         raise DataError(f"{path}: damaged checkpoint: {type(exc).__name__}: {exc}") from exc
@@ -990,11 +1080,7 @@ def _decode_checkpoint(data: bytes) -> Model:
     gene_names = header["gene_names"]
     if gene_names is not None and len(gene_names) != gene_count:
         raise DataError(f"{len(gene_names)} gene names for {gene_count} genes")
-    masks = []
-    for m in header["masks"]:
-        if not all(_is_int(i) and 0 <= i < gene_count for i in m["indices"]):
-            raise DataError(f"pathway {m['name']!r} has indices outside 0..{gene_count - 1}")
-        masks.append(PathwayMask(m["name"], np.asarray(m["indices"], dtype=np.intp)))
+    masks = _header_masks(header["masks"], gene_count)
     if bool(masks) != is_pathway_kind(arch.kind):
         raise DataError(f"{len(masks)} pathway masks for a {arch.kind} model")
     # sized from the header alone, before anything is allocated, so a damaged
@@ -1006,17 +1092,64 @@ def _decode_checkpoint(data: bytes) -> Model:
     params = _allocate(arch, gene_count, masks)
 
     # the writer's table exactly, so every offset is the running byte count
-    views = list(_walk(params, per_pathway=True))
-    if header["tensors"] != _tensor_table(views):
+    if header["tensors"] != _tensor_table(params):
         raise DataError("tensor table does not match the architecture")
     values = np.frombuffer(body, dtype="<f8")
     start = 0
-    for _, view in views:
-        view[...] = values[start : start + view.size].reshape(view.shape)
-        start += view.size
+    if params.pathway:
+        order = _pathway_order(params)
+        _fill_pathway(params, order, values)
+        start = int(order.lengths.sum())
+    for _, t in _walk(params, _DENSE):
+        t[...] = values[start : start + t.size].reshape(t.shape)
+        start += t.size
     return Model(
         arch=arch, gene_count=gene_count, masks=masks, params=params, gene_names=gene_names
     )
+
+
+def _header_masks(entries, gene_count: int) -> list[PathwayMask]:
+    """The masks of a checkpoint header, checked as one concatenated index
+    array (see _concatenated_masks).  Masks that fail are checked again one
+    by one, in file order, and the first failing mask raises: DataError for
+    a bad index, else the error reading the entry or PathwayMask raises."""
+    masks = _concatenated_masks(entries, gene_count)
+    if masks is not None:
+        return masks
+    masks = []
+    for m in entries:
+        if not all(_is_int(i) and 0 <= i < gene_count for i in m["indices"]):
+            raise DataError(f"pathway {m['name']!r} has indices outside 0..{gene_count - 1}")
+        masks.append(PathwayMask(m["name"], np.asarray(m["indices"], dtype=np.intp)))
+    return masks
+
+
+def _concatenated_masks(entries, gene_count: int) -> list[PathwayMask] | None:
+    """The header's masks, or None unless every mask is a non-empty list of
+    ints (not bools) in 0..gene_count - 1 without repeats.  The indices are
+    checked as one list, their range before they are converted, so a huge
+    one cannot overflow; the masks share one index array."""
+    try:
+        raw = [m["indices"] for m in entries]
+        names = [m["name"] for m in entries]
+        sizes = [len(r) for r in raw]
+    except (KeyError, TypeError):
+        return None
+    flat = list(itertools.chain.from_iterable(raw))
+    if not all(sizes) or not set(map(type, flat)) <= {int}:
+        return None
+    stride = max(flat, default=0) + 1
+    # each index keyed by its mask, so that a repeat within a mask sorts to
+    # equal neighbours; keys beyond int64 are left to the mask-by-mask check
+    if min(flat, default=0) < 0 or stride > gene_count or len(sizes) * stride >= 2**63:
+        return None
+    indices = np.array(flat, dtype=np.intp)
+    keys = np.repeat(np.arange(len(sizes), dtype=np.int64) * stride, sizes) + indices
+    if (np.diff(np.sort(keys)) == 0).any():
+        return None
+    ends = np.cumsum(sizes).tolist()
+    return [PathwayMask._checked(name, indices[end - size : end])
+            for name, size, end in zip(names, sizes, ends)]
 
 
 def _is_int(v) -> bool:

@@ -1,0 +1,94 @@
+"""SHA-256 digests of every artifact of a fixed-seed run of each command.
+
+Not a test (pytest does not collect it).  Run from a source checkout:
+
+    PYTHONPATH=src python3 tests/artifact_digests.py > after.txt
+
+It writes a ``pathae synth`` fixture (seed 5, 120 training and 80 test
+samples) into a work directory and runs ``train``, ``gridsearch``,
+``validate``, ``interpret`` and ``survival`` on it, in one process, twice:
+first with the table caches cold (every ``*.pathae-table`` beside the
+fixture is deleted before each command), then warm (with the caches the
+cold pass left).  Each command writes into its own directory,
+``<pass>/<command>``.  The script prints one ``sha256  path`` line per file
+under the work directory, the path relative to it, sorted; the commands'
+own output goes to stderr.
+
+The work directory (``--work``, by default ``pathae-artifact-digests`` in
+the system's temporary directory) is emptied first.  The config file and
+the manifests' config hashes name it, so two checkouts are compared with
+the same ``--work``; the pathae imported is the one on ``PYTHONPATH``:
+
+    PYTHONPATH=../other/src python3 tests/artifact_digests.py > before.txt
+    diff before.txt after.txt
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import glob
+import hashlib
+import os
+import shutil
+import sys
+import tempfile
+
+# fast enough for a check, and every command still trains, ranks and tests
+SYNTH = ["--seed", "5", "--n-train", "120", "--n-test", "80"]
+COMMANDS = {
+    "train": ["--epochs", "5"],
+    "gridsearch": ["--epochs", "3"],
+    "validate": ["--epochs", "3", "--repeats", "2"],
+    "interpret": [],
+    "survival": [],
+}
+
+
+def _run(argv):
+    from pathae.cli import main
+
+    with contextlib.redirect_stdout(sys.stderr):
+        status = main(argv)
+    if status != 0:
+        raise SystemExit(f"pathae {' '.join(argv)} exited with {status}")
+
+
+def _digest(path) -> str:
+    sha = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 16):
+            sha.update(chunk)
+    return sha.hexdigest()
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--work", default=os.path.join(tempfile.gettempdir(),
+                                                   "pathae-artifact-digests"),
+                    help="work directory, emptied first")
+    args = ap.parse_args(argv)
+    work = os.path.abspath(args.work)
+    shutil.rmtree(work, ignore_errors=True)
+    fixture = os.path.join(work, "fixture")
+    _run(["synth", "--out", fixture, *SYNTH])
+    config = os.path.join(fixture, "config.ini")
+    for phase in ("cold", "warm"):
+        for command, extra in COMMANDS.items():
+            if phase == "cold":
+                for cache in glob.glob(os.path.join(fixture, "*.pathae-table")):
+                    os.unlink(cache)
+            argv = [command, "-c", config, "--output", os.path.join(work, phase, command), *extra]
+            if command in ("interpret", "survival"):
+                argv += ["--checkpoint",
+                         os.path.join(work, phase, "train", "checkpoint-synth-paae.ckpt")]
+            _run(argv)
+    for root, _dirs, files in sorted(os.walk(work)):
+        for name in sorted(files):
+            path = os.path.join(root, name)
+            print(f"{_digest(path)}  {os.path.relpath(path, work)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -11,17 +11,41 @@ column from a shrinking matrix; ``pathae.interpret`` keeps the matrix at
 full size instead.  ``zscore_values`` is the zscore normalizer as one
 ``np.where`` over two full-size temporaries; ``pathae.dataio`` forms the
 same values in one owned array.
+
+The checkpoint references walk the pathway stage as each pathway's own
+views (``ModelParams.pathway_encoders``) under the checkpoint's
+``pathway/{j}/{i}`` names: ``build_model`` draws each view's weights on its
+own, ``checkpoint_bytes`` writes the body view by view, and
+``load_checkpoint`` checks the masks one at a time and fills the views one
+by one.  ``anpw_rows`` ranks each pathway's genes on its own, through
+``interpret.top_genes_by_anpw``.  ``pathae.models`` maps the packed tensors
+to that order with one index map instead, and ``pathae.interpret`` ranks
+every pathway at once.
 """
 
 from __future__ import annotations
 
+import json
+import math
+from dataclasses import asdict
+
 import numpy as np
 
+from pathae import models
 from pathae.classifiers import LogisticModel, _label_codes, _split_search, lr_predict_proba
-from pathae.errors import DataError, ShapeError
-from pathae.interpret import ClusterTree, _pairwise_distance
-from pathae.models import ForwardOutputs, Model, is_variational, kl_gaussian, mse_loss
-from pathae.ndcore import as_stream
+from pathae.errors import ConfigError, DataError, PathaeError, ShapeError
+from pathae.interpret import ClusterTree, _pairwise_distance, top_genes_by_anpw
+from pathae.models import (
+    ArchitectureConfig,
+    ForwardOutputs,
+    Model,
+    PathwayMask,
+    is_pathway_kind,
+    is_variational,
+    kl_gaussian,
+    mse_loss,
+)
+from pathae.ndcore import as_stream, init_weights
 
 
 def _as_f64(x) -> np.ndarray:
@@ -174,3 +198,122 @@ def zscore_values(values, mean, sd) -> np.ndarray:
     """(values - mean) / sd per column, and 0.0 in the columns whose sd is
     not > 0."""
     return np.where(sd > 0, (values - mean) / np.where(sd > 0, sd, 1.0), 0.0)
+
+
+def pathway_views(params):
+    """(name, tensor) pairs in the checkpoint's order: each pathway's views,
+    pathway by pathway, under ``pathway/{j}/{i}`` names, then the dense
+    layers."""
+    for j, stack in enumerate(params.pathway_encoders):
+        for i, (W, b) in enumerate(stack):
+            yield f"pathway/{j}/{i}/W", W
+            yield f"pathway/{j}/{i}/b", b
+    yield from models._walk(params, ("encoder", "decoder"))
+
+
+def build_model(arch, gene_count, masks=None, rng=None, gene_names=None) -> Model:
+    """models.build_model with one He-normal draw per weight view, in
+    pathway_views order, and zero biases."""
+    rng = as_stream(rng)
+    model = models.build_model(arch, gene_count, masks, 0, gene_names)
+    for name, t in pathway_views(model.params):
+        t[...] = init_weights(*t.shape, rng) if name.endswith("/W") else 0.0
+    return model
+
+
+def _tensor_table(views) -> list[dict]:
+    table = []
+    offset = 0
+    for name, arr in views:
+        table.append({"name": name, "shape": list(arr.shape), "offset": offset})
+        offset += 8 * arr.size
+    return table
+
+
+def checkpoint_bytes(model: Model) -> bytes:
+    """The bytes of models.save_checkpoint, the body written view by view."""
+    views = list(pathway_views(model.params))
+    header = {
+        "format": 1,
+        "kind": model.arch.kind,
+        "arch": asdict(model.arch),
+        "gene_count": model.gene_count,
+        "gene_names": model.gene_names,
+        "masks": [{"name": m.name, "indices": [int(i) for i in m.indices]} for m in model.masks],
+        "tensors": _tensor_table(views),
+    }
+    head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body = b"".join(np.ascontiguousarray(arr, dtype="<f8").tobytes() for _, arr in views)
+    return models._CKPT_MAGIC + f"{len(head)}\n".encode("ascii") + head + body
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def load_checkpoint(path) -> Model:
+    """models.load_checkpoint with the masks checked one at a time, in file
+    order, and the tensors filled view by view."""
+    with open(path, "rb") as fh:
+        if fh.read(len(models._CKPT_MAGIC)) != models._CKPT_MAGIC:
+            raise ConfigError(f"{path}: not a checkpoint file (bad magic)")
+        data = fh.read()
+    try:
+        return _decode_checkpoint(data)
+    except (KeyError, IndexError, TypeError, ValueError, PathaeError) as exc:
+        raise DataError(f"{path}: damaged checkpoint: {type(exc).__name__}: {exc}") from exc
+
+
+def _decode_checkpoint(data: bytes) -> Model:
+    head_line, newline, rest = data.partition(b"\n")
+    if not newline or not head_line.isdigit():
+        raise DataError("truncated header length")
+    head_len = int(head_line)
+    if len(rest) < head_len:
+        raise DataError(f"header truncated at {len(rest)} of {head_len} bytes")
+    header = json.loads(rest[:head_len].decode("utf-8"))
+    body = rest[head_len:]
+    if header["format"] != 1:
+        raise DataError(f"unsupported format {header['format']!r}")
+
+    arch = ArchitectureConfig(**header["arch"])
+    gene_count = header["gene_count"]
+    if not _is_int(gene_count) or gene_count < 1:
+        raise DataError(f"gene_count {gene_count!r} is not a positive integer")
+    gene_names = header["gene_names"]
+    if gene_names is not None and len(gene_names) != gene_count:
+        raise DataError(f"{len(gene_names)} gene names for {gene_count} genes")
+    masks = []
+    for m in header["masks"]:
+        if not all(_is_int(i) and 0 <= i < gene_count for i in m["indices"]):
+            raise DataError(f"pathway {m['name']!r} has indices outside 0..{gene_count - 1}")
+        masks.append(PathwayMask(m["name"], np.asarray(m["indices"], dtype=np.intp)))
+    if bool(masks) != is_pathway_kind(arch.kind):
+        raise DataError(f"{len(masks)} pathway masks for a {arch.kind} model")
+    *sections, _ = models._layer_shapes(arch, gene_count, masks)
+    expected = 8 * sum(math.prod(s) for layers in sections for pair in layers for s in pair)
+    if len(body) != expected:
+        raise DataError(f"body has {len(body)} bytes, the tensors need {expected}")
+    params = models._allocate(arch, gene_count, masks)
+    views = list(pathway_views(params))
+    if header["tensors"] != _tensor_table(views):
+        raise DataError("tensor table does not match the architecture")
+    values = np.frombuffer(body, dtype="<f8")
+    start = 0
+    for _, view in views:
+        view[...] = values[start : start + view.size].reshape(view.shape)
+        start += view.size
+    return Model(arch=arch, gene_count=gene_count, masks=masks, params=params,
+                 gene_names=gene_names)
+
+
+def anpw_rows(model: Model, gene_names, k: int) -> list[list]:
+    """The rows of interpret's anpw CSV: each pathway's top genes by |NPW|,
+    ranked pathway by pathway through top_genes_by_anpw."""
+    rows = []
+    for mask, layers in zip(model.masks, model.params.pathway_encoders):
+        top = top_genes_by_anpw(layers, [gene_names[i] for i in mask.indices],
+                                k=min(k, mask.size))
+        for rank, (gene, weight) in enumerate(top, start=1):
+            rows.append([mask.name, rank, gene, f"{weight:+.6f}"])
+    return rows

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -832,14 +833,14 @@ class TestCountLines:
     @given(data=_table_bytes() | st.binary(max_size=40), chunk_size=st.integers(1, 5))
     def test_counts_text_mode_lines(self, scratch, data, chunk_size):
         """As many lines as text mode reads, blank ones included, for any
-        chunk size, so a \\r\\n split between chunks counts once; the same
-        pass hashes every byte."""
+        chunk size, so a \\r\\n split between chunks counts once; the hash
+        pass reads every byte, whatever its buffer size."""
         path = scratch / "c.tsv"
         path.write_bytes(data)
         with open(path, encoding="latin-1") as fh:
             expected = sum(1 for _ in fh)
-        count, digest, _stamp = dataio._count_lines(str(path), chunk_size)
-        assert count == expected
+        assert dataio._count_lines(str(path), chunk_size) == expected
+        digest, _stamp = dataio._file_digest(str(path), chunk_size)
         assert digest == hashlib.sha256(data).hexdigest()
 
 
@@ -1014,7 +1015,13 @@ class TestTableCache:
         assert os.path.exists(dataio._table_cache_path(path))
 
     def test_non_regular_file_has_no_digest(self):
-        assert dataio._count_lines(os.devnull)[:2] == (0, None)
+        assert dataio._file_digest(os.devnull) is None
+
+    def test_hit_counts_no_lines(self, tmp_path):
+        path = write(tmp_path / "e.tsv", "id\tG1\nS1\t1.5\n")
+        load_expression_tsv(path)
+        with mock.patch.object(dataio, "_count_lines", side_effect=AssertionError("counted")):
+            assert load_expression_tsv(path).values[0, 0] == 1.5
 
     def test_hit_peak_is_under_one_and_three_tenths_tables(self, tmp_path):
         """A cache read fills one preallocated array from the file: about
@@ -1035,3 +1042,59 @@ class TestTableCache:
             tracemalloc.stop()
         assert seen == []
         assert peak < 1.3 * table_bytes
+
+
+@contextlib.contextmanager
+def _fifo(path, data: bytes):
+    """A FIFO at ``path`` that a writer thread fills with ``data`` when a
+    reader opens it.  A second open for reading, after the writer closed
+    the FIFO, gets an empty file rather than waiting for a writer forever:
+    until the block ends, the thread keeps opening the FIFO for writing
+    when a reader waits, and closes it at once."""
+    os.mkfifo(path)
+    done = threading.Event()
+
+    def writer():
+        with open(path, "wb") as fh:  # waits for the first reader
+            fh.write(data)
+        while not done.wait(0.02):
+            try:
+                os.close(os.open(path, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:  # no reader waits
+                pass
+
+    thread = threading.Thread(target=writer, daemon=True)
+    thread.start()
+    try:
+        yield str(path)
+    finally:
+        done.set()
+        # a writer still waiting for its first reader is let through
+        fd = os.open(path, os.O_RDONLY | os.O_NONBLOCK)
+        thread.join(10)
+        os.close(fd)
+        assert not thread.is_alive()
+
+
+class TestNonRegularFiles:
+    """A pipe or FIFO can be read only once: it is parsed in one text pass,
+    with no hash, no line count and no cache."""
+
+    def test_fifo_loads_as_the_same_bytes_in_a_file(self, tmp_path):
+        rows = [f"S{i}\t{i * 0.25!r}\t{-0.0 if i % 2 else 1e-300!r}" for i in range(40)]
+        data = ("id\tG1\tG2\n\n" + "\n".join(rows) + "\n").encode()
+        regular = tmp_path / "e.tsv"
+        regular.write_bytes(data)
+        for orientation in dataio.ORIENTATIONS:
+            with _fifo(tmp_path / "f.tsv", data) as fifo, _text_reads() as seen:
+                table = load_expression_tsv(fifo, orientation=orientation)
+            assert seen == [fifo]
+            _same_table(table, load_expression_tsv(str(regular), orientation=orientation))
+            assert sorted(os.listdir(tmp_path)) == ["e.tsv", "e.tsv.pathae-table", "f.tsv"]
+            os.unlink(fifo)
+
+    def test_empty_fifo_is_an_empty_file(self, tmp_path):
+        with _fifo(tmp_path / "f.tsv", b"") as fifo:
+            with pytest.raises(ParseError) as err:
+                load_expression_tsv(fifo)
+        assert str(err.value) == f"{fifo}: empty file"

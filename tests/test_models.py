@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from pathae import models
@@ -33,6 +33,7 @@ from pathae.models import (
 )
 from pathae.ndcore import AdamState, RngStream, adam_step, finite_diff_grad
 
+import reference
 from conftest import max_rel_err
 from reference import (
     affine_backward,
@@ -410,7 +411,7 @@ def _reference_loss_and_grads(model, x, outputs, beta_eff):
     )
     pw_grads = _reference_pathway_backward(model, grad_enc_in, caches["pathway"]) if pathway else []
     grads = ModelParams(pw_grads, enc_grads, dec_grads)
-    return total, [g for _, g in models._walk(grads, per_pathway=False)]
+    return total, [g for _, g in models._walk(grads)]
 
 
 @st.composite
@@ -1030,20 +1031,48 @@ class TestCheckpoint:
             # the two biases have the same shape, so each offset stays in range
             lambda h, body: ({**h, "tensors": swap_offsets(h["tensors"], "pathway/0/0/b",
                                                            "pathway/1/0/b")}, body),
+            lambda h, body: (with_mask(h, 0, [0, 2**70, 2]), body),
+            lambda h, body: (with_mask(h, 0, [0, True, 2]), body),
+            lambda h, body: (with_mask(h, 0, "ab"), body),
+            lambda h, body: (with_mask(h, 1, [3, 3]), body),
+            lambda h, body: (with_mask(h, 1, []), body),
+            lambda h, body: (with_mask(h, 1, [-1, 4]), body),
+            lambda h, body: (with_mask(with_mask(h, 1, [2**70, 4]), 0, [0, 0, 2]), body),
+            lambda h, body: ({**h, "masks": h["masks"][:1] + [{"indices": [3, 4]}]}, body),
+            lambda h, body: ({**h, "masks": [5]}, body),
         ],
         ids=["format", "not-a-dict", "trailing-bytes", "gene-count", "gene-names", "arch-value",
              "arch-shapes", "mask-bounds", "float-index", "missing-tensor", "tensor-shape",
              "offset", "huge-encoder-layer", "huge-pathway-layer", "huge-gene-count",
-             "swapped-offsets"],
+             "swapped-offsets", "huge-index", "bool-index", "string-indices", "repeated-index",
+             "empty-mask", "negative-second-mask", "first-of-two-bad-masks", "unnamed-mask",
+             "mask-not-a-dict"],
     )
     def test_damaged_header_is_data_error_naming_path(self, tmp_path, damage):
+        """The error names the file, and its text is that of the per-pathway
+        reference loader: a damaged mask names the first failing mask in
+        file order."""
         path = tmp_path / "m.ckpt"
         save_checkpoint(self._model(), path)
         header, body = split_checkpoint(path.read_bytes())
         header, body = damage(header, body)
         head = json.dumps(header).encode()
         path.write_bytes(MAGIC + f"{len(head)}\n".encode() + head + body)
-        with pytest.raises(DataError, match="m.ckpt"):
+        with pytest.raises(DataError, match="m.ckpt") as err:
+            load_checkpoint(path)
+        with pytest.raises(DataError) as reference_err:
+            reference.load_checkpoint(path)
+        assert str(err.value) == str(reference_err.value)
+
+    def test_index_beyond_intp_is_data_error(self, tmp_path):
+        # in range for a huge gene count, but too large for an index array
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(self._model(), path)
+        header, body = split_checkpoint(path.read_bytes())
+        header = with_mask({**header, "gene_count": 2**70, "gene_names": None}, 0, [0, 2**65, 2])
+        head = json.dumps(header).encode()
+        path.write_bytes(MAGIC + f"{len(head)}\n".encode() + head + body)
+        with pytest.raises(DataError, match="m.ckpt: damaged checkpoint: OverflowError"):
             load_checkpoint(path)
 
     def test_any_header_byte_damage_is_config_or_data_error(self, tmp_path):
@@ -1062,7 +1091,69 @@ class TestCheckpoint:
                     pass
 
 
+@st.composite
+def _pathway_models(draw):
+    """(arch, gene_count, masks, gene_names): unequal, overlapping masks in
+    several size groups, and gene names drawn from a few letters, so that
+    names repeat."""
+    gene_count = draw(st.integers(4, 24))
+    sizes = draw(st.lists(st.integers(1, min(gene_count, 9)), min_size=1, max_size=8))
+    rng = RngStream(draw(st.integers(0, 2**16)))
+    masks = [PathwayMask(f"P{j % 3}", rng.choice(gene_count, size=m, replace=False))
+             for j, m in enumerate(sizes)]
+    hidden = draw(st.sampled_from([[1], [3], [2, 1], [3, 2]]))
+    arch = ArchitectureConfig(kind=draw(st.sampled_from(["paae", "pavae"])),
+                              encoder_layer_sizes=[3, 2], pathway_hidden_sizes=hidden)
+    names = draw(st.lists(st.sampled_from(["a", "B", "b", "é"]), min_size=gene_count,
+                          max_size=gene_count))
+    return arch, gene_count, masks, names
+
+
+class TestPackedMatchesPerPathway:
+    """build_model, save_checkpoint and load_checkpoint map the packed
+    tensors to the checkpoint's pathway-by-pathway order through one index
+    map, and the read commands rank every pathway's genes at once; each
+    gives the bits of the per-pathway references."""
+
+    @settings(max_examples=30, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=_pathway_models(), seed=st.integers(0, 2**16))
+    def test_bits_equal_the_per_pathway_references(self, tmp_path, case, seed):
+        from pathae.cli import _anpw_rows
+        from pathae.interpret import neural_path_weights, pathway_npw
+
+        arch, gene_count, masks, names = case
+        model = build_model(arch, gene_count, masks, RngStream(seed), gene_names=names)
+        ref = reference.build_model(arch, gene_count, masks, RngStream(seed), gene_names=names)
+        assert _bytes(flat_params(model)) == _bytes(flat_params(ref))
+
+        path = tmp_path / "m.ckpt"
+        # He-normal weights, then weights from a few values, so that |NPW|
+        # ties are common
+        for values in (None, [-1.0, -0.5, 0.0, 0.5, 1.0]):
+            if values is not None:
+                for p in flat_params(model):
+                    p[...] = RngStream(seed).choice(values, size=p.shape)
+            save_checkpoint(model, path)
+            assert path.read_bytes() == reference.checkpoint_bytes(model)
+
+            loaded, ref_loaded = load_checkpoint(path), reference.load_checkpoint(path)
+            assert _bytes(flat_params(loaded)) == _bytes(flat_params(ref_loaded))
+            assert [(m.name, m.indices.tolist()) for m in loaded.masks] == [
+                (m.name, m.indices.tolist()) for m in ref_loaded.masks]
+            npw = [neural_path_weights(stack) for stack in loaded.params.pathway_encoders]
+            assert pathway_npw(loaded.params).tobytes() == np.concatenate(npw).tobytes()
+            for k in (1, 3, 10):
+                assert _anpw_rows(loaded, names, k) == reference.anpw_rows(loaded, names, k)
+
+
 MAGIC = b"PATHAE-CKPT-v1\n"
+
+
+def with_mask(header, j, indices):
+    """A copy of a checkpoint header with mask j's indices replaced."""
+    masks = list(header["masks"])
+    masks[j] = {**masks[j], "indices": indices}
+    return {**header, "masks": masks}
 
 
 def swap_offsets(tensors, first, second):
