@@ -5,7 +5,7 @@ that fails or is killed midway, not power loss (nothing is fsynced)."""
 from __future__ import annotations
 
 import contextlib
-import csv
+import itertools
 import os
 
 
@@ -25,10 +25,45 @@ def atomic_open(path, mode: str = "w", **kwargs):
 
 
 def write_csv(path, header, rows):
-    """Write a CSV artifact atomically: UTF-8, the csv module's default
-    dialect (comma, quoting only where needed, \\r\\n line ends).  A float
-    cell is written as its repr, so it reads back bit-exactly."""
+    """Write a CSV artifact atomically: UTF-8, the bytes of the csv
+    module's default dialect (comma, quoting only where needed, \\r\\n line
+    ends).  A cell is written as its ``str()``, None as an empty cell, so a
+    float cell is its repr and reads back bit-exactly.  The file is formed
+    in memory and written in two parts, its first line and the rest."""
+    text = _csv_text([header, *rows])
+    first = text.index("\n") + 1
     with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(text[:first])
+        fh.write(text[first:])
+
+
+def _csv_text(records) -> str:
+    """The records as csv.writer writes them.  Every cell is formatted by
+    one %-format of the whole file; only when that text holds a cell that
+    csv.writer would write otherwise (one with a comma, a quote or a line
+    break, a None, or the only cell of its record and empty) are the records
+    formed one by one, with its quoting."""
+    records = [r if isinstance(r, (list, tuple)) else list(r) for r in records]
+    lengths = list(map(len, records))
+    formats = {n: ",".join(["%s"] * n) + "\r\n" for n in set(lengths)}
+    cells = tuple(itertools.chain.from_iterable(records))
+    text = "".join(map(formats.__getitem__, lengths)) % cells
+    n = len(records)
+    if ('"' in text or "None" in text or text.count("\n") != n or text.count("\r") != n
+            or text.count(",") != sum(lengths) - n or text.startswith("\r\n") or "\n\r\n" in text):
+        return "".join([_csv_line(r) + "\r\n" for r in records])
+    return text
+
+
+def _csv_line(row) -> str:
+    """One record as csv.writer writes it, without its line end."""
+    line = ",".join([_csv_cell("" if cell is None else str(cell)) for cell in row])
+    # csv.writer quotes a record of one empty cell, which would otherwise
+    # read back as a record of no cells
+    return '""' if len(row) == 1 and not line else line
+
+
+def _csv_cell(text: str) -> str:
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text

@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import ConfigError, DataError, ShapeError
 from .ndcore import as_stream, require_finite
@@ -118,6 +117,10 @@ def lr_fit(X, y, C: float = 1.0, max_iter: int = 100, tol: float = 1e-6) -> Logi
         gW = W + C * (X.T @ (P - onehot))
         gb = C * (P - onehot).sum(axis=0, keepdims=True)
         return value, np.concatenate([gW.ravel(), gb.ravel()])
+
+    # imported here, not with the module: SciPy is the slowest import of
+    # every pathae command, and only lr fits use it
+    from scipy.optimize import minimize
 
     theta0 = np.zeros(d * k + k)
     res = minimize(

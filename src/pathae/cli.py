@@ -635,20 +635,23 @@ def cmd_survival(cfg: ExperimentConfig, checkpoint) -> int:
     events = np.asarray([surv.records[s][1] for s in expr.sample_ids])
 
     gene_index = {g: i for i, g in enumerate(expr.gene_names)}
-    top = interpret.pathway_top_genes(model, genes, cfg.top_genes)
-    tested = [(pname, genes[g]) for (pname, _mi), j in zip(ranked, _columns(ranked, names))
-              for g in top.genes[top.starts[j] : top.starts[j + 1]].tolist()]
+    top = interpret.pathway_top_genes(model, genes, cfg.top_genes, _columns(ranked, names))
+    tested = [(pname, genes[g]) for i, (pname, _mi) in enumerate(ranked)
+              for g in top.genes[top.starts[i] : top.starts[i + 1]].tolist()]
     groups = interpret.tercile_splits(expr.values[:, [gene_index[g] for _, g in tested]])
 
     run = _RunDir(cfg, "survival")
     base = f"{cfg.dataset_name}-{model.arch.kind}"
+    degenerate = [bool(set(low.tolist()) & set(high.tolist())) for low, high in groups]
+    scores = iter(interpret.logrank_tests(
+        times, events, [pair for pair, bad in zip(groups, degenerate) if not bad]))
     results = []
-    for (pname, gene), (low, high) in zip(tested, groups):
-        if set(low.tolist()) & set(high.tolist()):
+    for (pname, gene), (low, high), bad in zip(tested, groups, degenerate):
+        if bad:
             results.append((pname, gene, len(low), len(high), float("nan"), float("nan"), False,
                             "degenerate terciles"))
             continue
-        stat, p = interpret.logrank_test(times[low], events[low], times[high], events[high])
+        stat, p = next(scores)
         significant = p <= 0.05
         results.append((pname, gene, len(low), len(high), stat, p, significant, ""))
         if significant:

@@ -8,9 +8,11 @@ for stochastic embedding methods); every emitted map is labeled as such.
 
 The ranking scores every pathway column in one batched mutual-information
 call, and every pathway's neural path weights and top genes come from the
-model's packed pathway tensors at once.  Heatmap and scatter colours come from one vectorized diverging map,
-and each row, column and point coordinate is formatted once, not per cell
-or per panel; the bytes are those of the per-cell formatting.
+model's packed pathway tensors at once.  The logrank tests of all tested
+genes run over one cohort-wide grid of event times.  Heatmap and scatter
+colours come from one vectorized diverging map that formats each distinct
+colour once, and each row, column and point coordinate is formatted once,
+not per cell or per panel; the bytes are those of the per-cell formatting.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from .atomic import atomic_open, write_csv
 from .errors import DataError, ShapeError
 # mutual_information stays importable from here: perfbench interposes it
 from .metrics import mutual_information, mutual_information_columns  # noqa: F401
+from .models import _ranges
 from .dataio import SurvivalTable
 
 # ---------------------------------------------------------------------------
@@ -98,23 +101,29 @@ def pathway_npw(params) -> np.ndarray:
     return npw
 
 
-def pathway_top_genes(model, gene_names, k: int = 10) -> TopGenes:
-    """top_genes_by_anpw for every pathway of a model at once, the genes
-    named on the axis ``gene_names``: each pathway's min(k, size) genes by
-    |NPW|, descending, ties broken by name and then by mask order.  The
-    weights come from pathway_npw and are ranked by one lexsort."""
+def pathway_top_genes(model, gene_names, k: int = 10, pathways=None) -> TopGenes:
+    """top_genes_by_anpw for the given pathways of a model (every pathway by
+    default) at once, in the order given, the genes named on the axis
+    ``gene_names``: each pathway's min(k, size) genes by |NPW|, descending,
+    ties broken by name and then by mask order.  The weights come from
+    pathway_npw and are ranked by one lexsort."""
     offsets = np.asarray(model.params.pathway_offsets)
-    sizes = np.diff(offsets)
-    npw = pathway_npw(model.params)
-    genes = np.concatenate([m.indices for m in model.masks])
-    names = sorted(set(gene_names))
+    if pathways is None:
+        pathways = range(offsets.size - 1)
+    pathways = np.asarray(pathways, dtype=np.intp)
+    sizes = np.diff(offsets)[pathways]
+    rows = _ranges(offsets[pathways], sizes)  # their layer-0 weight rows
+    npw = pathway_npw(model.params)[rows]
+    genes = np.concatenate([m.indices for m in model.masks])[rows]
+    names = sorted({gene_names[g] for g in genes.tolist()})
     name_rank = dict(zip(names, range(len(names))))
     by_name = np.array([name_rank[gene_names[g]] for g in genes.tolist()], dtype=np.intp)
-    pathway = np.repeat(np.arange(sizes.size), sizes)
-    order = np.lexsort((by_name, -np.abs(npw), pathway))
+    slot = np.repeat(np.arange(sizes.size), sizes)
+    order = np.lexsort((by_name, -np.abs(npw), slot))
     counts = np.minimum(sizes, k)
     starts = np.concatenate([[0], np.cumsum(counts)])
-    top = order[np.repeat(offsets[:-1] - starts[:-1], counts) + np.arange(starts[-1])]
+    firsts = np.cumsum(sizes) - sizes
+    top = order[np.repeat(firsts - starts[:-1], counts) + np.arange(starts[-1])]
     return TopGenes(starts, genes[top], npw[top])
 
 
@@ -287,29 +296,68 @@ def km_estimate(times, events) -> KMCurve:
 
 
 def logrank_test(times_a, events_a, times_b, events_b):
-    """Standard two-group logrank: (chi-square statistic, p) with 1 df."""
+    """Standard two-group logrank: (chi-square statistic, p) with 1 df.
+    The one-pair form of logrank_tests."""
     ta = np.asarray(times_a, dtype=np.float64)
-    ea = np.asarray(events_a, dtype=bool)
     tb = np.asarray(times_b, dtype=np.float64)
-    eb = np.asarray(events_b, dtype=bool)
-    if ta.size == 0 or tb.size == 0:
+    times = np.concatenate([ta, tb])
+    events = np.concatenate([np.asarray(events_a, dtype=bool), np.asarray(events_b, dtype=bool)])
+    groups = [(np.arange(ta.size), np.arange(ta.size, times.size))]
+    return logrank_tests(times, events, groups)[0]
+
+
+def logrank_tests(times, events, groups):
+    """logrank_test of each (low, high) pair of index arrays into one
+    cohort's ``times`` and ``events``, as a list of (statistic, p).
+
+    Every pair is scored over the cohort's event times at once: the numbers
+    at risk and the deaths of each group come from cumulative sums over a
+    (groups, samples) membership count in time order.  At each of a pair's
+    own event times where both groups have someone at risk, a term is
+    logrank_test's expression; at every other cohort event time it is +0.0,
+    which leaves the running sums' bits as they are."""
+    times = np.asarray(times, dtype=np.float64)
+    events = np.asarray(events, dtype=bool)
+    sides = [low for low, _ in groups] + [high for _, high in groups]
+    sizes = [len(side) for side in sides]
+    if 0 in sizes:
         raise DataError("logrank_test: empty group")
-    event_times = np.unique(np.concatenate([ta[ea], tb[eb]]))
-    na, da = _risk_table(ta, ea, event_times)
-    nb, db = _risk_table(tb, eb, event_times)
-    both = (na > 0) & (nb > 0)  # a time where one group is empty adds nothing
-    if not both.any():
-        return 0.0, 1.0
-    na, nb, da, db = na[both], nb[both], da[both], db[both]
+    if np.isnan(times).any():
+        raise DataError("survival times must not be NaN")
+    k, size = len(groups), times.size
+    grid = np.unique(times[events])
+    if not k or not grid.size:
+        return [(0.0, 1.0)] * k
+    order = np.argsort(times, kind="stable")
+    rank = np.empty(size, dtype=np.intp)
+    rank[order] = np.arange(size)
+    cells = np.repeat(np.arange(2 * k) * size, sizes) + rank[np.concatenate(sides)]
+    members = np.bincount(cells, minlength=2 * k * size).reshape(2 * k, size)
+    # members and deaths of each group ranked before each rank
+    below, dead_below = np.zeros((2, 2 * k, size + 1), dtype=np.intp)
+    np.cumsum(members, axis=1, out=below[:, 1:])
+    np.cumsum(members * events[order], axis=1, out=dead_below[:, 1:])
+    first = np.searchsorted(times[order], grid, side="left")
+    past = np.searchsorted(times[order], grid, side="right")
+    at_risk = below[:, -1:] - below[:, first]
+    deaths = dead_below[:, past] - dead_below[:, first]
+    na, nb, da, db = at_risk[:k], at_risk[k:], deaths[:k], deaths[k:]
+    kept = (na > 0) & (nb > 0)  # a time where one group is empty adds nothing
     n, d = na + nb, da + db
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(kept, da - d * na / n, 0.0)
+        var_terms = np.where(kept, d * (na / n) * (nb / n) * (n - d) / (n - 1), 0.0)
     # running sums in time order, not np.sum's pairwise order
-    o_minus_e = np.cumsum(da - d * na / n)[-1]
-    var = np.cumsum(d * (na / n) * (nb / n) * (n - d) / (n - 1))[-1]
-    if var <= 0:
-        return 0.0, 1.0
-    stat = o_minus_e**2 / var
-    p = math.erfc(math.sqrt(stat / 2.0))  # chi-square(1) survival function
-    return float(stat), float(p)
+    results = []
+    o_minus_es, variances = np.cumsum(terms, axis=1)[:, -1], np.cumsum(var_terms, axis=1)[:, -1]
+    for o_minus_e, var in zip(o_minus_es, variances):
+        if var <= 0:
+            results.append((0.0, 1.0))
+            continue
+        stat = o_minus_e**2 / var
+        p = math.erfc(math.sqrt(stat / 2.0))  # chi-square(1) survival function
+        results.append((float(stat), float(p)))
+    return results
 
 
 def tercile_split(values):
@@ -365,24 +413,26 @@ def class_color(label, vocabulary) -> str:
 _HEX = np.array([f"{i:02x}" for i in range(256)], dtype=object)
 
 
-def _diverging_colors(values, vmax: float) -> np.ndarray:
+def _diverging_colors(values, vmax) -> np.ndarray:
     """Blue-white-red diverging map, symmetric about 0: one ``#rrggbb``
-    string per value. Clamping follows Python's ``min``/``max`` (NaN maps
-    to +1) and channels round half to even, like ``round``."""
+    string per value, scaled by ``vmax`` (a float, or an array broadcast
+    against ``values``; where it is <= 0 every colour is white). Clamping
+    follows Python's ``min``/``max`` (NaN maps to +1) and channels round
+    half to even, like ``round``.  Each distinct colour is formatted once."""
     values = np.asarray(values, dtype=np.float64)
-    if vmax <= 0:
-        t = np.zeros(values.shape)
-    else:
-        t = values / vmax
-        t = np.where(t < 1.0, t, 1.0)
-        t = np.where(t > -1.0, t, -1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # the vmax <= 0 cells are dropped
+        t = np.where(np.less_equal(vmax, 0), 0.0, values / vmax)
+    t = np.where(t < 1.0, t, 1.0)
+    t = np.where(t > -1.0, t, -1.0)
     pos = t >= 0
     s = np.abs(t)
-    fade = np.rint(255 * (1 - s) + 48 * s).astype(int)
+    fade = np.rint(255 * (1 - s) + 48 * s).astype(np.int64)
     r = np.where(pos, 255, fade)
-    g = np.where(pos, fade, np.rint(255 * (1 - s) + 96 * s).astype(int))
+    g = np.where(pos, fade, np.rint(255 * (1 - s) + 96 * s).astype(np.int64))
     b = np.where(pos, fade, 255)
-    return "#" + _HEX[r] + _HEX[g] + _HEX[b]
+    codes, inverse = np.unique((r << 16 | g << 8 | b).ravel(), return_inverse=True)
+    names = "#" + _HEX[codes >> 16] + _HEX[codes >> 8 & 255] + _HEX[codes & 255]
+    return names[inverse].reshape(values.shape)
 
 
 def _svg_doc(width, height, elements) -> str:
@@ -440,11 +490,12 @@ def emit_clustermap(values, row_labels, col_names, path, row_tree=None, col_tree
     size = f'" width="{cell_w:.2f}" height="{cell_h:.2f}" fill="'
     cell_x = [f'<rect x="{x0 + j * cell_w:.2f}" y="' for j in range(p)]
     colors = _diverging_colors(ordered, vmax).tolist()
-    for i in range(n):
+    strip = {label: class_color(label, vocabulary) for label in set(labels)}
+    for i, label in enumerate(labels):
         y = margin + i * cell_h
-        parts.append(_rect(margin, y, strip_w, cell_h, class_color(labels[i], vocabulary)))
+        parts.append(_rect(margin, y, strip_w, cell_h, strip[label]))
         row = f"{y:.2f}{size}"
-        parts.extend([x + row + c + '"/>' for x, c in zip(cell_x, colors[i])])
+        parts.extend([f'{x}{row}{c}"/>' for x, c in zip(cell_x, colors[i])])
     y_lab = margin + n * cell_h + 4
     for j, name in enumerate(names):
         parts.append(_text(x0 + (j + 0.7) * cell_w, y_lab, name, size=8,
@@ -499,16 +550,18 @@ def emit_featuremap(coords, labels, a, pathway_names, out_dir, prefix):
     vocabulary = sorted(set(labels))
     points = _scatter_points(coords)
     written = []
-    fills = [class_color(l, vocabulary) for l in labels]
+    palette = {label: class_color(label, vocabulary) for label in vocabulary}
+    fills = [palette[label] for label in labels]
     path = f"{out_dir}/{prefix}-class.svg"
     with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write(_scatter_panel(points, fills, "classes", "PCA 2-D map (PCA substitutes for UMAP)"))
     written.append(path)
-    for name, col in zip(pathway_names, a.T):
-        vmax = float(np.max(np.abs(col))) or 1.0
+    vmax = np.max(np.abs(a), axis=0)  # per panel; an all-zero column is scaled by 1
+    fills = _diverging_colors(a, np.where(vmax == 0, 1.0, vmax)).T.tolist()
+    for name, col_fills in zip(pathway_names, fills):
         path = f"{out_dir}/{prefix}-{safe_filename(name)}.svg"
         with atomic_open(path, "w", encoding="utf-8") as fh:
-            fh.write(_scatter_panel(points, _diverging_colors(col, vmax).tolist(), name,
+            fh.write(_scatter_panel(points, col_fills, name,
                                     "activity intensity (symmetric about 0)"))
         written.append(path)
     return written
@@ -533,12 +586,10 @@ def emit_km_plot(groups, title, path, subtitle=""):
     parts.append(f'<line x1="{margin}" y1="{sy(0)}" x2="{margin}" y2="{sy(1)}" '
                  'stroke="#000000" stroke-width="1"/>')
     for gi, (name, curve, color) in enumerate(groups):
-        pts = [(0.0, 1.0)]
-        for t, s in zip(curve.times[1:], curve.survival[1:]):
-            pts.append((t, pts[-1][1]))
-            pts.append((t, s))
-        pts.append((tmax, pts[-1][1]))
-        d = " ".join(f"{sx(t):.2f},{sy(s):.2f}" for t, s in pts)
+        # the steps (0, 1), (t1, 1), (t1, s1), (t2, s1), ..., (tk, sk), (tmax, sk)
+        t = np.concatenate([[0.0], np.repeat(curve.times[1:], 2), [tmax]])
+        s = np.repeat(np.concatenate([[1.0], curve.survival[1:]]), 2)
+        d = " ".join([f"{x:.2f},{y:.2f}" for x, y in zip(sx(t).tolist(), sy(s).tolist())])
         parts.append(f'<polyline points="{d}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(_text(width - margin - 100, margin + 12 * gi, name, size=9, color=color))
     with atomic_open(path, "w", encoding="utf-8") as fh:

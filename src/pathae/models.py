@@ -22,6 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -180,24 +181,29 @@ class _Bucket(NamedTuple):
 
 
 def _layer0_buckets(masks: list[PathwayMask], gene_count: int) -> list[_Bucket]:
-    sizes = [m.size for m in masks]
-    offsets = np.cumsum([0] + sizes)
-    keys = [(s - 1).bit_length() for s in sizes]
+    sizes = np.array([m.size for m in masks], dtype=np.intp)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    genes_flat = np.concatenate([m.indices for m in masks])
+    keys = np.frexp(sizes - 1)[1]  # (size - 1).bit_length()
     buckets = []
     start = 0
-    for key in sorted(set(keys)):
-        members = [j for j, k in enumerate(keys) if k == key]
-        width = max(sizes[j] for j in members)
-        genes = np.full((len(members), width), gene_count, dtype=np.intp)
-        rows = np.full((len(members), width), offsets[-1], dtype=np.intp)
-        for r, j in enumerate(members):
-            genes[r, : sizes[j]] = masks[j].indices
-            rows[r, : sizes[j]] = np.arange(offsets[j], offsets[j + 1])
+    for key in np.unique(keys).tolist():
+        members = np.flatnonzero(keys == key)
+        member_sizes = sizes[members]
+        width = int(member_sizes.max())
+        # each member's slots at the front of its row, the rest pad
+        slots = _ranges(np.arange(members.size) * width, member_sizes)
+        weight_rows = _ranges(offsets[members], member_sizes)
+        genes = np.full(members.size * width, gene_count, dtype=np.intp)
+        rows = np.full(members.size * width, offsets[-1], dtype=np.intp)
+        genes[slots] = genes_flat[weight_rows]
+        rows[slots] = weight_rows
+        genes, rows = genes.reshape(-1, width), rows.reshape(-1, width)
         buckets.append(
-            _Bucket(np.asarray(members, dtype=np.intp), genes, np.minimum(genes, gene_count - 1),
-                    rows, genes == gene_count, slice(start, start + len(members)))
+            _Bucket(members, genes, np.minimum(genes, gene_count - 1),
+                    rows, genes == gene_count, slice(start, start + members.size))
         )
-        start += len(members)
+        start += members.size
     return buckets
 
 
@@ -1015,30 +1021,57 @@ def save_checkpoint(model: Model, path):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _tensor_table(params: ModelParams) -> list[dict]:
-    """The header's tensor table, built from the tensors' shapes: each
-    tensor's name, shape and byte offset in the checkpoint's order (the
-    pathway stage pathway by pathway, then encoder, then decoder), the
-    tensors back to back."""
-    shapes = []
+def _tensor_layout(params: ModelParams) -> tuple[list[str], list[list[int]], list[int]]:
+    """The header's tensor table as three lists, built from the tensors'
+    shapes: each tensor's name, shape and byte offset in the checkpoint's
+    order (the pathway stage pathway by pathway, then encoder, then
+    decoder), the tensors back to back.  The pathways share the list
+    objects of the shapes that are the same for all of them."""
+    names, shapes, sizes = [], [], []
     if params.pathway:
         (W0, b0), *later = params.pathway
-        stack = [(W0.shape[1], b0.shape[1])] + [(W.shape[1:], b.shape[1:]) for W, b in later]
-        sizes = np.diff(params.pathway_offsets).tolist()
-        shapes = [
-            (f"pathway/{j}/{i}/{kind}", shape)
-            for j, m in enumerate(sizes)
-            for i, (w, b) in enumerate(stack)
-            for kind, shape in (("W", [m, w] if i == 0 else list(w)),
-                                ("b", [1, b] if i == 0 else list(b)))
-        ]
-    shapes += [(name, list(t.shape)) for name, t in _walk(params, _DENSE)]
-    table = []
-    offset = 0
-    for name, shape in shapes:
-        table.append({"name": name, "shape": shape, "offset": offset})
-        offset += 8 * math.prod(shape)
-    return table
+        # a pathway's tensors after its layer-0 W, whose row count is its size
+        rest = [("0/b", [1, b0.shape[1]])] + [
+            (f"{i}/{kind}", list(t.shape[1:]))
+            for i, (W, b) in enumerate(later, 1) for kind, t in (("W", W), ("b", b))]
+        fan_in = np.diff(params.pathway_offsets)
+        # one format call per pathway, not per tensor
+        per_pathway = "".join(f"pathway/{{0}}/{suffix}\n"
+                              for suffix in ["0/W"] + [suffix for suffix, _ in rest])
+        names = "".join(map(per_pathway.format, range(fan_in.size))).split("\n")[:-1]
+        rest_shapes = [shape for _, shape in rest]
+        shapes = [shape for m in fan_in.tolist() for shape in [[m, W0.shape[1]], *rest_shapes]]
+        block = np.array([0] + [math.prod(shape) for shape in rest_shapes])
+        counts = np.tile(block, (fan_in.size, 1))
+        counts[:, 0] = fan_in * W0.shape[1]
+        sizes = counts.ravel().tolist()
+    for name, t in _walk(params, _DENSE):
+        names.append(name)
+        shapes.append(list(t.shape))
+        sizes.append(t.size)
+    sizes = np.array(sizes, dtype=np.int64)
+    return names, shapes, (8 * (np.cumsum(sizes) - sizes)).tolist()
+
+
+def _tensor_table(params: ModelParams) -> list[dict]:
+    """The header's tensor table: one {name, shape, offset} per tensor."""
+    return [{"name": name, "shape": shape, "offset": offset}
+            for name, shape, offset in zip(*_tensor_layout(params))]
+
+
+_TABLE_ENTRY = operator.itemgetter("name", "shape", "offset")
+
+
+def _is_tensor_table(entries, params: ModelParams) -> bool:
+    """entries == _tensor_table(params), without building the dicts: the
+    entries are compared as (name, shape, offset) tuples, by the same
+    equality."""
+    names, shapes, offsets = _tensor_layout(params)
+    try:
+        return (len(entries) == len(names) and set(map(len, entries)) <= {3}
+                and list(map(_TABLE_ENTRY, entries)) == list(zip(names, shapes, offsets)))
+    except (KeyError, TypeError):  # not a list of dicts
+        return False
 
 
 def load_checkpoint(path) -> Model:
@@ -1092,7 +1125,7 @@ def _decode_checkpoint(data: bytes) -> Model:
     params = _allocate(arch, gene_count, masks)
 
     # the writer's table exactly, so every offset is the running byte count
-    if header["tensors"] != _tensor_table(params):
+    if not _is_tensor_table(header["tensors"], params):
         raise DataError("tensor table does not match the architecture")
     values = np.frombuffer(body, dtype="<f8")
     start = 0

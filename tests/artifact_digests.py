@@ -6,13 +6,18 @@ Not a test (pytest does not collect it).  Run from a source checkout:
 
 It writes a ``pathae synth`` fixture (seed 5, 120 training and 80 test
 samples) into a work directory and runs ``train``, ``gridsearch``,
-``validate``, ``interpret`` and ``survival`` on it, in one process, twice:
-first with the table caches cold (every ``*.pathae-table`` beside the
-fixture is deleted before each command), then warm (with the caches the
-cold pass left).  Each command writes into its own directory,
-``<pass>/<command>``.  The script prints one ``sha256  path`` line per file
-under the work directory, the path relative to it, sorted; the commands'
-own output goes to stderr.
+``validate``, ``interpret`` and ``survival`` on it.  It also writes a
+paper-scale fixture (320 pathways, 3,200 genes, 300 training samples) and
+runs ``train``, ``interpret`` and ``survival`` on that, so the check covers
+a 300-row, 32-pathway clustermap and Kaplan-Meier plots of 100-sample
+terciles.  All of this runs
+in one process, twice: first with the table caches cold (every
+``*.pathae-table`` beside a fixture is deleted before each command), then
+warm (with the caches the cold pass left).  Each command writes into its
+own directory, ``<pass>/<command>`` for the first fixture and
+``<pass>/paper-<command>`` for the second.  The script prints one
+``sha256  path`` line per file under the work directory, the path relative
+to it, sorted; the commands' own output goes to stderr.
 
 The work directory (``--work``, by default ``pathae-artifact-digests`` in
 the system's temporary directory) is emptied first.  The config file and
@@ -34,15 +39,23 @@ import shutil
 import sys
 import tempfile
 
-# fast enough for a check, and every command still trains, ranks and tests
-SYNTH = ["--seed", "5", "--n-train", "120", "--n-test", "80"]
-COMMANDS = {
-    "train": ["--epochs", "5"],
-    "gridsearch": ["--epochs", "3"],
-    "validate": ["--epochs", "3", "--repeats", "2"],
-    "interpret": [],
-    "survival": [],
-}
+# (directory, output prefix, synth flags, {command: extra flags}); fast
+# enough for a check, and every command still trains, ranks and tests
+FIXTURES = [
+    ("fixture", "", ["--seed", "5", "--n-train", "120", "--n-test", "80"], {
+        "train": ["--epochs", "5"],
+        "gridsearch": ["--epochs", "3"],
+        "validate": ["--epochs", "3", "--repeats", "2"],
+        "interpret": [],
+        "survival": [],
+    }),
+    ("paper", "paper-", ["--seed", "5", "--pathways", "320", "--genes", "3200",
+                         "--background", "320", "--n-train", "300", "--n-test", "40"], {
+        "train": ["--epochs", "2"],
+        "interpret": [],
+        "survival": [],
+    }),
+]
 
 
 def _run(argv):
@@ -70,19 +83,22 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     work = os.path.abspath(args.work)
     shutil.rmtree(work, ignore_errors=True)
-    fixture = os.path.join(work, "fixture")
-    _run(["synth", "--out", fixture, *SYNTH])
-    config = os.path.join(fixture, "config.ini")
+    for name, _prefix, synth, _commands in FIXTURES:
+        _run(["synth", "--out", os.path.join(work, name), *synth])
     for phase in ("cold", "warm"):
-        for command, extra in COMMANDS.items():
-            if phase == "cold":
-                for cache in glob.glob(os.path.join(fixture, "*.pathae-table")):
-                    os.unlink(cache)
-            argv = [command, "-c", config, "--output", os.path.join(work, phase, command), *extra]
-            if command in ("interpret", "survival"):
-                argv += ["--checkpoint",
-                         os.path.join(work, phase, "train", "checkpoint-synth-paae.ckpt")]
-            _run(argv)
+        for name, prefix, _synth, commands in FIXTURES:
+            fixture = os.path.join(work, name)
+            config = os.path.join(fixture, "config.ini")
+            for command, extra in commands.items():
+                if phase == "cold":
+                    for cache in glob.glob(os.path.join(fixture, "*.pathae-table")):
+                        os.unlink(cache)
+                out = os.path.join(work, phase, prefix + command)
+                argv = [command, "-c", config, "--output", out, *extra]
+                if command in ("interpret", "survival"):
+                    argv += ["--checkpoint", os.path.join(work, phase, prefix + "train",
+                                                          "checkpoint-synth-paae.ckpt")]
+                _run(argv)
     for root, _dirs, files in sorted(os.walk(work)):
         for name in sorted(files):
             path = os.path.join(root, name)

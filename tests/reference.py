@@ -20,7 +20,9 @@ own, ``checkpoint_bytes`` writes the body view by view, and
 by one.  ``anpw_rows`` ranks each pathway's genes on its own, through
 ``interpret.top_genes_by_anpw``.  ``pathae.models`` maps the packed tensors
 to that order with one index map instead, and ``pathae.interpret`` ranks
-every pathway at once.
+every pathway at once.  ``layer0_buckets`` fills each layer-0 bucket's
+gene and weight-row arrays pathway by pathway; ``pathae.models`` fills them
+with one scatter per bucket.
 """
 
 from __future__ import annotations
@@ -317,3 +319,27 @@ def anpw_rows(model: Model, gene_names, k: int) -> list[list]:
         for rank, (gene, weight) in enumerate(top, start=1):
             rows.append([mask.name, rank, gene, f"{weight:+.6f}"])
     return rows
+
+
+def layer0_buckets(masks, gene_count: int) -> list:
+    """models._layer0_buckets, each bucket's arrays filled pathway by pathway."""
+    sizes = [m.size for m in masks]
+    offsets = np.cumsum([0] + sizes)
+    keys = [(s - 1).bit_length() for s in sizes]
+    buckets = []
+    start = 0
+    for key in sorted(set(keys)):
+        members = [j for j, k in enumerate(keys) if k == key]
+        width = max(sizes[j] for j in members)
+        genes = np.full((len(members), width), gene_count, dtype=np.intp)
+        rows = np.full((len(members), width), offsets[-1], dtype=np.intp)
+        for r, j in enumerate(members):
+            genes[r, : sizes[j]] = masks[j].indices
+            rows[r, : sizes[j]] = np.arange(offsets[j], offsets[j + 1])
+        buckets.append(
+            models._Bucket(np.asarray(members, dtype=np.intp), genes,
+                           np.minimum(genes, gene_count - 1), rows, genes == gene_count,
+                           slice(start, start + len(members)))
+        )
+        start += len(members)
+    return buckets

@@ -5,6 +5,9 @@ import contextlib
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 from dataclasses import fields
@@ -91,6 +94,16 @@ def _with_renormalize_test(cfg, word):
     Path(cfg).write_text(text.replace("[data]\n", f"[data]\nrenormalize_test = {word}\n"))
     return cfg
 
+
+class TestStartup:
+    def test_import_leaves_scipy_out(self):
+        # SciPy is imported by the lr fit alone, not by every command
+        src = str(Path(pathae.cli.__file__).parents[1])
+        code = ("import sys, pathae.cli; "
+                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
+        assert out.stdout.strip() == "[]"
 
 class TestSynth:
     def test_files_written(self, fixture_dir):

@@ -216,7 +216,8 @@ _VALUE_CELLS = st.one_of(
         lambda d: d[1].translate(str.maketrans("0123456789", d[0]))),
     st.sampled_from(["", " ", "NA", "1,5", "0x10", "1e", "--1", "1__0", "_1", "nan(1)", "\xb2",
                      "1\x00", "nan", "-inf", "1e999", " Infinity"]),
-    st.text(st.characters(exclude_characters="\t\n\r"), max_size=3),
+    # utf-8: a lone surrogate cannot be written to a table file
+    st.text(st.characters(exclude_characters="\t\n\r", codec="utf-8"), max_size=3),
 )
 
 

@@ -3,7 +3,7 @@ import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pathae.dataio import SurvivalTable
 from pathae.errors import DataError
@@ -18,6 +18,7 @@ from pathae.interpret import (
     hierarchical_cluster,
     km_estimate,
     logrank_test,
+    logrank_tests,
     neural_path_weights,
     pca_2d,
     rank_pathways_by_mi,
@@ -345,6 +346,53 @@ class TestRiskSet:
             logrank_test(times, events, [2.0], [True])
 
 
+def _index_sets(n):
+    return st.lists(st.integers(0, n - 1), min_size=1, max_size=n + 2).map(np.array)
+
+
+# a cohort with integer (so tie-heavy) times and 1-5 (low, high) pairs of
+# index arrays into it; the pairs may overlap and repeat an index.  Up to
+# 31 distinct times, so a sum in another order than the loop's shows
+cohorts = st.integers(1, 60).flatmap(lambda n: st.tuples(
+    st.lists(st.integers(0, 30), min_size=n, max_size=n).map(lambda t: np.array(t) * 7.25),
+    st.lists(st.booleans(), min_size=n, max_size=n).map(np.array),
+    st.lists(st.tuples(_index_sets(n), _index_sets(n)), min_size=1, max_size=5),
+))
+
+
+class TestLogrankTests:
+    """Every pair scored over the cohort's event times equals the pair
+    scored on its own, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(cohorts)
+    # all censored in one group, and in every group
+    @example((np.array([1.0, 2.0, 3.0, 4.0]), np.array([True, False, True, False]),
+              [(np.array([1, 3]), np.array([0, 2]))]))
+    @example((np.array([1.0, 2.0]), np.array([False, False]), [(np.array([0]), np.array([1]))]))
+    # no event time shared: each group dies alone, at times where the other
+    # group is empty or absent
+    @example((np.array([1.0, 2.0, 5.0, 6.0]), np.array([True, True, True, True]),
+              [(np.array([0, 1]), np.array([2, 3])), (np.array([2]), np.array([0]))]))
+    def test_equals_one_pair_at_a_time(self, cohort):
+        times, events, groups = cohort
+        got = logrank_tests(times, events, groups)
+        assert len(got) == len(groups)
+        for (stat, p), (low, high) in zip(got, groups):
+            pair = (times[low], events[low], times[high], events[high])
+            for want in (logrank_test(*pair), _reference_logrank(*pair)):
+                assert (stat.hex(), p.hex()) == (want[0].hex(), want[1].hex())
+
+    def test_empty_group_and_nan_are_data_errors(self):
+        times, events = np.array([1.0, 2.0, 3.0]), np.array([True, True, False])
+        with pytest.raises(DataError, match="empty group"):
+            logrank_tests(times, events, [(np.array([0]), np.array([1])),
+                                          (np.array([], dtype=np.intp), np.array([2]))])
+        with pytest.raises(DataError, match="NaN"):
+            logrank_tests(np.array([1.0, math.nan, 3.0]), events,
+                          [(np.array([0]), np.array([2]))])
+
+
 class TestTercileSplit:
     def test_one_to_nine(self):
         values = np.arange(1.0, 10.0)
@@ -408,6 +456,20 @@ class TestDivergingColors:
         with np.errstate(all="ignore"):  # the callers pass numpy scalars
             got = _diverging_colors(values, vmax).tolist()
             want = [_scalar_diverging_color(np.float64(v), vmax) for v in values]
+        assert got == want
+
+    @settings(max_examples=30)
+    @given(st.integers(1, 4).flatmap(lambda p: st.tuples(
+        st.lists(st.lists(st.floats(allow_nan=True, allow_infinity=True), min_size=p, max_size=p),
+                 min_size=1, max_size=6),
+        st.lists(st.one_of(st.floats(allow_nan=True, allow_infinity=True),
+                           st.sampled_from([0.0, -0.0, 1.0])), min_size=p, max_size=p))))
+    def test_vmax_per_column_equals_one_call_per_column(self, case):
+        rows, vmax = case
+        values = np.array(rows)
+        with np.errstate(all="ignore"):
+            got = _diverging_colors(values, np.array(vmax)).T.tolist()
+            want = [_diverging_colors(col, v).tolist() for col, v in zip(values.T, vmax)]
         assert got == want
 
 

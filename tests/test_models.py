@@ -1090,6 +1090,44 @@ class TestCheckpoint:
                 except (ConfigError, DataError):
                     pass
 
+    @pytest.mark.parametrize(
+        "tensors",
+        [
+            lambda t: [{**t[0], "extra": 1}] + t[1:],
+            lambda t: [{"name": t[0]["name"], "shape": t[0]["shape"]}] + t[1:],
+            lambda t: [list(t[0].values())] + t[1:],
+            lambda t: [5] + t[1:],
+            lambda t: {str(i): e for i, e in enumerate(t)},
+            lambda t: "x" * len(t),
+            lambda t: None,
+            lambda t: [{**t[0], "name": "pathway/0/0/b"}] + t[1:],
+            # equal under ==, so accepted by both
+            lambda t: [{**e, "shape": [float(d) for d in e["shape"]]} for e in t],
+            lambda t: [{**t[0], "offset": False}] + t[1:],
+            lambda t: [{k: e[k] for k in reversed(list(e))} for e in t],
+        ],
+        ids=["extra-key", "missing-key", "entry-a-list", "entry-an-int", "table-a-dict",
+             "table-a-string", "table-null", "wrong-name", "float-shapes", "false-offset",
+             "keys-reordered"],
+    )
+    def test_tensor_table_checked_as_the_reference_loader_does(self, tmp_path, tensors):
+        """The tensor table is compared without building the writer's
+        dicts, by the same equality: a file loads, or fails with the same
+        text, as with the reference loader's dict comparison."""
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(self._model(), path)
+        header, body = split_checkpoint(path.read_bytes())
+        head = json.dumps({**header, "tensors": tensors(header["tensors"])}).encode()
+        path.write_bytes(MAGIC + f"{len(head)}\n".encode() + head + body)
+        try:
+            want = reference.load_checkpoint(path)
+        except DataError as exc:
+            with pytest.raises(DataError) as err:
+                load_checkpoint(path)
+            assert str(err.value) == str(exc)
+        else:
+            assert _bytes(flat_params(load_checkpoint(path))) == _bytes(flat_params(want))
+
 
 @st.composite
 def _pathway_models(draw):
@@ -1145,6 +1183,45 @@ class TestPackedMatchesPerPathway:
             for k in (1, 3, 10):
                 assert _anpw_rows(loaded, names, k) == reference.anpw_rows(loaded, names, k)
 
+
+
+class TestLayer0Buckets:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 40).flatmap(lambda g: st.tuples(
+        st.just(g), st.lists(st.integers(1, g), min_size=1, max_size=12), st.integers(0, 2**16))))
+    def test_equal_the_per_pathway_fill(self, case):
+        gene_count, sizes, seed = case
+        rng = RngStream(seed)
+        masks = [PathwayMask(f"P{j}", rng.choice(gene_count, size=m, replace=False))
+                 for j, m in enumerate(sizes)]
+        got = models._layer0_buckets(masks, gene_count)
+        want = reference.layer0_buckets(masks, gene_count)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.span == b.span
+            for name in ("pathways", "genes", "columns", "rows", "pad"):
+                x, y = getattr(a, name), getattr(b, name)
+                assert x.dtype == y.dtype and x.shape == y.shape and (x == y).all(), name
+
+class TestTopGenesOfSomePathways:
+    @settings(max_examples=20, deadline=None)
+    @given(case=_pathway_models(), seed=st.integers(0, 2**16), data=st.data())
+    def test_equal_the_same_pathways_ranked_with_all(self, case, seed, data):
+        from pathae.interpret import pathway_top_genes
+
+        arch, gene_count, masks, names = case
+        model = build_model(arch, gene_count, masks, RngStream(seed), gene_names=names)
+        for p in flat_params(model):  # weights from a few values, so |NPW| ties are common
+            p[...] = RngStream(seed).choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=p.shape)
+        chosen = data.draw(st.lists(st.integers(0, len(masks) - 1), max_size=len(masks) + 1))
+        for k in (1, 3, 10):
+            every = pathway_top_genes(model, names, k)
+            some = pathway_top_genes(model, names, k, chosen)
+            assert some.starts.size == len(chosen) + 1
+            for i, j in enumerate(chosen):
+                got, want = slice(*some.starts[i : i + 2]), slice(*every.starts[j : j + 2])
+                assert some.genes[got].tolist() == every.genes[want].tolist()
+                assert some.npw[got].tobytes() == every.npw[want].tobytes()
 
 MAGIC = b"PATHAE-CKPT-v1\n"
 
