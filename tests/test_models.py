@@ -1090,6 +1090,33 @@ class TestCheckpoint:
                 except (ConfigError, DataError):
                     pass
 
+    @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(kind=st.sampled_from(models.KINDS), data=st.data())
+    def test_any_damage_loads_or_is_config_or_data_error_naming_path(self, tmp_path, kind, data):
+        """A byte edit, deletion, insertion or truncation anywhere in a
+        checkpoint of any kind gives a model, or ConfigError or DataError
+        naming the file; no other exception escapes."""
+        arch = ArchitectureConfig(kind=kind, encoder_layer_sizes=[4, 2],
+                                  pathway_hidden_sizes=[3, 2])
+        masks = make_masks([3, 2], 7) if models.is_pathway_kind(kind) else None
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(build_model(arch, 7, masks, RngStream(5)), path)
+        raw = bytearray(path.read_bytes())
+        pos = data.draw(st.integers(0, len(raw) - 1), label="pos")
+        edit = data.draw(st.sampled_from(["replace", "delete", "insert", "truncate"]), label="edit")
+        if edit == "truncate":
+            del raw[pos:]
+        elif edit == "delete":
+            del raw[pos : pos + data.draw(st.integers(1, 8), label="width")]
+        else:
+            byte = data.draw(st.sampled_from(b'\x00 09-.e"[]{}:,\xff'), label="byte")
+            raw[pos : pos + (edit == "replace")] = bytes([byte])
+        path.write_bytes(bytes(raw))
+        try:
+            load_checkpoint(path)
+        except (ConfigError, DataError) as exc:
+            assert str(path) in str(exc)
+
     @pytest.mark.parametrize(
         "tensors",
         [
