@@ -5,6 +5,8 @@ that fails or is killed midway, not power loss (nothing is fsynced)."""
 from __future__ import annotations
 
 import contextlib
+import csv
+import io
 import itertools
 import os
 
@@ -41,8 +43,8 @@ def _csv_text(records) -> str:
     """The records as csv.writer writes them.  Every cell is formatted by
     one %-format of the whole file; only when that text holds a cell that
     csv.writer would write otherwise (one with a comma, a quote or a line
-    break, a None, or the only cell of its record and empty) are the records
-    formed one by one, with its quoting."""
+    break, a None, or the only cell of its record and empty) does
+    csv.writer itself write the records."""
     records = [r if isinstance(r, (list, tuple)) else list(r) for r in records]
     lengths = list(map(len, records))
     formats = {n: ",".join(["%s"] * n) + "\r\n" for n in set(lengths)}
@@ -51,19 +53,7 @@ def _csv_text(records) -> str:
     n = len(records)
     if ('"' in text or "None" in text or text.count("\n") != n or text.count("\r") != n
             or text.count(",") != sum(lengths) - n or text.startswith("\r\n") or "\n\r\n" in text):
-        return "".join([_csv_line(r) + "\r\n" for r in records])
-    return text
-
-
-def _csv_line(row) -> str:
-    """One record as csv.writer writes it, without its line end."""
-    line = ",".join([_csv_cell("" if cell is None else str(cell)) for cell in row])
-    # csv.writer quotes a record of one empty cell, which would otherwise
-    # read back as a record of no cells
-    return '""' if len(row) == 1 and not line else line
-
-
-def _csv_cell(text: str) -> str:
-    if "," in text or '"' in text or "\r" in text or "\n" in text:
-        return '"' + text.replace('"', '""') + '"'
+        buf = io.StringIO()
+        csv.writer(buf).writerows(records)
+        return buf.getvalue()
     return text

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import hashlib
 import json
 import logging
@@ -634,11 +635,12 @@ def cmd_survival(cfg: ExperimentConfig, checkpoint) -> int:
     times = np.asarray([surv.records[s][0] for s in expr.sample_ids])
     events = np.asarray([surv.records[s][1] for s in expr.sample_ids])
 
-    gene_index = {g: i for i, g in enumerate(expr.gene_names)}
     top = interpret.pathway_top_genes(model, genes, cfg.top_genes, _columns(ranked, names))
     tested = [(pname, genes[g]) for i, (pname, _mi) in enumerate(ranked)
               for g in top.genes[top.starts[i] : top.starts[i + 1]].tolist()]
-    groups = interpret.tercile_splits(expr.values[:, [gene_index[g] for _, g in tested]])
+    # expr is on the gene axis ``genes``, so a tested gene's column is its
+    # index there, the one its pathway mask holds even when names repeat
+    groups = interpret.tercile_splits(expr.values[:, top.genes])
 
     run = _RunDir(cfg, "survival")
     base = f"{cfg.dataset_name}-{model.arch.kind}"
@@ -738,6 +740,7 @@ def _add_common(sub):
                      help="debug logging, and a traceback on an internal error")
 
 
+@functools.cache  # built once per process; parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="pathae", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-import operator
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -349,7 +348,9 @@ def _pathway_order(params: ModelParams) -> _PathwayOrder:
         packed.append(base + np.arange(n_pw) * b.shape[-1])
         fans.append(np.zeros(n_pw, np.intp))
         base += b.size
-    lengths, packed, fans = (np.stack(c, axis=1) for c in (lengths, packed, fans))
+    # (0, 0) blocks for a dense kind, which has no pathway stage
+    lengths, packed, fans = (np.stack(c, axis=1) if c else np.zeros((0, 0), np.intp)
+                             for c in (lengths, packed, fans))
     body = (np.cumsum(lengths) - lengths.ravel()).reshape(lengths.shape)
     return _PathwayOrder(lengths, packed, body, fans)
 
@@ -998,6 +999,7 @@ def save_checkpoint(model: Model, path):
     its bytes are gathered from the packed tensors through one index map
     (see _PathwayOrder)."""
     params = model.params
+    order = _pathway_order(params)
     header = {
         "format": 1,
         "kind": model.arch.kind,
@@ -1005,13 +1007,13 @@ def save_checkpoint(model: Model, path):
         "gene_count": model.gene_count,
         "gene_names": model.gene_names,
         "masks": [{"name": m.name, "indices": m.indices.tolist()} for m in model.masks],
-        "tensors": _tensor_table(params),
+        "tensors": _tensor_table(params, order),
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     body = []
     if params.pathway:
         packed = np.concatenate([t.reshape(-1) for _, t in _walk(params, ("pathway",))])
-        body.append(packed[_pathway_order(params).to_body()])
+        body.append(packed[order.to_body()])
     body += [t for _, t in _walk(params, _DENSE)]
     with atomic_open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
@@ -1021,57 +1023,24 @@ def save_checkpoint(model: Model, path):
             fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
-def _tensor_layout(params: ModelParams) -> tuple[list[str], list[list[int]], list[int]]:
-    """The header's tensor table as three lists, built from the tensors'
-    shapes: each tensor's name, shape and byte offset in the checkpoint's
-    order (the pathway stage pathway by pathway, then encoder, then
-    decoder), the tensors back to back.  The pathways share the list
-    objects of the shapes that are the same for all of them."""
-    names, shapes, sizes = [], [], []
-    if params.pathway:
-        (W0, b0), *later = params.pathway
-        # a pathway's tensors after its layer-0 W, whose row count is its size
-        rest = [("0/b", [1, b0.shape[1]])] + [
-            (f"{i}/{kind}", list(t.shape[1:]))
-            for i, (W, b) in enumerate(later, 1) for kind, t in (("W", W), ("b", b))]
-        fan_in = np.diff(params.pathway_offsets)
-        # one format call per pathway, not per tensor
-        per_pathway = "".join(f"pathway/{{0}}/{suffix}\n"
-                              for suffix in ["0/W"] + [suffix for suffix, _ in rest])
-        names = "".join(map(per_pathway.format, range(fan_in.size))).split("\n")[:-1]
-        rest_shapes = [shape for _, shape in rest]
-        shapes = [shape for m in fan_in.tolist() for shape in [[m, W0.shape[1]], *rest_shapes]]
-        block = np.array([0] + [math.prod(shape) for shape in rest_shapes])
-        counts = np.tile(block, (fan_in.size, 1))
-        counts[:, 0] = fan_in * W0.shape[1]
-        sizes = counts.ravel().tolist()
+def _tensor_table(params: ModelParams, order: _PathwayOrder) -> list[dict]:
+    """The header's tensor table: one {name, shape, offset} per tensor, in
+    the checkpoint's order, the tensors back to back.  The pathway stage's
+    entries are the order map's blocks, pathway j's block of packed tensor t
+    named ``pathway/{j}/{t // 2}/W`` or ``.../b``: a W block has ``fan_in``
+    rows, a b block one.  The dense entries follow in _walk order."""
+    n_pw, n_t = order.lengths.shape
+    rows = np.maximum(order.fan_in, 1)
+    shapes = np.stack([rows, order.lengths // rows], axis=-1).reshape(-1, 2).tolist()
+    suffixes = [f"{t // 2}/{'Wb'[t % 2]}" for t in range(n_t)]
+    names = [f"pathway/{j}/{suffix}" for j in range(n_pw) for suffix in suffixes]
+    table = [{"name": name, "shape": shape, "offset": offset}
+             for name, shape, offset in zip(names, shapes, (8 * order.body).ravel().tolist())]
+    offset = 8 * int(order.lengths.sum())
     for name, t in _walk(params, _DENSE):
-        names.append(name)
-        shapes.append(list(t.shape))
-        sizes.append(t.size)
-    sizes = np.array(sizes, dtype=np.int64)
-    return names, shapes, (8 * (np.cumsum(sizes) - sizes)).tolist()
-
-
-def _tensor_table(params: ModelParams) -> list[dict]:
-    """The header's tensor table: one {name, shape, offset} per tensor."""
-    return [{"name": name, "shape": shape, "offset": offset}
-            for name, shape, offset in zip(*_tensor_layout(params))]
-
-
-_TABLE_ENTRY = operator.itemgetter("name", "shape", "offset")
-
-
-def _is_tensor_table(entries, params: ModelParams) -> bool:
-    """entries == _tensor_table(params), without building the dicts: the
-    entries are compared as (name, shape, offset) tuples, by the same
-    equality."""
-    names, shapes, offsets = _tensor_layout(params)
-    try:
-        return (len(entries) == len(names) and set(map(len, entries)) <= {3}
-                and list(map(_TABLE_ENTRY, entries)) == list(zip(names, shapes, offsets)))
-    except (KeyError, TypeError):  # not a list of dicts
-        return False
+        table.append({"name": name, "shape": list(t.shape), "offset": offset})
+        offset += 8 * t.size
+    return table
 
 
 def load_checkpoint(path) -> Model:
@@ -1080,8 +1049,9 @@ def load_checkpoint(path) -> Model:
     Raises ConfigError when the file is not a checkpoint at all, and
     DataError naming the path when it is damaged: a truncated or malformed
     header, an unknown format, an architecture or masks that do not validate,
-    a tensor table other than the one save_checkpoint writes for them, or a
-    body of the wrong length."""
+    a tensor table other than the one save_checkpoint writes for them, a
+    body of the wrong length, or a non-finite value in any tensor (the
+    error names the tensor)."""
     with open(path, "rb") as fh:
         if fh.read(len(_CKPT_MAGIC)) != _CKPT_MAGIC:
             raise ConfigError(f"{path}: not a checkpoint file (bad magic)")
@@ -1123,16 +1093,26 @@ def _decode_checkpoint(data: bytes) -> Model:
     if len(body) != expected:
         raise DataError(f"body has {len(body)} bytes, the tensors need {expected}")
     params = _allocate(arch, gene_count, masks)
+    order = _pathway_order(params)
 
     # the writer's table exactly, so every offset is the running byte count
-    if not _is_tensor_table(header["tensors"], params):
+    table = _tensor_table(params, order)
+    if header["tensors"] != table:
         raise DataError("tensor table does not match the architecture")
     values = np.frombuffer(body, dtype="<f8")
-    start = 0
-    if params.pathway:
-        order = _pathway_order(params)
-        _fill_pathway(params, order, values)
-        start = int(order.lengths.sum())
+    # any non-finite value makes the sum non-finite, so a finite sum clears
+    # the body with no isfinite mask of it; a sum that is not finite (finite
+    # values can overflow) sends the body to the value-by-value check
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = values.sum()
+    if not math.isfinite(total):
+        finite = np.isfinite(values)
+        if not finite.all():  # name the tensor holding the first non-finite value
+            first = 8 * int(np.argmin(finite))
+            k = int(np.searchsorted([e["offset"] for e in table], first, side="right")) - 1
+            raise DataError(f"tensor {table[k]['name']} holds a non-finite value")
+    _fill_pathway(params, order, values)
+    start = int(order.lengths.sum())
     for _, t in _walk(params, _DENSE):
         t[...] = values[start : start + t.size].reshape(t.shape)
         start += t.size

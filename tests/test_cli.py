@@ -177,6 +177,13 @@ class TestTrain:
             main(["train"])  # missing -c
         assert err.value.code == 1
 
+    def test_parser_built_once_still_exits_1_on_usage_errors(self, capsys):
+        assert build_parser() is build_parser()
+        for argv in (["train"], ["--version"], ["survival", "-c", "x.ini"]):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == (0 if argv == ["--version"] else 1)
+
     def test_threads_flag_is_a_usage_error(self, fixture_dir, tmp_path, capsys):
         out = tmp_path / "never"
         cfg = write_config(tmp_path / "c.ini", fixture_dir, out)
@@ -703,6 +710,36 @@ class TestSurvival:
         assert len(tests_rows) > 1
         for f in km_files:
             ET.parse(f)
+
+    def test_repeated_gene_name_tests_the_pathway_column(self, fixture_dir, trained_checkpoint,
+                                                         tmp_path):
+        """On a linear-scale table repeated gene names are kept, and a
+        pathway holds a name's first column; the logrank test of that gene
+        reads the same column, not a later one of the same name."""
+        _, ckpt = trained_checkpoint
+        model = load_checkpoint(ckpt)
+        members = {i for m in model.masks for i in m.indices.tolist()}
+        runs = {}
+        for name, rename in (("unique", False), ("repeated", True)):
+            data = tmp_path / name
+            data.mkdir()
+            for f in ("labels.tsv", "survival.tsv", "pathways.gmt"):
+                (data / f).write_bytes((fixture_dir / f).read_bytes())
+            header, rest = (fixture_dir / "train_expression.tsv").read_text().split("\n", 1)
+            cells = header.split("\t")
+            if rename:  # the last column, outside every pathway, takes a tested gene's name
+                assert model.gene_count - 1 not in members
+                cells[-1] = runs["unique"][1][1]
+            (data / "train_expression.tsv").write_text("\t".join(cells) + "\n" + rest)
+            model.gene_names = cells[1:]
+            save_checkpoint(model, data / "m.ckpt")
+            cfg = write_config(tmp_path / f"{name}.ini", data, tmp_path / f"run-{name}")
+            text = Path(cfg).read_text().replace("[data]\n", "[data]\nscale = linear\n")
+            Path(cfg).write_text(text)
+            assert main(["survival", "-c", cfg, "--checkpoint", str(data / "m.ckpt")]) == 0
+            runs[name] = list(csv.reader(
+                open(tmp_path / f"run-{name}" / "survival-tests-synth-paae.csv")))
+        assert runs["repeated"] == runs["unique"]
 
     def test_missing_survival_file(self, fixture_dir, trained_checkpoint, tmp_path):
         _, ckpt = trained_checkpoint

@@ -1090,6 +1090,42 @@ class TestCheckpoint:
                 except (ConfigError, DataError):
                     pass
 
+    @pytest.mark.parametrize(
+        "kind, name, value",
+        [("pavae", "pathway/1/0/W", np.nan), ("pavae", "pathway/0/1/b", np.inf),
+         ("pavae", "encoder/1/b", -np.inf), ("pavae", "decoder/0/W", np.nan),
+         ("ae", "encoder/0/W", np.nan)],
+    )
+    def test_non_finite_weight_is_data_error_naming_tensor(self, tmp_path, kind, name, value):
+        """A checkpoint holding a non-finite value is damaged (train saves
+        only a fit that did not diverge); the error names the file and the
+        tensor holding the first such value."""
+        path = tmp_path / "m.ckpt"
+        if kind == "ae":
+            arch = ArchitectureConfig(kind="ae", encoder_layer_sizes=[4, 2])
+            save_checkpoint(build_model(arch, 7, rng=RngStream(13)), path)
+        else:
+            save_checkpoint(self._model(), path)
+        data = path.read_bytes()
+        header, body = split_checkpoint(data)
+        entry = next(e for e in header["tensors"] if e["name"] == name)
+        values = np.frombuffer(body, dtype="<f8").copy()
+        values[entry["offset"] // 8 + int(np.prod(entry["shape"])) - 1] = value
+        values[-1] = np.nan  # in the last tensor, so not the first non-finite value
+        path.write_bytes(data[: len(data) - len(body)] + values.tobytes())
+        with pytest.raises(DataError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == (f"{path}: damaged checkpoint: DataError: tensor {name} "
+                                  "holds a non-finite value")
+
+    def test_finite_weights_whose_sum_overflows_load(self, tmp_path):
+        model = self._model()
+        W, _ = model.params.decoder[0]
+        W[0, :2] = np.finfo(np.float64).max
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        assert _bytes(flat_params(load_checkpoint(path))) == _bytes(flat_params(model))
+
     @settings(max_examples=40, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(kind=st.sampled_from(models.KINDS), data=st.data())
     def test_any_damage_loads_or_is_config_or_data_error_naming_path(self, tmp_path, kind, data):
