@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import copy
 import functools
 import hashlib
 import json
@@ -106,16 +107,16 @@ class ExperimentConfig:
     encoder_layer_sizes: list[int] = field(default_factory=lambda: [64])
     pathway_hidden_sizes: list[int] = field(default_factory=list)
     decoder_layer_sizes: list[int] | None = None
-    dropout: float = 0.5
-    beta: float = 1.0
-    schedule: str = "none"
-    t_start: int = 32
-    t_end: int | None = None
+    dropout: float = ArchitectureConfig.dropout_rate
+    beta: float = ArchitectureConfig.beta
+    schedule: str = ArchitectureConfig.schedule
+    t_start: int = ArchitectureConfig.t_start
+    t_end: int | None = ArchitectureConfig.t_end
     # train
-    epochs: int = 1024
-    learning_rate: float = 1e-4
-    batch_size: int = 128
-    seed: int = 0
+    epochs: int = TrainConfig.epochs
+    learning_rate: float = TrainConfig.learning_rate
+    batch_size: int = TrainConfig.batch_size
+    seed: int = TrainConfig.seed
     # evaluate
     repeats: int = 16
     space: str = "z"
@@ -171,12 +172,19 @@ INI_KEYS = {
     "output": ("dir",),
 }
 _FIELD_PREFIX = {"grid": "grid_", "output": "output_"}
+# The library object that _build makes of a section, and the one key whose
+# field there has another name.
+_BUILDS = {"model": ArchitectureConfig, "train": TrainConfig, "grid": GridSpec}
+_RENAMED = {"dropout": "dropout_rate"}
 # An empty value keeps the field's default, except here, where it is the
 # single cell without pathway hidden layers.
 _EMPTY_IS_A_VALUE = {("grid", "pathway_hidden_sizes")}
+# A list[int] | None with no entries is None, its default: for
+# decoder_layer_sizes, the mirrored encoder.
 PARSERS = {"str": str, "int": int, "int | None": int, "float": float, "bool": _parse_bool,
            "list[str]": _parse_str_list, "list[int]": _parse_int_list,
-           "list[int] | None": _parse_int_list, "list[float]": _parse_float_list,
+           "list[int] | None": lambda text: _parse_int_list(text) or None,
+           "list[float]": _parse_float_list,
            "list[list[int]]": _parse_grid_axis}
 _FIELD_TYPES = {f.name: f.type for f in fields(ExperimentConfig)}
 
@@ -305,51 +313,23 @@ def validate_config(cfg: ExperimentConfig, command: str):
     if command == "survival":
         _require_file(cfg.survival, "survival table")
     # construct these early so bad values fail before side effects
-    try:
-        arch = _arch_from(cfg)
-    except ConfigError as exc:
-        raise ConfigError(f"[model] {exc}") from None
-    try:
-        _train_config_from(cfg)
-    except ConfigError as exc:
-        raise ConfigError(f"[train] {exc}") from None
+    for section in ("model", "train"):
+        try:
+            _build(cfg, section)
+        except ConfigError as exc:
+            raise ConfigError(f"[{section}] {exc}") from None
     if command == "gridsearch":
-        _grid_from(cfg).cells(arch)
+        _build(cfg, "grid").cells(_build(cfg, "model"))
 
 
-def _arch_from(cfg: ExperimentConfig) -> ArchitectureConfig:
-    return ArchitectureConfig(
-        kind=cfg.kind,
-        encoder_layer_sizes=list(cfg.encoder_layer_sizes),
-        pathway_hidden_sizes=list(cfg.pathway_hidden_sizes),
-        decoder_layer_sizes=(
-            list(cfg.decoder_layer_sizes) if cfg.decoder_layer_sizes else None
-        ),
-        dropout_rate=cfg.dropout,
-        beta=cfg.beta,
-        schedule=cfg.schedule,
-        t_start=cfg.t_start,
-        t_end=cfg.t_end,
-    )
-
-
-def _train_config_from(cfg: ExperimentConfig) -> TrainConfig:
-    return TrainConfig(
-        epochs=cfg.epochs,
-        learning_rate=cfg.learning_rate,
-        batch_size=cfg.batch_size,
-        seed=cfg.seed,
-    )
-
-
-def _grid_from(cfg: ExperimentConfig) -> GridSpec:
-    return GridSpec(
-        encoder_layer_sizes=cfg.grid_encoder_layer_sizes,
-        pathway_hidden_sizes=cfg.grid_pathway_hidden_sizes,
-        betas=cfg.grid_betas,
-        schedules=cfg.grid_schedules,
-        classifiers=cfg.grid_classifiers,
-    )
+def _build(cfg: ExperimentConfig, section: str):
+    """The ArchitectureConfig, TrainConfig or GridSpec that ``[section]``
+    describes: each of the section's settings, its lists copied, goes to the
+    field of the key's name, except that [model] dropout is dropout_rate."""
+    return _BUILDS[section](**{
+        _RENAMED.get(key, key): copy.copy(getattr(cfg, ini_field(section, key)))
+        for key in INI_KEYS[section]
+    })
 
 
 def _load_expression(cfg: ExperimentConfig, path) -> dataio.ExpressionTable:
@@ -382,9 +362,7 @@ def _align_labeled(table: dataio.ExpressionTable, label_table: dataio.LabelTable
 def _reindex_genes(table: dataio.ExpressionTable, gene_names: list[str]):
     if table.gene_names == list(gene_names):
         return table
-    index = {}
-    for i, g in enumerate(table.gene_names):
-        index.setdefault(g, i)
+    index = dataio.first_index(table.gene_names)
     missing = [g for g in gene_names if g not in index]
     if missing:
         raise DataError(
@@ -446,11 +424,10 @@ def cmd_train(cfg: ExperimentConfig) -> int:
     masks = _resolve_masks(cfg, table.gene_names)
     norm = dataio.fit_normalizer(table, cfg.normalization, offset=cfg.log_offset)
     X = dataio.apply_normalizer(norm, table).values
-    arch = _arch_from(cfg)
-    train_config = _train_config_from(cfg)
     rng = RngStream(cfg.seed)
-    model = models.build_model(arch, table.n_genes, masks, rng, gene_names=table.gene_names)
-    history = models.fit(model, X, train_config, rng)
+    model = models.build_model(_build(cfg, "model"), table.n_genes, masks, rng,
+                               gene_names=table.gene_names)
+    history = models.fit(model, X, _build(cfg, "train"), rng)
     run = _RunDir(cfg, "train")
     ckpt = run.path(f"checkpoint-{cfg.dataset_name}-{cfg.kind}.ckpt")
     models.save_checkpoint(model, ckpt)
@@ -469,7 +446,7 @@ def cmd_gridsearch(cfg: ExperimentConfig) -> int:
     norm = dataio.fit_normalizer(table, cfg.normalization, offset=cfg.log_offset)
     X = dataio.apply_normalizer(norm, table).values
     best, rows = pipeline.cross_validate(
-        X, y, _arch_from(cfg), _grid_from(cfg), _train_config_from(cfg),
+        X, y, _build(cfg, "model"), _build(cfg, "grid"), _build(cfg, "train"),
         masks=masks, folds=cfg.folds, rng=RngStream(cfg.seed),
     )
     run = _RunDir(cfg, "gridsearch")
@@ -507,7 +484,7 @@ def cmd_validate(cfg: ExperimentConfig) -> int:
     test_table, y_test = _align_labeled(test_table, test_label_table)
     report = pipeline.external_validate(
         train_table, y_train, test_table, y_test,
-        _arch_from(cfg), _train_config_from(cfg),
+        _build(cfg, "model"), _build(cfg, "train"),
         classifier=cfg.classifier, space=cfg.space, masks=masks,
         norm_kind=cfg.normalization, log_offset=cfg.log_offset,
         renormalize_test=cfg.renormalize_test,
@@ -568,9 +545,7 @@ def _anpw_rows(model, genes, k: int) -> list[list]:
 
 def _columns(ranked, names) -> list[int]:
     """The activity column of each ranked pathway: the first one so named."""
-    first = {}
-    for j, name in enumerate(names):
-        first.setdefault(name, j)
+    first = dataio.first_index(names)
     return [first[name] for name, _mi in ranked]
 
 
@@ -678,16 +653,9 @@ def cmd_survival(cfg: ExperimentConfig, checkpoint) -> int:
 
 
 def cmd_synth(args) -> int:
-    data = make_synthetic(
-        n_classes=args.classes,
-        n_factors=args.factors,
-        n_pathways=args.pathways,
-        n_genes=args.genes,
-        n_background=args.background,
-        n_train=args.n_train,
-        n_test=args.n_test,
-        seed=args.seed,
-    )
+    # each flag's dest is a make_synthetic parameter; one not given is absent
+    given = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+    data = make_synthetic(**given)
     paths = write_fixture(args.out, data)
     config_path = os.path.join(args.out, "config.ini")
     with atomic_open(config_path, "w", encoding="utf-8") as fh:
@@ -746,16 +714,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    sp = subs.add_parser("synth", help="write a synthetic fixture directory")
+    # a flag not given is left out, so make_synthetic's default holds
+    sp = subs.add_parser("synth", help="write a synthetic fixture directory",
+                         argument_default=argparse.SUPPRESS)
     sp.add_argument("--out", required=True)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--classes", type=int, default=5)
-    sp.add_argument("--factors", type=int, default=8)
-    sp.add_argument("--pathways", type=int, default=20)
-    sp.add_argument("--genes", type=int, default=400)
-    sp.add_argument("--background", type=int, default=150)
-    sp.add_argument("--n-train", type=int, default=600)
-    sp.add_argument("--n-test", type=int, default=400)
+    sp.add_argument("--seed", type=int)
+    for flag in ("classes", "factors", "pathways", "genes", "background"):
+        sp.add_argument(f"--{flag}", dest=f"n_{flag}", type=int)
+    sp.add_argument("--n-train", type=int)
+    sp.add_argument("--n-test", type=int)
 
     for name, help_text in (
         ("train", "train one model and write a checkpoint"),

@@ -486,11 +486,18 @@ def merge_duplicate_genes(table: ExpressionTable) -> ExpressionTable:
     return ExpressionTable(list(table.sample_ids), order, out, table.scale)
 
 
+def first_index(names) -> dict:
+    """Each name's position in ``names``: a repeated name resolves to its
+    first column."""
+    index = {}
+    for i, name in enumerate(names):
+        index.setdefault(name, i)
+    return index
+
+
 def intersect_genes(a: ExpressionTable, b: ExpressionTable):
     """Restrict both tables to the common gene set, ordered by a's axis."""
-    b_index = {}
-    for i, g in enumerate(b.gene_names):
-        b_index.setdefault(g, i)
+    b_index = first_index(b.gene_names)
     common = [(i, g) for i, g in enumerate(a.gene_names) if g in b_index]
     if not common:
         raise DataError("intersect_genes: no genes in common")
@@ -644,9 +651,7 @@ def resolve_pathways(pathway_set: PathwaySet, gene_names: list[str]):
     Pathways with no present genes are dropped with a warning; the report
     counts missing genes per pathway.
     """
-    index = {}
-    for i, g in enumerate(gene_names):
-        index.setdefault(g, i)
+    index = first_index(gene_names)
     masks = []
     report = {"missing": {}, "dropped": []}
     for name, genes in pathway_set.pathways:

@@ -23,7 +23,6 @@ import warnings
 from dataclasses import dataclass
 from functools import reduce
 from typing import NamedTuple
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -264,16 +263,24 @@ class KMCurve:
         return float(self.survival[max(idx, 0)])
 
 
-def _risk_table(times, events, at):
-    """Number at risk (time >= t) and number of deaths (an event at time t)
-    for each t in ``at``."""
-    if np.isnan(times).any():
-        raise DataError("survival times must not be NaN")
-    at_risk = times.size - np.searchsorted(np.sort(times), at, side="left")
-    event_times = np.sort(times[events])
-    deaths = (np.searchsorted(event_times, at, side="right")
-              - np.searchsorted(event_times, at, side="left"))
-    return at_risk, deaths
+def _risk_sets(times, events, groups, grid):
+    """Numbers at risk (time >= t) and deaths (an event at time t) of each
+    index array in ``groups`` at each t in ``grid``, as two (groups, grid)
+    integer arrays: cumulative sums over a (groups, samples) membership
+    count in time order (np.bincount, so a repeated index counts twice)."""
+    n, size = len(groups), times.size
+    order = np.argsort(times, kind="stable")
+    rank = np.empty(size, dtype=np.intp)
+    rank[order] = np.arange(size)
+    cells = np.repeat(np.arange(n) * size, [len(g) for g in groups]) + rank[np.concatenate(groups)]
+    members = np.bincount(cells, minlength=n * size).reshape(n, size)
+    # members and deaths of each group ranked before each rank
+    below, dead_below = np.zeros((2, n, size + 1), dtype=np.intp)
+    np.cumsum(members, axis=1, out=below[:, 1:])
+    np.cumsum(members * events[order], axis=1, out=dead_below[:, 1:])
+    first = np.searchsorted(times[order], grid, side="left")
+    past = np.searchsorted(times[order], grid, side="right")
+    return below[:, -1:] - below[:, first], dead_below[:, past] - dead_below[:, first]
 
 
 def km_estimate(times, events) -> KMCurve:
@@ -285,8 +292,10 @@ def km_estimate(times, events) -> KMCurve:
         raise ShapeError("km_estimate: times and events lengths differ")
     if np.any(times < 0):
         raise DataError("km_estimate: negative times")
+    if np.isnan(times).any():
+        raise DataError("survival times must not be NaN")
     event_times = np.unique(times[events])
-    at_risk, deaths = _risk_table(times, events, event_times)
+    (at_risk,), (deaths,) = _risk_sets(times, events, [np.arange(times.size)], event_times)
     survival = np.cumprod(1.0 - deaths / at_risk)
     return KMCurve(
         np.concatenate([[0.0], event_times]),
@@ -319,28 +328,15 @@ def logrank_tests(times, events, groups):
     times = np.asarray(times, dtype=np.float64)
     events = np.asarray(events, dtype=bool)
     sides = [low for low, _ in groups] + [high for _, high in groups]
-    sizes = [len(side) for side in sides]
-    if 0 in sizes:
+    if any(len(side) == 0 for side in sides):
         raise DataError("logrank_test: empty group")
     if np.isnan(times).any():
         raise DataError("survival times must not be NaN")
-    k, size = len(groups), times.size
+    k = len(groups)
     grid = np.unique(times[events])
     if not k or not grid.size:
         return [(0.0, 1.0)] * k
-    order = np.argsort(times, kind="stable")
-    rank = np.empty(size, dtype=np.intp)
-    rank[order] = np.arange(size)
-    cells = np.repeat(np.arange(2 * k) * size, sizes) + rank[np.concatenate(sides)]
-    members = np.bincount(cells, minlength=2 * k * size).reshape(2 * k, size)
-    # members and deaths of each group ranked before each rank
-    below, dead_below = np.zeros((2, 2 * k, size + 1), dtype=np.intp)
-    np.cumsum(members, axis=1, out=below[:, 1:])
-    np.cumsum(members * events[order], axis=1, out=dead_below[:, 1:])
-    first = np.searchsorted(times[order], grid, side="left")
-    past = np.searchsorted(times[order], grid, side="right")
-    at_risk = below[:, -1:] - below[:, first]
-    deaths = dead_below[:, past] - dead_below[:, first]
+    at_risk, deaths = _risk_sets(times, events, sides, grid)
     na, nb, da, db = at_risk[:k], at_risk[k:], deaths[:k], deaths[k:]
     kept = (na > 0) & (nb > 0)  # a time where one group is empty adds nothing
     n, d = na + nb, da + db
@@ -447,9 +443,10 @@ def _svg_doc(width, height, elements) -> str:
 
 def _text(x, y, s, size=9, anchor="start", rotate=None, color="#000000"):
     t = f'transform="rotate({rotate} {x} {y})" ' if rotate is not None else ""
+    s = str(s).replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")  # XML-escaped
     return (
         f'<text x="{x:.2f}" y="{y:.2f}" font-size="{size}" font-family="sans-serif" '
-        f'fill="{color}" text-anchor="{anchor}" {t}>{escape(str(s))}</text>'
+        f'fill="{color}" text-anchor="{anchor}" {t}>{s}</text>'
     )
 
 

@@ -1065,13 +1065,15 @@ def load_checkpoint(path) -> Model:
 
 
 def _decode_checkpoint(data: bytes) -> Model:
-    head_line, newline, rest = data.partition(b"\n")
-    if not newline or not head_line.isdigit():
+    # header and body are read through slices of one view, not copied out
+    newline = data.find(b"\n")
+    if newline < 0 or not data[:newline].isdigit():
         raise DataError("truncated header length")
-    head_len = int(head_line)
+    head_len = int(data[:newline])
+    rest = memoryview(data)[newline + 1 :]
     if len(rest) < head_len:
         raise DataError(f"header truncated at {len(rest)} of {head_len} bytes")
-    header = json.loads(rest[:head_len].decode("utf-8"))
+    header = json.loads(str(rest[:head_len], "utf-8"))
     body = rest[head_len:]
     if header["format"] != 1:
         raise DataError(f"unsupported format {header['format']!r}")

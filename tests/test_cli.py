@@ -27,6 +27,7 @@ from pathae.models import (
 )
 from pathae.ndcore import RngStream
 from pathae.pipeline import REPORT_CSV_COLUMNS
+from pathae.synth import make_synthetic, write_fixture
 
 
 @pytest.fixture(scope="module")
@@ -97,10 +98,12 @@ def _with_renormalize_test(cfg, word):
 
 class TestStartup:
     def test_import_leaves_scipy_out(self):
-        # SciPy is imported by the lr fit alone, not by every command
+        # SciPy is imported by the lr fit alone, not by every command, and
+        # urllib.request (once pulled in by xml.sax.saxutils) by none
         src = str(Path(pathae.cli.__file__).parents[1])
         code = ("import sys, pathae.cli; "
-                "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[0] == 'scipy' or m == 'urllib.request'))")
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                              env={**os.environ, "PYTHONPATH": src}, check=True, timeout=120)
         assert out.stdout.strip() == "[]"
@@ -400,14 +403,75 @@ class TestConfigSchema:
         # option would be parsed and then silently dropped
         settable = {f.name for f in fields(ExperimentConfig)}
         not_overrides = {"help", "config", "verbose", "checkpoint"}
-        synth_flags = {"out", "seed", "classes", "factors", "pathways", "genes", "background",
-                       "n_train", "n_test"}
+        synth_flags = {"out", "seed", "n_classes", "n_factors", "n_pathways", "n_genes",
+                       "n_background", "n_train", "n_test"}
         subparsers = next(a for a in build_parser()._actions
                           if isinstance(a, argparse._SubParsersAction))
         for name, sub in subparsers.choices.items():
             dests = {a.dest for a in sub._actions}
             allowed = settable | not_overrides | (synth_flags if name == "synth" else set())
             assert dests <= allowed, (name, sorted(dests - allowed))
+
+
+    # (section, key, INI value, the built object's field and value); none
+    # of these values is a default
+    BUILT_FIELDS = [
+        ("model", "kind", "pavae", "kind", "pavae"),
+        ("model", "encoder_layer_sizes", "32,8", "encoder_layer_sizes", [32, 8]),
+        ("model", "pathway_hidden_sizes", "4,2", "pathway_hidden_sizes", [4, 2]),
+        ("model", "decoder_layer_sizes", "16", "decoder_layer_sizes", [16]),
+        ("model", "dropout", "0.25", "dropout_rate", 0.25),
+        ("model", "beta", "2.5", "beta", 2.5),
+        ("model", "schedule", "smooth", "schedule", "smooth"),
+        ("model", "t_start", "8", "t_start", 8),
+        ("model", "t_end", "300", "t_end", 300),
+        ("train", "epochs", "7", "epochs", 7),
+        ("train", "learning_rate", "0.01", "learning_rate", 0.01),
+        ("train", "batch_size", "32", "batch_size", 32),
+        ("train", "seed", "9", "seed", 9),
+        ("grid", "encoder_layer_sizes", "16 | 32,8", "encoder_layer_sizes", [[16], [32, 8]]),
+        ("grid", "pathway_hidden_sizes", "2", "pathway_hidden_sizes", [[2]]),
+        ("grid", "betas", "3", "betas", [3.0]),
+        ("grid", "schedules", "smooth", "schedules", ["smooth"]),
+        ("grid", "classifiers", "rf", "classifiers", ["rf"]),
+    ]
+
+    def test_built_fields_cover_every_model_train_and_grid_key(self):
+        cases = {(section, key) for section, key, *_ in self.BUILT_FIELDS}
+        assert cases == {(s, k) for s in ("model", "train", "grid") for k in INI_KEYS[s]}
+
+    @pytest.mark.parametrize("section,key,text,name,value", BUILT_FIELDS)
+    def test_ini_value_reaches_the_built_field(self, tmp_path, section, key, text, name, value):
+        path = tmp_path / "c.ini"
+        path.write_text(f"[{section}]\n{key} = {text}\n", encoding="utf-8")
+        cfg = load_config(str(path))
+        default = pathae.cli._build(ExperimentConfig(), section)
+        built = pathae.cli._build(cfg, section)
+        assert getattr(built, name) == value != getattr(default, name)
+        if isinstance(value, list):  # a copy, not the config's own list
+            assert getattr(built, name) is not getattr(cfg, ini_field(section, key))
+
+    def test_keys_left_out_build_the_library_defaults(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text("[model]\n[train]\n", encoding="utf-8")
+        cfg = load_config(str(path))
+        assert pathae.cli._build(cfg, "train") == pathae.models.TrainConfig()
+        assert pathae.cli._build(cfg, "model") == ArchitectureConfig(
+            kind="paae", encoder_layer_sizes=[64])
+
+    def test_decoder_sizes_with_no_size_are_the_mirrored_default(self, tmp_path):
+        path = tmp_path / "c.ini"
+        path.write_text("[model]\ndecoder_layer_sizes = ,\n", encoding="utf-8")
+        cfg = load_config(str(path))
+        assert cfg.decoder_layer_sizes is None
+        assert pathae.cli._build(cfg, "model").decoder_layer_sizes is None
+
+    def test_synth_without_flags_writes_make_synthetic_defaults(self, tmp_path):
+        assert main(["synth", "--out", str(tmp_path / "cli")]) == 0
+        paths = write_fixture(tmp_path / "lib", make_synthetic())
+        for path in paths.values():
+            name = os.path.basename(path)
+            assert (tmp_path / "cli" / name).read_bytes() == Path(path).read_bytes(), name
 
 
 class TestGridsearch:
