@@ -6,6 +6,9 @@ regression through one penalized objective, and training takes its loss
 from ``models.loss_and_grads``.  The shape-checked layer ops, the one-node
 split search, the unpenalized logistic data loss and the composite model
 loss below are kept only as slow, plain references for that code.
+``relu_dropout`` forms a hidden layer's dropout as a float keep mask,
+divided by ``1 - rate`` and then multiplied by the ReLU mask; ``pathae.models``
+folds the bool keep and ReLU masks into one float mask.
 ``hierarchical_cluster`` is the clustering that deletes each merged row and
 column from a shrinking matrix; ``pathae.interpret`` keeps the matrix at
 full size instead.  ``zscore_values`` is the zscore normalizer as one
@@ -118,6 +121,18 @@ def dropout_forward(x, rate: float, training: bool, rng: np.random.Generator | N
 
 def dropout_backward(upstream, mask) -> np.ndarray:
     return _as_f64(upstream) * mask
+
+
+def relu_dropout(pre, u, rate: float):
+    """A hidden layer's ReLU and dropout in the float keep-mask form, from
+    the pre-activations and the layer's uniforms u.  Returns (output, mask):
+    the keep mask ``(u >= rate) / (1 - rate)`` scales the ReLU output, and
+    then takes the ReLU mask, ``drop *= (pre > 0)``, for the backward pass."""
+    drop = (u >= rate) / (1.0 - rate)
+    h = np.maximum(0.0, pre)
+    h *= drop
+    drop *= pre > 0.0
+    return h, drop
 
 
 def _best_split(X, onehot, idx, features):

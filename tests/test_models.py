@@ -277,6 +277,69 @@ class TestLayerLoop:
         for g, ref in zip(grads, ref_grads):
             np.testing.assert_array_equal(g, ref)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.one_of(
+            st.tuples(st.integers(1, 6), st.integers(1, 5)),  # dense (B, w)
+            st.tuples(st.integers(1, 4), st.integers(1, 6), st.integers(1, 5)),  # pathway (P, B, w)
+        ),
+        rate=st.floats(0.05, 0.95),
+        keep=st.booleans(),
+        seed=st.integers(0, 2**16),
+        data=st.data(),
+    )
+    def test_hidden_dropout_equals_float_keep_mask(self, shape, rate, keep, seed, data):
+        """A hidden layer's output and cached mask have the bytes that the
+        float keep mask (u >= rate) / (1 - rate), applied to the ReLU output
+        and then multiplied by the ReLU mask, gives, at signed zeros,
+        infinities, NaN and subnormals."""
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -1e-310]
+        values = st.one_of(st.sampled_from(special), st.floats(allow_nan=True, allow_infinity=True))
+        size = int(np.prod(shape))
+        pre = np.array(data.draw(st.lists(values, min_size=size, max_size=size)),
+                       dtype=np.float64).reshape(shape)
+        arch = ArchitectureConfig(kind="ae", encoder_layer_sizes=[1], dropout_rate=rate)
+        model = build_model(arch, 1, rng=RngStream(0))
+        drop_of = models._dense_dropout(model, True, RngStream(seed), models._Fresh, "encoder")
+        w = shape[-1]
+        lead = shape[:-2]  # one weight stack per pathway
+        layers = [(np.zeros(lead + (w, w)), np.zeros(lead + (1, w))),
+                  (np.zeros(lead + (w, 1)), np.zeros(lead + (1, 1)))]
+        hidden = pre.copy()  # layer 0's output, relu'd and dropped out in place
+
+        def layer0(x, W, b, caching):
+            return hidden, x
+
+        with np.errstate(invalid="ignore", over="ignore"):  # inf * 0, a huge value * scale
+            _, caches = models._layers_forward(np.zeros(shape), layers, models._Fresh, "encoder",
+                                               drop_of, keep, layer0)
+            ref_h, ref_mask = reference.relu_dropout(pre, RngStream(seed).random(shape), rate)
+        # the bytes, so that a -0.0 or a NaN's sign and payload count too
+        assert hidden.tobytes() == ref_h.tobytes()
+        if keep:
+            mask = caches[0][1]
+            assert mask.dtype == np.float64 and mask.tobytes() == ref_mask.tobytes()
+        else:
+            assert caches is None
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        width=st.integers(2, 16),
+        # 88 and 76: the last, shorter batch of 600 and 1,100 rows at B = 128
+        rows=st.one_of(st.integers(1, 1100), st.sampled_from([88, 76, 128])),
+        pathways=st.integers(1, 64),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bias_gradient_einsum_equals_sum_above_width_one(self, width, rows, pathways, seed):
+        """np.einsum("pbh->ph", g) has the bytes of g.sum(axis=1) for a
+        (P, B, h) layer-0 gradient of width 2 or more: both add the rows in
+        order.  (At width 1 the sum is pairwise, and the bytes differ.)"""
+        rng = RngStream(seed)
+        shape = (pathways, rows, width)
+        g = rng.normal(size=shape) * 10.0 ** rng.integers(-100, 100, size=shape)
+        g[rng.uniform(size=shape) < 0.1] = -0.0
+        assert np.einsum("pbh->ph", g).tobytes() == g.sum(axis=1).tobytes()
+
 
 # The training step as it was before its in-place rewrite, kept as the
 # reference: a fresh array per bias add, per dropout and ReLU factor and per

@@ -170,6 +170,17 @@ class TestAdam:
         state = AdamState.for_params(p)
         with pytest.raises(NumericError):
             adam_step(p, [np.array([[np.nan]])], state, lr=0.01)
+        # a NaN or infinite gradient in the last of several tensors raises
+        # before any parameter is written
+        for bad in (np.nan, np.inf, -np.inf):
+            p = [np.array([[1.0, 2.0]]), np.array([3.0]), np.array([[4.0], [5.0], [6.0]])]
+            state = AdamState.for_params(p)
+            grads = [np.array([[0.5, -0.5]]), np.array([0.25]), np.array([[1.0], [bad], [-1.0]])]
+            with pytest.raises(NumericError, match="second moment"):
+                adam_step(p, grads, state, lr=0.01)
+            np.testing.assert_array_equal(p[0], [[1.0, 2.0]])
+            np.testing.assert_array_equal(p[1], [3.0])
+            np.testing.assert_array_equal(p[2], [[4.0], [5.0], [6.0]])
 
     def test_overflowing_second_moment_raises_before_any_write(self):
         from pathae.errors import NumericError
