@@ -412,11 +412,15 @@ class _Workspace:
     - ``"x"``: the batch.
     - ``"scratch"``: the batch transposed for the layer-0 gather, then the
       pathway stage's dropout uniforms, then the squared error of the loss.
+    - ``"keep"``: a bool dropout keep mask ``u >= rate``: a dense hidden
+      layer's, or the whole pathway stage's in pathway order.
+    - ``("pathway", "keep")``: the pathway stage's keep masks in bucket order.
     - ``(stack, i)``: layer i's output; in the backward pass, the gradient
       with respect to it.  The decoder's last is x_hat, then the MSE gradient.
-    - ``(stack, "mask", i)`` and ``(stack, "drop", i)``: hidden layer i's
-      ReLU mask and scaled keep mask.  The pathway stage keeps all its keep
-      masks in ``("pathway", "drop")``.
+    - ``(stack, "mask", i)``: hidden layer i's bool ReLU mask ``pre > 0``,
+      then, with dropout, ``keep & (pre > 0)``.
+    - ``(stack, "drop", i)``: a dense hidden layer i's dropout uniforms; then
+      any hidden layer's float mask ``(keep & (pre > 0)) * scale``.
     - ``("block", k)``: bucket k's layer-0 input block.
     - ``"wblock"``: a bucket's layer-0 weight block, then its weight gradient.
     - ``"a"``: the pathway activities.
@@ -455,6 +459,7 @@ class _Workspace:
                     need((name, "mask", i), rows * w, bool)
                     if dropout:
                         need((name, "drop", i), rows * w)
+                        need("keep", rows * w, bool)
 
         pathway, encoder, decoder, _ = _layer_shapes(arch, model.gene_count, model.masks)
         dropout = arch.dropout_rate > 0.0
@@ -468,8 +473,9 @@ class _Workspace:
                 need("wblock", bk.rows.size * pathway[0][0][1])
             if dropout and hidden:
                 need("scratch", n_pw * rows * hidden)
-                need(("pathway", "drop"), n_pw * rows * hidden)
-            stack("pathway", pathway, n_pw * rows, False)
+                need("keep", n_pw * rows * hidden, bool)
+                need(("pathway", "keep"), n_pw * rows * hidden, bool)
+            stack("pathway", pathway, n_pw * rows, dropout)
             need("a", rows * n_pw)
         stack("encoder", encoder, rows, dropout)
         stack("decoder", decoder, rows, dropout)
@@ -522,13 +528,23 @@ def _layers_forward(h, layers, ws, stack, drop_of=None, keep=False, layer0=None)
 
     Runs dense (B, in) and pathway (P, B, in) stacks alike, layer i's output
     in the workspace slot ``(stack, i)``.  ``drop_of(i, shape)`` gives hidden
-    layer i's scaled keep mask, and is None when dropout is off;
+    layer i's dropout as (``kept``, the bool mask of the entries it keeps,
+    ``scale = 1 / (1 - rate)``), and is None when dropout is off;
     ``layer0(x, W, b, keep)`` replaces layer 0's affine map, returning
-    (output, input for the gradient).  With ``keep`` each layer caches
-    (input for the gradient, mask): for a hidden layer the mask is the bool
-    ``pre > 0`` without dropout and ``drop * (pre > 0)`` with it; the final
-    layer's mask is None.  Without ``keep`` no mask is formed and the caches
-    are None, as inference runs no backward pass."""
+    (output, input for the gradient).
+
+    With dropout a hidden layer forms one float mask, ``(kept & (pre > 0)) *
+    scale`` (``kept * scale`` when no caches are kept), and multiplies the
+    ReLU output by it.  Its values are those of the keep mask ``kept / (1 -
+    rate)`` times the ReLU mask: a kept entry is the one correctly rounded
+    ``1 / (1 - rate)``, and where ``pre <= 0`` or is NaN the ReLU output is
+    +0.0 or NaN, which 0 and the scale leave as they are.
+
+    With ``keep`` each layer caches (input for the gradient, mask): for a
+    hidden layer the mask is the bool ``pre > 0`` without dropout and the
+    float mask with it; the final layer's mask is None.  Without ``keep`` no
+    ReLU mask is formed and the caches are None, as inference runs no
+    backward pass."""
     caches = [] if keep else None
     last = len(layers) - 1
     for i, (W, b) in enumerate(layers):
@@ -545,11 +561,11 @@ def _layers_forward(h, layers, ws, stack, drop_of=None, keep=False, layer0=None)
                 mask = np.greater(h, 0.0, out=ws.get((stack, "mask", i), h.shape, bool))
             np.maximum(0.0, h, out=h)
             if drop_of is not None:
-                drop = drop_of(i, h.shape)
-                h *= drop
+                kept, scale = drop_of(i, h.shape)
                 if keep:
-                    drop *= mask
-                    mask = drop
+                    kept = np.logical_and(kept, mask, out=mask)
+                mask = np.multiply(kept, scale, out=ws.get((stack, "drop", i), h.shape))
+                h *= mask
         if keep:
             caches.append((lin_in, mask))
     return h, caches
@@ -584,19 +600,18 @@ def _layers_backward(g, layers, caches, ws, stack, layer0_grads=None):
     return g, grads
 
 
-def _keep_mask(u, rate):
-    """The scaled keep mask ``(u >= rate) / (1 - rate)`` of uniforms u, in u."""
-    np.greater_equal(u, rate, out=u)
-    u /= 1.0 - rate
-    return u
-
-
 def _dense_dropout(model: Model, training, rng, ws, stack):
     """Dropout of a dense stack: a fresh draw per hidden layer."""
     rate = model.arch.dropout_rate
     if not (training and rate > 0.0):
         return None
-    return lambda i, shape: _keep_mask(rng.random(out=ws.get((stack, "drop", i), shape)), rate)
+    scale = 1.0 / (1.0 - rate)
+
+    def drop_of(i, shape):
+        u = rng.random(out=ws.get((stack, "drop", i), shape))
+        return np.greater_equal(u, rate, out=ws.get("keep", shape, bool)), scale
+
+    return drop_of
 
 
 def _as_input(x, width: int, what: str) -> np.ndarray:
@@ -621,7 +636,8 @@ def _pathway_forward(model, x, training, rng, ws, keep):
     backward pass: (the stage's layers in bucket order, their caches).
     Dropout for the whole stage is one uniform draw in pathway order, sliced
     so that each pathway and layer gets the values the pathway-by-pathway,
-    layer-by-layer order would give it."""
+    layer-by-layer order would give it; its bool keep mask, not the draw, is
+    put in bucket order."""
     n, n_pw = x.shape[0], len(model.masks)
     widths = model.arch.pathway_hidden_sizes
     rate = model.arch.dropout_rate
@@ -631,16 +647,17 @@ def _pathway_forward(model, x, training, rng, ws, keep):
 
     drop_of = None
     if training and rate > 0.0 and widths:
-        drops = []
+        kept = []
+        scale = 1.0 / (1.0 - rate)
 
         def drop_of(i, shape):
-            if not drops:  # drawn after layer 0's gather, done with the scratch slot
+            if not kept:  # drawn after layer 0's gather, done with the scratch slot
                 draws = rng.random(out=ws.get("scratch", (n_pw, n * sum(widths))))
-                keep_masks = np.take(draws, order, axis=0, mode="clip",
-                                     out=ws.get(("pathway", "drop"), draws.shape))
-                _keep_mask(keep_masks, rate)
-                drops.extend(np.split(keep_masks, np.cumsum([n * w for w in widths[:-1]]), axis=1))
-            return drops[i].reshape(shape)
+                mask = np.greater_equal(draws, rate, out=ws.get("keep", draws.shape, bool))
+                mask = np.take(mask, order, axis=0, mode="clip",
+                               out=ws.get(("pathway", "keep"), draws.shape, bool))
+                kept.extend(np.split(mask, np.cumsum([n * w for w in widths[:-1]]), axis=1))
+            return kept[i].reshape(shape), scale
 
     def layer0(x, W, b, keep):
         h = ws.get(("pathway", 0), (n_pw, n, W.shape[1]))
@@ -677,7 +694,11 @@ def _pathway_backward(model, grad_a, cache, ws):
         for bk, xb in zip(model._buckets, blocks):
             gW[bk.rows] = np.matmul(xb, g[bk.span],
                                     out=ws.get("wblock", bk.rows.shape + W0.shape[1:]))
-        return gW[:-1], g.sum(axis=1)
+        # einsum adds each (pathway, unit)'s rows in order, as sum does at
+        # width > 1, with the same bytes in less time; at width 1 sum adds
+        # them pairwise, and only sum gives its bytes
+        gb = np.einsum("pbh->ph", g) if g.shape[-1] > 1 else g.sum(axis=1)
+        return gW[:-1], gb
 
     g = np.ascontiguousarray(grad_a.T[order])[:, :, None]
     grads = _layers_backward(g, layers, caches, ws, "pathway", layer0_grads)[1]
@@ -791,8 +812,10 @@ def _mse_loss(x, x_hat, diff=None, square=None):
     ``square``, given arrays or new ones."""
     diff = np.subtract(x_hat, x, out=diff)
     value = float(np.mean(np.multiply(diff, diff, out=square)))
-    diff *= 2.0  # the gradient 2.0 * diff / diff.size, formed in diff's own memory
-    diff /= diff.size
+    # the gradient 2.0 * diff / diff.size in one pass over diff's own memory:
+    # diff.size / 2 and 2.0 * diff are exact, so each quotient is the same
+    # correctly rounded value (unless 2.0 * diff overflows, and the loss with it)
+    diff /= diff.size / 2
     return value, diff
 
 

@@ -94,7 +94,9 @@ def adam_step(params, grads, state: AdamState, lr: float) -> AdamState:
             g2 *= g
             v += g2
             del g2
-            if not np.all(np.isfinite(v)):
+            # v is >= 0 or NaN, and max passes NaN and inf on, so one
+            # reduction checks the tensor; initial lets an empty one pass
+            if not np.isfinite(v.max(initial=0.0)):
                 raise NumericError("adam_step: non-finite second moment")
     for p, m, v in zip(params, state.m, state.v):
         step = m / bc1
