@@ -26,6 +26,11 @@ to that order with one index map instead, and ``pathae.interpret`` ranks
 every pathway at once.  ``layer0_buckets`` fills each layer-0 bucket's
 gene and weight-row arrays pathway by pathway; ``pathae.models`` fills them
 with one scatter per bucket.
+
+``rf_fit`` grows the forest with today's lockstep grower, but every node
+holds its bootstrap samples with their repeats, as a row list; the search
+sorts, gathers and sums every copy.  ``pathae.classifiers`` holds each node
+as its distinct rows and one bootstrap count per row instead.
 """
 
 from __future__ import annotations
@@ -37,7 +42,8 @@ from dataclasses import asdict
 import numpy as np
 
 from pathae import models
-from pathae.classifiers import LogisticModel, _label_codes, _split_search, lr_predict_proba
+from pathae import classifiers
+from pathae.classifiers import ForestModel, LogisticModel, _label_codes, lr_predict_proba
 from pathae.errors import ConfigError, DataError, PathaeError, ShapeError
 from pathae.interpret import ClusterTree, _pairwise_distance, top_genes_by_anpw
 from pathae.models import (
@@ -140,7 +146,7 @@ def _best_split(X, onehot, idx, features):
 
     Returns (impurity, feature, threshold), or None when every candidate
     column is constant on the node."""
-    impurity, feature, threshold, *_ = _split_search(
+    impurity, feature, threshold, *_ = classifiers._split_search(
         X, onehot, np.asarray(idx)[None, :], np.array([len(idx)]), np.asarray(features)[None, :])
     if impurity[0] == np.inf:
         return None
@@ -358,3 +364,154 @@ def layer0_buckets(masks, gene_count: int) -> list:
         )
         start += len(members)
     return buckets
+
+
+# The repeat-row forest grower: every node holds its bootstrap samples with
+# their repeats, and the search sorts, gathers and sums every copy.
+# ``pathae.classifiers`` grows the same forest on each node's distinct rows
+# and their bootstrap counts.
+_SEARCH_BLOCK = 1 << 18
+_SEARCH_OVERHEAD = 3000
+
+
+def _split_search(X, onehot, rows, sizes, features):
+    """Best split of every node of a batch, node b holding the samples
+    ``rows[b, :sizes[b]]`` with repeats and padded with the sentinel row.
+    Returns the impurity, feature, threshold, the left child's size, the
+    node's rows sorted along the winning feature and the children's class
+    counts."""
+    B, N = rows.shape
+    k = onehot.shape[1]
+    batch = np.arange(B)
+    cols = X[rows[:, None, :], features[:, :, None]]  # (B, m, N)
+    order = cols.argsort(axis=-1)
+    vals = np.take_along_axis(cols, order, axis=-1)
+    sorted_rows = rows[batch[:, None, None], order]
+    nl = np.arange(1.0, N + 1)
+    n = sizes.astype(np.float64)[:, None, None]
+    nr = n - nl
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if k < classifiers._CLASS_MAJOR_BELOW:
+            left = onehot.T.take(sorted_rows, axis=1).cumsum(axis=-1)  # (k, B, m, N)
+            total = left[:, batch, 0, sizes - 1]
+            gl, gr = classifiers._gini_by_class(left, total[:, :, None, None], nl, nr)
+            left, total = np.moveaxis(left, 0, -1), total.T
+        else:
+            left = onehot.take(sorted_rows, axis=0).cumsum(axis=2)  # (B, m, N, k)
+            total = left[batch, 0, sizes - 1]
+            p = left / nl[:, None]
+            p *= p
+            gl = 1.0 - p.sum(axis=-1)
+            np.subtract(total[:, None, None, :], left, out=p)
+            p /= nr[..., None]
+            p *= p
+            gr = 1.0 - p.sum(axis=-1)
+        impurity = (nl * gl + nr * gr) / n
+    impurity[..., :-1][vals[..., :-1] == vals[..., 1:]] = np.inf
+    impurity[np.broadcast_to(nl >= n, impurity.shape)] = np.inf
+    flat = impurity.reshape(B, -1)
+    best = flat.argmin(axis=1)
+    fi, ti = np.divmod(best, N)
+    a, b = vals[batch, fi, ti], vals[batch, fi, ti + 1]
+    with np.errstate(over="ignore"):
+        thr = 0.5 * (a + b)
+    thr = np.where((a <= thr) & (thr < b), thr, a)
+    left_counts = left[batch, fi, ti]
+    return (flat[batch, best], features[batch, fi], thr, ti + 1, sorted_rows[batch, fi],
+            left_counts, total - left_counts)
+
+
+def _grow_forest(X, onehot, boots, m_features, rngs):
+    """All trees in lockstep, one depth-first stack each; returns the node
+    arrays (feature, threshold, left, right, counts) as lists."""
+    d, k = X.shape[1], onehot.shape[1]
+    X = np.vstack([X, np.full(d, np.inf)])  # the sentinel row, last
+    onehot = np.vstack([onehot, np.zeros(k)])
+    n_trees = len(boots)
+    counts = [onehot[boot].sum(axis=0) for boot in boots]
+    nodes = ([0] * n_trees, [0.0] * n_trees, list(range(n_trees)), list(range(n_trees)), counts)
+    stacks = [[(t, boot)] if np.count_nonzero(counts[t]) >= 2 else []
+              for t, boot in enumerate(boots)]
+    blocks = np.empty((n_trees, classifiers._DRAW_BLOCK, m_features), dtype=np.int64)
+    cursor = np.full(n_trees, classifiers._DRAW_BLOCK)
+    while True:
+        popped = [(t, *stack.pop()) for t, stack in enumerate(stacks) if stack]
+        if not popped:
+            return nodes
+        trees = np.array([p[0] for p in popped])
+        refill = trees[cursor[trees] == classifiers._DRAW_BLOCK]
+        if len(refill):
+            blocks[refill] = classifiers._draw_features([rngs[t] for t in refill.tolist()], d,
+                                                        m_features)
+            cursor[refill] = 0
+        features = blocks[trees, cursor[trees]]
+        cursor[trees] += 1
+        popped = [(*p, f) for p, f in zip(popped, features)]  # (tree, node, rows, features)
+        for chunk in _pack_by_size(popped, m_features * k):
+            _split_nodes(X, onehot, chunk, stacks, nodes)
+
+
+def _pack_by_size(popped, per_row):
+    """The nodes sorted by size, cut into chunks to search at once."""
+    popped = sorted(popped, key=lambda p: len(p[2]))
+    chunks, chunk, width = [], [], 0
+    for p in popped:
+        size = len(p[2])
+        if chunk and (len(chunk) * (size - width) * per_row > _SEARCH_OVERHEAD
+                      or (len(chunk) + 1) * size * per_row > _SEARCH_BLOCK):
+            chunks.append(chunk)
+            chunk = []
+        chunk.append(p)
+        width = size
+    chunks.append(chunk)
+    return chunks
+
+
+def _split_nodes(X, onehot, chunk, stacks, nodes):
+    """Search a chunk, append each split node's children to ``nodes`` and
+    push the impure ones onto their tree's stack, left on top."""
+    sizes = [len(c[2]) for c in chunk]
+    rows = np.full((len(chunk), max(sizes)), len(X) - 1)
+    for b, (_, _, node_rows, _) in enumerate(chunk):
+        rows[b, : sizes[b]] = node_rows
+    features = np.array([c[3] for c in chunk])
+    impurity, feature, threshold, cut, sorted_rows, left_counts, right_counts = _split_search(
+        X, onehot, rows, np.array(sizes), features)
+    found = (impurity < np.inf).tolist()
+    grow_left = (np.count_nonzero(left_counts, axis=1) >= 2).tolist()
+    grow_right = (np.count_nonzero(right_counts, axis=1) >= 2).tolist()
+    feature, threshold, cut = feature.tolist(), threshold.tolist(), cut.tolist()
+    features_of, thresholds_of, left_of, right_of, counts_of = nodes
+    for b, (t, node, _, _) in enumerate(chunk):
+        if not found[b]:
+            continue
+        left_id, right_id = len(counts_of), len(counts_of) + 1
+        features_of[node], thresholds_of[node] = feature[b], threshold[b]
+        left_of[node], right_of[node] = left_id, right_id
+        features_of += [0, 0]
+        thresholds_of += [0.0, 0.0]
+        left_of += [left_id, right_id]
+        right_of += [left_id, right_id]
+        counts_of += [left_counts[b], right_counts[b]]
+        if grow_right[b]:
+            stacks[t].append((right_id, sorted_rows[b, cut[b] : sizes[b]]))
+        if grow_left[b]:
+            stacks[t].append((left_id, sorted_rows[b, : cut[b]]))
+
+
+def rf_fit(X, y, n_trees: int = 100, rng=None) -> ForestModel:
+    """``classifiers.rf_fit`` through the repeat-row grower: the same
+    bootstrap draws, each node's samples kept with their repeats."""
+    X, classes, codes = classifiers._fit_inputs(X, y, "rf_fit")
+    n, d = X.shape
+    onehot = np.eye(len(classes))[codes]
+    rngs = as_stream(rng).spawn(n_trees)
+    boots = [np.asarray(tree_rng.integers(0, n, size=n)) for tree_rng in rngs]
+    feature, threshold, left, right, counts = _grow_forest(
+        X, onehot, boots, int(math.ceil(math.sqrt(d))), rngs)
+    return ForestModel(
+        roots=np.arange(n_trees), feature=np.array(feature, dtype=np.intp),
+        threshold=np.array(threshold), left=np.array(left, dtype=np.intp),
+        right=np.array(right, dtype=np.intp), counts=np.array(counts),
+        classes=classes, n_features=d,
+    )

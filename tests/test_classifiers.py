@@ -20,6 +20,7 @@ from pathae.classifiers import (
 from pathae.errors import ConfigError, DataError, ShapeError
 from pathae.ndcore import RngStream
 
+import reference
 from reference import _best_split, lr_data_loss
 
 
@@ -492,6 +493,29 @@ def test_feature_blocks_match_successive_choice_calls(d, seed, n_streams, blocks
                 for _ in range(blocks * classifiers._DRAW_BLOCK)]
         assert rows.tolist() == np.array(want).tolist()
         assert got_rng.integers(0, 1 << 40) == want_rng.integers(0, 1 << 40)
+
+
+@settings(max_examples=25)
+@given(n=st.integers(1, 120), d=st.sampled_from([1, 3, 16, 40]), k=st.sampled_from([2, 5, 8, 33]),
+       n_trees=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_forest_equals_repeat_row_grower(n, d, k, n_trees, seed):
+    """Every node array and the probabilities are the bytes of the grower
+    whose nodes hold their bootstrap samples with repeats.  Values rounded
+    to one decimal tie often; column 1 repeats column 0 and column 2 is
+    constant."""
+    rng = RngStream(seed)
+    X = np.round(rng.normal(size=(n, d)), 1)
+    if d >= 3:
+        X[:, 1] = X[:, 0]
+        X[:, 2] = 0.5
+    y = rng.integers(0, k, size=n)
+    got = rf_fit(X, y, n_trees=n_trees, rng=RngStream(seed + 1))
+    want = reference.rf_fit(X, y, n_trees=n_trees, rng=RngStream(seed + 1))
+    for name in ("roots", "feature", "threshold", "left", "right", "counts", "classes"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    rows = np.vstack([X, np.round(rng.normal(size=(20, d)), 1)])
+    assert rf_predict_proba(got, rows).tobytes() == rf_predict_proba(want, rows).tobytes()
 
 
 @pytest.mark.parametrize("budget", [None, 1 << 13])
