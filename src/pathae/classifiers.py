@@ -10,9 +10,14 @@ its own stream, and on every step batched split searches score every
 (feature, threshold) pair of the nodes that all trees are working on.  A
 tree draws its nodes' candidate features in blocks, one ``integers`` call
 per block, and gets exactly the sets that one ``choice`` call per node
-would give, so the forests are the same bit for bit.  The step's nodes
-are sorted by size and packed into chunks: a chunk is cut when padding it
-up to the next node would cost more than one more search call.
+would give, so the forests are the same bit for bit.  A node holds its
+distinct training rows and one count per row, the row's multiplicity in
+the tree's bootstrap, so a search sorts and sums each bootstrap copy of a
+row once; the sizes and class counts at every threshold are the same
+integers as with the copies, so the node arrays, trees and probabilities
+are unchanged.  The step's nodes are sorted by sample count and packed into
+chunks padded to their widest node: a chunk is cut when the padding the
+next node adds would cost more than one more search call.
 Below 8 classes the search counts classes class-major, so its array work
 runs along the long threshold axis.  Node ids follow the order in which nodes
 are searched, so they may differ from earlier versions; the trees and the
@@ -199,12 +204,14 @@ class ForestModel:
 
 
 # Cap on the elements of one (nodes, features, rows, classes) block of the
-# batched split search: a larger group of nodes is searched in chunks, and
-# only a single node larger than the cap is searched as one block.
-_SEARCH_BLOCK = 1 << 18
+# batched split search, rows counted at the nodes' distinct-row width: a
+# larger group of nodes is searched in chunks, and only a single node larger
+# than the cap is searched as one block.  Swept 2^13-2^18 on a 2-core Xeon;
+# at 2^15 a float64 block array is 256 KB.
+_SEARCH_BLOCK = 1 << 15
 # What one more _split_search call costs, in padded block elements: a chunk
-# of nodes grows to the next larger node unless padding the chunk up to it
-# would add more elements than this.
+# of nodes takes the next node unless the padding it adds, to the chunk or
+# to itself, would be more elements than this.
 _SEARCH_OVERHEAD = 3000
 # Candidate-feature sets drawn per refill of a tree's block: one
 # Generator.integers call per tree and refill (_draw_features)
@@ -215,30 +222,36 @@ _DRAW_BLOCK = 16
 _CLASS_MAJOR_BELOW = 8
 
 
-def _split_search(X, onehot, rows, sizes, features):
+def _split_search(X, onehot, rows, counts, features):
     """Best split of every node of a batch; ties resolve to the lowest feature
     index, then the lowest threshold.
 
-    Node b holds the samples ``rows[b, :sizes[b]]``; the rest of its row is
-    padding, the index of a sentinel row whose features are +inf and whose
-    one-hot row is zero: the fits take finite data only, so the sentinel
-    sorts after every sample, and it adds to no count.  ``features[b]`` are
-    the node's candidate columns.
+    Node b holds the distinct rows in ``rows[b]``, row ``rows[b, j]`` taken
+    ``counts[b, j]`` times by the tree's bootstrap.  Past its rows, ``rows[b]``
+    is padded with the index of a sentinel row whose features are +inf and
+    whose one-hot row is zero, at count 0: the fits take finite data only, so
+    the sentinel sorts after every row, and it adds to no count.  The grower
+    searches impure nodes only, so the batch is at least two rows wide.
+    ``features[b]`` are the node's candidate columns.
 
-    Presort splitter: each candidate column of a node is sorted once, the
-    left child's class counts at every threshold are a cumulative sum of
-    one-hot rows in that order, and the impurity of every (node, feature,
-    threshold) triple is one array expression.  The float operations are
-    those of a one-threshold-at-a-time scan (p = counts / size,
-    1 - sum(p * p), (nl * gl + nr * gr) / n), so the result is bit-identical
-    to it.  With few classes the counts are laid out class-major,
-    (k, B, m, N), so that every operation runs along the long threshold
-    axis.
+    Presort splitter: each candidate column of a node is sorted once, and
+    the left child's size and class counts at every threshold are cumulative
+    sums of the counts and of count-weighted one-hot rows in that order.  A
+    bootstrap's copies of a row share its value, so no threshold falls
+    between them, and these are the exact integers the samples with their
+    repeats would give.  The impurity of every (node, feature, threshold)
+    triple is one array expression.  The float operations are those of a
+    one-threshold-at-a-time scan (p = counts / size, 1 - sum(p * p),
+    (nl * gl + nr * gr) / n, n the node's sample count), so the result is
+    bit-identical to it.  With few classes the class counts are laid out
+    class-major, (k, B, m, N), so that every operation runs along the long
+    threshold axis.
 
     Returns, per node: the lowest impurity (inf when every candidate column
     is constant on the node), its feature, its threshold, the split position
-    ``cut`` (the left child's size), the node's rows sorted along the
-    winning feature, and the left and right children's class counts."""
+    ``cut`` (the left child's distinct rows), the node's rows and counts
+    sorted along the winning feature, and the left and right children's
+    class counts."""
     B, N = rows.shape
     k = onehot.shape[1]
     batch = np.arange(B)
@@ -247,19 +260,24 @@ def _split_search(X, onehot, rows, sizes, features):
     order = cols.argsort(axis=-1)
     vals = np.take_along_axis(cols, order, axis=-1)
     sorted_rows = rows[batch[:, None, None], order]
-    nl = np.arange(1.0, N + 1)  # left size at each threshold
-    n = sizes.astype(np.float64)[:, None, None]
+    sorted_counts = counts[batch[:, None, None], order]
+    nl = sorted_counts.cumsum(axis=-1)  # left size at each threshold
+    n = nl[:, :1, -1:]  # the node's sample count, (B, 1, 1)
     nr = n - nl
     with np.errstate(divide="ignore", invalid="ignore"):  # padding thresholds
         if k < _CLASS_MAJOR_BELOW:
-            left = onehot.T.take(sorted_rows, axis=1).cumsum(axis=-1)  # (k, B, m, N)
-            total = left[:, batch, 0, sizes - 1]  # (k, B): the node's class counts
+            left = onehot.T.take(sorted_rows, axis=1)  # (k, B, m, N)
+            left *= sorted_counts
+            left.cumsum(axis=-1, out=left)
+            total = left[:, :, 0, -1]  # (k, B): the node's class counts
             gl, gr = _gini_by_class(left, total[:, :, None, None], nl, nr)
             left, total = np.moveaxis(left, 0, -1), total.T  # views, (B, m, N, k) and (B, k)
         else:
-            left = onehot.take(sorted_rows, axis=0).cumsum(axis=2)  # (B, m, N, k)
-            total = left[batch, 0, sizes - 1]  # (B, k)
-            p = left / nl[:, None]
+            left = onehot.take(sorted_rows, axis=0)  # (B, m, N, k)
+            left *= sorted_counts[..., None]
+            left.cumsum(axis=2, out=left)
+            total = left[:, 0, -1]  # (B, k)
+            p = left / nl[..., None]
             p *= p
             gl = 1.0 - p.sum(axis=-1)
             np.subtract(total[:, None, None, :], left, out=p)  # right counts
@@ -268,7 +286,7 @@ def _split_search(X, onehot, rows, sizes, features):
             gr = 1.0 - p.sum(axis=-1)
         impurity = (nl * gl + nr * gr) / n  # (B, m, N)
     impurity[..., :-1][vals[..., :-1] == vals[..., 1:]] = np.inf  # no threshold between equal values
-    impurity[np.broadcast_to(nl >= n, impurity.shape)] = np.inf  # nor at or past a node's last row
+    impurity[nl >= n] = np.inf  # nor at or past a node's last row
     # row-major over (feature, threshold): the first minimum has the lowest
     # feature, then the lowest threshold
     flat = impurity.reshape(B, -1)
@@ -282,7 +300,7 @@ def _split_search(X, onehot, rows, sizes, features):
     thr = np.where((a <= thr) & (thr < b), thr, a)
     left_counts = left[batch, fi, ti]
     return (flat[batch, best], features[batch, fi], thr, ti + 1, sorted_rows[batch, fi],
-            left_counts, total - left_counts)
+            sorted_counts[batch, fi], left_counts, total - left_counts)
 
 
 def _gini_by_class(left, total, nl, nr):
@@ -329,34 +347,38 @@ def _draw_features(streams, d, m):
     return chosen.reshape(len(streams), _DRAW_BLOCK, m)
 
 
-def _grow_forest(X, onehot, boots, m_features, rngs):
-    """Grow one tree per bootstrap sample, all trees in lockstep, and return
-    the node arrays (feature, threshold, left, right, counts); tree t's root
-    is node t.
+def _grow_forest(X, onehot, weights, m_features, rngs):
+    """Grow one tree per row of bootstrap counts, all trees in lockstep, and
+    return the node arrays (feature, threshold, left, right, counts); tree
+    t's root is node t.
 
-    A node is a leaf when it is pure (this covers fewer than two samples) or
-    when its candidate columns are all constant on it.  Each tree keeps a
-    depth-first stack of the nodes it has still to search, left child on
-    top.  On every step, each unfinished tree pops one node and takes the
-    next row of its block of candidate-feature draws (``_draw_features``),
-    so every tree draws in pre-order, as a recursive grower would.  A tree's
-    block is refilled from its own stream only when it is used up, and all
-    trees that need a refill on a step are refilled at once.  Batched
-    searches, over chunks of those nodes packed by size (``_pack_by_size``),
-    then split them all.
+    ``weights[t, i]`` is how often tree t's bootstrap drew row i.  A node
+    holds its distinct rows and each row's count.  A node is a leaf when it
+    is pure (this covers fewer than two samples) or when its candidate
+    columns are all constant on it.  Each tree keeps a depth-first stack of
+    the nodes it has still to search, left child on top.  On every step,
+    each unfinished tree pops one node and takes the next row of its block
+    of candidate-feature draws (``_draw_features``), so every tree draws in
+    pre-order, as a recursive grower would.  A tree's block is refilled from
+    its own stream only when it is used up, and all trees that need a
+    refill on a step are refilled at once.  Batched searches, over chunks of
+    those nodes packed by size (``_pack_by_size``), then split them all.
 
     Each stream in ``rngs`` is private to one fit and has already drawn its
     bootstrap sample, so the draws left in a block when its tree is done
     change nothing."""
     d, k = X.shape[1], onehot.shape[1]
+    n_trees, n = weights.shape
     X = np.vstack([X, np.full(d, np.inf)])  # the sentinel row, last
     onehot = np.vstack([onehot, np.zeros(k)])
-    n_trees = len(boots)
-    counts = [onehot[boot].sum(axis=0) for boot in boots]
+    counts = list(weights @ onehot[:n])  # small integers: exact
     # every node is added as a leaf; _split_nodes turns it into a split
     nodes = ([0] * n_trees, [0.0] * n_trees, list(range(n_trees)), list(range(n_trees)), counts)
-    stacks = [[(t, boot)] if np.count_nonzero(counts[t]) >= 2 else []
-              for t, boot in enumerate(boots)]
+    stacks = [[] for _ in range(n_trees)]
+    for t in range(n_trees):
+        if np.count_nonzero(counts[t]) >= 2:
+            rows = np.flatnonzero(weights[t])
+            stacks[t].append((t, rows, weights[t, rows], n))
     blocks = np.empty((n_trees, _DRAW_BLOCK, m_features), dtype=np.int64)
     cursor = np.full(n_trees, _DRAW_BLOCK)  # every block starts used up
     while True:
@@ -370,49 +392,57 @@ def _grow_forest(X, onehot, boots, m_features, rngs):
             cursor[refill] = 0
         features = blocks[trees, cursor[trees]]
         cursor[trees] += 1
-        popped = [(*p, f) for p, f in zip(popped, features)]  # (tree, node, rows, features)
+        # (tree, node, rows, row counts, sample count, features)
+        popped = [(*p, f) for p, f in zip(popped, features)]
         for chunk in _pack_by_size(popped, m_features * k):
             _split_nodes(X, onehot, chunk, stacks, nodes)
 
 
 def _pack_by_size(popped, per_row):
-    """Cut the nodes ``popped``, sorted by size, into chunks to search at
-    once.  A chunk is padded to its largest node, and a row of it costs
-    ``per_row`` block elements.  The next node starts a new chunk when
-    padding the chunk up to it would cost more than a search call
-    (``_SEARCH_OVERHEAD``), or when the block would pass ``_SEARCH_BLOCK``."""
-    popped = sorted(popped, key=lambda p: len(p[2]))
+    """Cut the nodes ``popped``, sorted by sample count, into chunks to
+    search at once.  A chunk is padded to its widest node's distinct rows,
+    and a row of it costs ``per_row`` block elements.  The next node starts
+    a new chunk when the padding it adds would cost more than a search call
+    (``_SEARCH_OVERHEAD``), or when the block would pass ``_SEARCH_BLOCK``.
+    Only the order of the nodes sets their ids, not where chunks are cut."""
+    popped = sorted(popped, key=lambda p: p[4])
     chunks, chunk, width = [], [], 0
     for p in popped:
         size = len(p[2])
-        if chunk and (len(chunk) * (size - width) * per_row > _SEARCH_OVERHEAD
-                      or (len(chunk) + 1) * size * per_row > _SEARCH_BLOCK):
+        wide = max(width, size)
+        if chunk and ((len(chunk) * (wide - width) + wide - size) * per_row > _SEARCH_OVERHEAD
+                      or (len(chunk) + 1) * wide * per_row > _SEARCH_BLOCK):
             chunks.append(chunk)
-            chunk = []
+            chunk, wide = [], size
         chunk.append(p)
-        width = size
+        width = wide
     chunks.append(chunk)
     return chunks
 
 
 def _split_nodes(X, onehot, chunk, stacks, nodes):
-    """Search a chunk of nodes padded to the largest one's size, append the
-    children of every node that splits to ``nodes``, and push those that are
-    not pure onto their tree's stack, left on top.  Each node's features
-    arrive sorted, so ties resolve to the lowest feature index."""
-    sizes = [len(c[2]) for c in chunk]
-    rows = np.full((len(chunk), max(sizes)), len(X) - 1)
-    for b, (_, _, node_rows, _) in enumerate(chunk):
-        rows[b, : sizes[b]] = node_rows
-    features = np.array([c[3] for c in chunk])
-    impurity, feature, threshold, cut, sorted_rows, left_counts, right_counts = _split_search(
-        X, onehot, rows, np.array(sizes), features)
+    """Search a chunk of nodes padded to the widest one's distinct rows,
+    append the children of every node that splits to ``nodes``, and push
+    those that are not pure onto their tree's stack, left on top.  Each
+    node's features arrive sorted, so ties resolve to the lowest feature
+    index."""
+    widths = np.array([len(c[2]) for c in chunk])
+    held = np.arange(widths.max()) < widths[:, None]
+    rows = np.full(held.shape, len(X) - 1)
+    rows[held] = np.concatenate([c[2] for c in chunk])
+    counts = np.zeros(held.shape)
+    counts[held] = np.concatenate([c[3] for c in chunk])
+    features = np.array([c[5] for c in chunk])
+    (impurity, feature, threshold, cut, sorted_rows, sorted_counts,
+     left_counts, right_counts) = _split_search(X, onehot, rows, counts, features)
     found = (impurity < np.inf).tolist()
     grow_left = (np.count_nonzero(left_counts, axis=1) >= 2).tolist()
     grow_right = (np.count_nonzero(right_counts, axis=1) >= 2).tolist()
+    left_size, right_size = left_counts.sum(axis=1).tolist(), right_counts.sum(axis=1).tolist()
     feature, threshold, cut = feature.tolist(), threshold.tolist(), cut.tolist()
+    widths = widths.tolist()
     features_of, thresholds_of, left_of, right_of, counts_of = nodes
-    for b, (t, node, _, _) in enumerate(chunk):
+    for b, (t, node, *_) in enumerate(chunk):
         if not found[b]:
             continue
         left_id, right_id = len(counts_of), len(counts_of) + 1
@@ -427,9 +457,12 @@ def _split_nodes(X, onehot, chunk, stacks, nodes):
         # between equal values are masked, and the counts at every other
         # threshold depend only on which rows the node holds
         if grow_right[b]:
-            stacks[t].append((right_id, sorted_rows[b, cut[b] : sizes[b]]))
+            right = slice(cut[b], widths[b])
+            stacks[t].append((right_id, sorted_rows[b, right], sorted_counts[b, right],
+                              right_size[b]))
         if grow_left[b]:
-            stacks[t].append((left_id, sorted_rows[b, : cut[b]]))
+            stacks[t].append((left_id, sorted_rows[b, : cut[b]], sorted_counts[b, : cut[b]],
+                              left_size[b]))
 
 
 def rf_fit(X, y, n_trees: int = 100, rng=None) -> ForestModel:
@@ -441,9 +474,11 @@ def rf_fit(X, y, n_trees: int = 100, rng=None) -> ForestModel:
     n, d = X.shape
     onehot = np.eye(len(classes))[codes]
     rngs = as_stream(rng).spawn(n_trees)
-    boots = [np.asarray(tree_rng.integers(0, n, size=n)) for tree_rng in rngs]
+    boots = np.concatenate([tree_rng.integers(0, n, size=n) for tree_rng in rngs])
+    boots += np.repeat(np.arange(0, n_trees * n, n), n)  # tree * n + row
+    weights = np.bincount(boots, minlength=n_trees * n).reshape(n_trees, n).astype(np.float64)
     feature, threshold, left, right, counts = _grow_forest(
-        X, onehot, boots, int(math.ceil(math.sqrt(d))), rngs)
+        X, onehot, weights, int(math.ceil(math.sqrt(d))), rngs)
     return ForestModel(
         roots=np.arange(n_trees), feature=np.array(feature, dtype=np.intp),
         threshold=np.array(threshold), left=np.array(left, dtype=np.intp),

@@ -6,16 +6,18 @@ Not a test (pytest does not collect it).  Run from a source checkout:
 
 It writes a ``pathae synth`` fixture (seed 5, 120 training and 80 test
 samples) into a work directory and runs ``train``, ``gridsearch``,
-``validate``, ``interpret`` and ``survival`` on it.  It also writes a
+``validate`` (with the fixture's ``classifier = lr``, and again with
+``--classifier rf`` into ``validate-rf``), ``interpret`` and ``survival``
+on it.  It also writes a
 paper-scale fixture (320 pathways, 3,200 genes, 300 training samples) and
 runs ``train``, ``interpret`` and ``survival`` on that, so the check covers
 a 300-row, 32-pathway clustermap and Kaplan-Meier plots of 100-sample
 terciles.  All of this runs
 in one process, twice: first with the table caches cold (every
 ``*.pathae-table`` beside a fixture is deleted before each command), then
-warm (with the caches the cold pass left).  Each command writes into its
-own directory, ``<pass>/<command>`` for the first fixture and
-``<pass>/paper-<command>`` for the second.  The script prints one
+warm (with the caches the cold pass left).  Each run writes into its own
+directory, ``<pass>/<run>`` for the first fixture and ``<pass>/paper-<run>``
+for the second, where a run is named after its command.  The script prints one
 ``sha256  path`` line per file under the work directory, the path relative
 to it, sorted; the commands' own output goes to stderr.
 
@@ -39,21 +41,22 @@ import shutil
 import sys
 import tempfile
 
-# (directory, output prefix, synth flags, {command: extra flags}); fast
-# enough for a check, and every command still trains, ranks and tests
+# (directory, output prefix, synth flags, {run: [command, *extra flags]});
+# fast enough for a check, and every command still trains, ranks and tests
 FIXTURES = [
     ("fixture", "", ["--seed", "5", "--n-train", "120", "--n-test", "80"], {
-        "train": ["--epochs", "5"],
-        "gridsearch": ["--epochs", "3"],
-        "validate": ["--epochs", "3", "--repeats", "2"],
-        "interpret": [],
-        "survival": [],
+        "train": ["train", "--epochs", "5"],
+        "gridsearch": ["gridsearch", "--epochs", "3"],
+        "validate": ["validate", "--epochs", "3", "--repeats", "2"],
+        "validate-rf": ["validate", "--classifier", "rf", "--epochs", "3", "--repeats", "2"],
+        "interpret": ["interpret"],
+        "survival": ["survival"],
     }),
     ("paper", "paper-", ["--seed", "5", "--pathways", "320", "--genes", "3200",
                          "--background", "320", "--n-train", "300", "--n-test", "40"], {
-        "train": ["--epochs", "2"],
-        "interpret": [],
-        "survival": [],
+        "train": ["train", "--epochs", "2"],
+        "interpret": ["interpret"],
+        "survival": ["survival"],
     }),
 ]
 
@@ -89,11 +92,11 @@ def main(argv=None) -> int:
         for name, prefix, _synth, commands in FIXTURES:
             fixture = os.path.join(work, name)
             config = os.path.join(fixture, "config.ini")
-            for command, extra in commands.items():
+            for run, (command, *extra) in commands.items():
                 if phase == "cold":
                     for cache in glob.glob(os.path.join(fixture, "*.pathae-table")):
                         os.unlink(cache)
-                out = os.path.join(work, phase, prefix + command)
+                out = os.path.join(work, phase, prefix + run)
                 argv = [command, "-c", config, "--output", out, *extra]
                 if command in ("interpret", "survival"):
                     argv += ["--checkpoint", os.path.join(work, phase, prefix + "train",

@@ -142,12 +142,17 @@ def relu_dropout(pre, u, rate: float):
 
 
 def _best_split(X, onehot, idx, features):
-    """``_split_search`` for one node: the rows ``idx``, unpadded.
+    """``classifiers._split_search`` for one node: the samples ``idx``, with
+    repeats, as distinct rows and counts, unpadded.
 
     Returns (impurity, feature, threshold), or None when every candidate
     column is constant on the node."""
+    rows, counts = np.unique(np.asarray(idx), return_counts=True)
+    if len(rows) < 2:  # the search takes at least two distinct rows
+        return None
     impurity, feature, threshold, *_ = classifiers._split_search(
-        X, onehot, np.asarray(idx)[None, :], np.array([len(idx)]), np.asarray(features)[None, :])
+        X, onehot, rows[None, :], counts[None, :].astype(np.float64),
+        np.asarray(features)[None, :])
     if impurity[0] == np.inf:
         return None
     return impurity[0], feature[0], threshold[0]

@@ -527,9 +527,9 @@ def test_forest_search_is_batched_within_the_block_budget(monkeypatch, budget):
     search = classifiers._split_search
     blocks = []
 
-    def spy(X, onehot, rows, sizes, features):
+    def spy(X, onehot, rows, counts, features):  # rows: each node's distinct rows, padded
         blocks.append(rows.shape[0] * features.shape[1] * rows.shape[1] * onehot.shape[1])
-        return search(X, onehot, rows, sizes, features)
+        return search(X, onehot, rows, counts, features)
 
     monkeypatch.setattr(classifiers, "_split_search", spy)
     trees = [_preorder(tree) for tree in rf_fit(X, y, n_trees=100, rng=RngStream(13)).trees]
