@@ -7,17 +7,16 @@ Not a test (pytest does not collect it).  Run from a source checkout:
 It writes a ``pathae synth`` fixture (seed 5, 120 training and 80 test
 samples) into a work directory and runs ``train``, ``gridsearch``,
 ``validate`` (with the fixture's ``classifier = lr``, and again with
-``--classifier rf`` into ``validate-rf``), ``interpret`` and ``survival``
-on it.  It also writes a
-paper-scale fixture (320 pathways, 3,200 genes, 300 training samples) and
+``--classifier rf``), ``interpret`` and ``survival`` on it.  It also writes
+a paper-scale fixture (320 pathways, 3,200 genes, 300 training samples) and
 runs ``train``, ``interpret`` and ``survival`` on that, so the check covers
 a 300-row, 32-pathway clustermap and Kaplan-Meier plots of 100-sample
-terciles.  All of this runs
-in one process, twice: first with the table caches cold (every
-``*.pathae-table`` beside a fixture is deleted before each command), then
-warm (with the caches the cold pass left).  Each run writes into its own
-directory, ``<pass>/<run>`` for the first fixture and ``<pass>/paper-<run>``
-for the second, where a run is named after its command.  The script prints one
+terciles.  All of this runs in one process, twice: first with the table
+caches cold (every ``*.pathae-table`` beside a fixture is deleted before
+each command), then warm (with the caches the cold pass left).  Each run
+writes into its own directory, ``<pass>/<run>`` for the first fixture and
+``<pass>/paper-<run>`` for the second; a run is named after its command,
+and the forest validation is ``validate-rf``.  The script prints one
 ``sha256  path`` line per file under the work directory, the path relative
 to it, sorted; the commands' own output goes to stderr.
 
