@@ -420,6 +420,8 @@ def _grower_case(name):
         return rng.normal(size=(2, 3)), np.array(["a", "b"]), 5
     if name == "deep_random_labels":  # deep trees, predicted on few rows
         return rng.normal(size=(450, 64)), rng.integers(0, 5, size=450), 100
+    if name == "full_trees":  # every distinct row its own leaf: the node arrays' bound
+        return rng.normal(size=(33, 1)), np.arange(33), 20
     if name.startswith("classes_"):  # class-major counts below 8 classes, class-last from 8
         k = int(name.removeprefix("classes_"))
         X = np.round(rng.normal(size=(8 * k, 9)), 1)
@@ -446,7 +448,7 @@ class TestGrowerMatchesReference:
     @pytest.mark.parametrize("case", ["workload", "ties_12_classes", "one_feature",
                                       "constant_and_duplicated", "wide", "one_row", "two_rows",
                                       "deep_random_labels", "classes_7", "classes_8",
-                                      "classes_33"])
+                                      "classes_33", "full_trees"])
     def test_same_trees_and_probabilities(self, case):
         X, y, n_trees = _grower_case(case)
         got = rf_fit(X, y, n_trees=n_trees, rng=RngStream(13))
@@ -473,6 +475,30 @@ def test_deep_case_refills_a_block():
     assert max(searched) > classifiers._DRAW_BLOCK
 
 
+def test_full_trees_reach_the_node_bound():
+    """In the ``full_trees`` case every node with two distinct rows splits
+    and every distinct row ends in its own leaf, so a tree over d distinct
+    rows has 2d - 1 nodes, the most any tree can have."""
+    X, y, n_trees = _grower_case("full_trees")
+    model = rf_fit(X, y, n_trees=n_trees, rng=RngStream(13))
+    n = len(X)
+    distinct = sum(len(np.unique(tree_rng.integers(0, n, size=n)))
+                   for tree_rng in RngStream(13).spawn(n_trees))
+    assert len(model.feature) == 2 * distinct - n_trees
+
+
+def test_forest_arrays_own_their_data():
+    """Each array of a fitted forest is C-contiguous, owns its memory and
+    keeps its dtype, so a model pins no larger buffer of the fit."""
+    X, y = _workload_forest_data()
+    model = rf_fit(X, y, n_trees=10, rng=RngStream(13))
+    dtypes = {"roots": np.intp, "feature": np.intp, "threshold": np.float64,
+              "left": np.intp, "right": np.intp, "counts": np.float64, "classes": y.dtype}
+    for name, dtype in dtypes.items():
+        a = getattr(model, name)
+        assert (a.dtype, a.flags.c_contiguous, a.base) == (dtype, True, None), name
+
+
 @settings(max_examples=20)
 @given(d=st.sampled_from([1, 2, 3, 16, 320, 12000]), seed=st.integers(0, 2**32 - 1),
        n_streams=st.integers(1, 3), blocks=st.integers(2, 3), skip=st.integers(0, 3))
@@ -497,7 +523,7 @@ def test_feature_blocks_match_successive_choice_calls(d, seed, n_streams, blocks
 
 @settings(max_examples=25)
 @given(n=st.integers(1, 120), d=st.sampled_from([1, 3, 16, 40]), k=st.sampled_from([2, 5, 8, 33]),
-       n_trees=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+       n_trees=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
 def test_forest_equals_repeat_row_grower(n, d, k, n_trees, seed):
     """Every node array and the probabilities are the bytes of the grower
     whose nodes hold their bootstrap samples with repeats.  Values rounded
