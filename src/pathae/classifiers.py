@@ -15,9 +15,16 @@ distinct training rows and one count per row, the row's multiplicity in
 the tree's bootstrap, so a search sorts and sums each bootstrap copy of a
 row once; the sizes and class counts at every threshold are the same
 integers as with the copies, so the node arrays, trees and probabilities
-are unchanged.  The step's nodes are sorted by sample count and packed into
-chunks padded to their widest node: a chunk is cut when the padding the
-next node adds would cost more than one more search call.
+are unchanged.  Every tree's distinct rows lie in one array, tree after
+tree, and a node is a segment of it that its search sorts in place, so its
+children are the two parts of the segment.  All node state lives in arrays
+allocated once at their bound (a tree over d distinct rows has at most
+2d - 1 nodes), and each tree's stack is a row of one node-id array, so a
+step's and a chunk's bookkeeping each take a fixed number of numpy calls,
+however many nodes they hold.  The
+step's nodes are sorted by sample count and packed into chunks padded to
+their widest node: a chunk is cut when the padding the next node adds would
+cost more than one more search call.
 Below 8 classes the search counts classes class-major, so its array work
 runs along the long threshold axis.  Node ids follow the order in which nodes
 are searched, so they may differ from earlier versions; the trees and the
@@ -352,17 +359,26 @@ def _grow_forest(X, onehot, weights, m_features, rngs):
     return the node arrays (feature, threshold, left, right, counts); tree
     t's root is node t.
 
-    ``weights[t, i]`` is how often tree t's bootstrap drew row i.  A node
-    holds its distinct rows and each row's count.  A node is a leaf when it
-    is pure (this covers fewer than two samples) or when its candidate
-    columns are all constant on it.  Each tree keeps a depth-first stack of
-    the nodes it has still to search, left child on top.  On every step,
-    each unfinished tree pops one node and takes the next row of its block
-    of candidate-feature draws (``_draw_features``), so every tree draws in
-    pre-order, as a recursive grower would.  A tree's block is refilled from
-    its own stream only when it is used up, and all trees that need a
-    refill on a step are refilled at once.  Batched searches, over chunks of
-    those nodes packed by size (``_pack_by_size``), then split them all.
+    ``weights[t, i]`` is how often tree t's bootstrap drew row i.  Every
+    tree's distinct rows are laid out tree after tree in one array, with
+    their counts in another, and a node is a ``(start, width)`` segment of
+    them.  A search sorts each node's segment along its winning feature and
+    writes it back in place, so the left child is the segment's first
+    ``cut`` rows and the right child the rest.  The node arrays are
+    allocated once at their bound: a tree over d distinct rows has at most
+    2d - 1 nodes.  A node is a leaf when it is pure (this covers fewer than
+    two samples) or when its candidate columns are all constant on it, and
+    every node is added as a leaf, pointing to itself, until it splits.
+
+    Each tree keeps a depth-first stack of the nodes it has still to
+    search, left child on top, as a row of one node-id array with a pointer
+    per tree.  On every step, each unfinished tree pops one node and takes
+    the next row of its block of candidate-feature draws
+    (``_draw_features``), so every tree draws in pre-order, as a recursive
+    grower would.  A tree's block is refilled from its own stream only when
+    it is used up, and all trees that need a refill on a step are refilled
+    at once.  The step's nodes are sorted by sample count and searched in
+    chunks (``_pack_by_size``, ``_split_nodes``).
 
     Each stream in ``rngs`` is private to one fit and has already drawn its
     bootstrap sample, so the draws left in a block when its tree is done
@@ -371,98 +387,125 @@ def _grow_forest(X, onehot, weights, m_features, rngs):
     n_trees, n = weights.shape
     X = np.vstack([X, np.full(d, np.inf)])  # the sentinel row, last
     onehot = np.vstack([onehot, np.zeros(k)])
-    counts = list(weights @ onehot[:n])  # small integers: exact
-    # every node is added as a leaf; _split_nodes turns it into a split
-    nodes = ([0] * n_trees, [0.0] * n_trees, list(range(n_trees)), list(range(n_trees)), counts)
-    stacks = [[] for _ in range(n_trees)]
-    for t in range(n_trees):
-        if np.count_nonzero(counts[t]) >= 2:
-            rows = np.flatnonzero(weights[t])
-            stacks[t].append((t, rows, weights[t, rows], n))
+    tree_of, seg_rows = np.nonzero(weights)
+    capacity = 2 * len(seg_rows) - n_trees
+    # one slot past the segments holds the sentinel row at count 0: a
+    # chunk's padding reads it and writes it back unchanged
+    segments = (np.append(seg_rows, n), np.append(weights[tree_of, seg_rows], 0.0))
+    feature = np.zeros(capacity, dtype=np.intp)
+    threshold = np.zeros(capacity)
+    left = np.arange(capacity)  # a split node's right child is left + 1
+    start = np.empty(capacity, dtype=np.intp)
+    width = np.empty(capacity, dtype=np.intp)  # distinct rows
+    size = np.empty(capacity)  # sample counts
+    width[:n_trees] = np.bincount(tree_of, minlength=n_trees)
+    start[:n_trees] = np.cumsum(width[:n_trees]) - width[:n_trees]
+    size[:n_trees] = n
+    nodes = (feature, threshold, left, start, width, size)
+    counts = [weights @ onehot[:n]]  # small integers: exact
+    # a stack never holds more nodes than its tree has rows
+    stack = np.empty((n_trees, n + 1), dtype=np.intp)
+    stack[:, 0] = np.arange(n_trees)
+    top = (np.count_nonzero(counts[0], axis=1) >= 2).astype(np.intp)  # stack heights
+    stacks = (stack, top)
+    n_nodes = n_trees
     blocks = np.empty((n_trees, _DRAW_BLOCK, m_features), dtype=np.int64)
     cursor = np.full(n_trees, _DRAW_BLOCK)  # every block starts used up
     while True:
-        popped = [(t, *stack.pop()) for t, stack in enumerate(stacks) if stack]
-        if not popped:
-            return nodes
-        trees = np.array([p[0] for p in popped])
-        refill = trees[cursor[trees] == _DRAW_BLOCK]
-        if len(refill):
-            blocks[refill] = _draw_features([rngs[t] for t in refill.tolist()], d, m_features)
-            cursor[refill] = 0
-        features = blocks[trees, cursor[trees]]
-        cursor[trees] += 1
-        # (tree, node, rows, row counts, sample count, features)
-        popped = [(*p, f) for p, f in zip(popped, features)]
-        for chunk in _pack_by_size(popped, m_features * k):
-            _split_nodes(X, onehot, chunk, stacks, nodes)
+        trees = top.nonzero()[0]
+        if not len(trees):
+            break
+        height = top[trees] - 1
+        top[trees] = height
+        popped = stack[trees, height]
+        at = cursor[trees]
+        refill = at == _DRAW_BLOCK
+        if refill.any():
+            blocks[trees[refill]] = _draw_features([rngs[t] for t in trees[refill].tolist()],
+                                                   d, m_features)
+            at[refill] = 0
+        features = blocks[trees, at]
+        cursor[trees] = at + 1
+        order = size[popped].argsort(kind="stable")
+        trees, popped, features = trees[order], popped[order], features[order]
+        widths = width[popped]
+        cuts = [0, *_pack_by_size(widths.tolist(), m_features * k), len(popped)]
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            counts.append(_split_nodes(X, onehot, segments, nodes, n_nodes, stacks, trees[a:b],
+                                       popped[a:b], widths[a:b], features[a:b]))
+            n_nodes += len(counts[-1])
+    left = left[:n_nodes].copy()
+    right = left + (left != np.arange(n_nodes))
+    return feature[:n_nodes].copy(), threshold[:n_nodes].copy(), left, right, np.concatenate(counts)
 
 
-def _pack_by_size(popped, per_row):
-    """Cut the nodes ``popped``, sorted by sample count, into chunks to
-    search at once.  A chunk is padded to its widest node's distinct rows,
-    and a row of it costs ``per_row`` block elements.  The next node starts
-    a new chunk when the padding it adds would cost more than a search call
+def _pack_by_size(widths, per_row):
+    """Where to cut a step's nodes, sorted by sample count and with the
+    distinct-row ``widths``, into chunks to search at once: the positions
+    at which a new chunk starts.  A chunk is padded to its widest node, and
+    a row of it costs ``per_row`` block elements.  The next node starts a
+    new chunk when the padding it adds would cost more than a search call
     (``_SEARCH_OVERHEAD``), or when the block would pass ``_SEARCH_BLOCK``.
     Only the order of the nodes sets their ids, not where chunks are cut."""
-    popped = sorted(popped, key=lambda p: p[4])
-    chunks, chunk, width = [], [], 0
-    for p in popped:
-        size = len(p[2])
-        wide = max(width, size)
-        if chunk and ((len(chunk) * (wide - width) + wide - size) * per_row > _SEARCH_OVERHEAD
-                      or (len(chunk) + 1) * wide * per_row > _SEARCH_BLOCK):
-            chunks.append(chunk)
-            chunk, wide = [], size
-        chunk.append(p)
+    cuts, held, width = [], 0, 0
+    for i, size in enumerate(widths):
+        wide = size if size > width else width
+        if held and ((held * (wide - width) + wide - size) * per_row > _SEARCH_OVERHEAD
+                     or (held + 1) * wide * per_row > _SEARCH_BLOCK):
+            cuts.append(i)
+            held, wide = 0, size
+        held += 1
         width = wide
-    chunks.append(chunk)
-    return chunks
+    return cuts
 
 
-def _split_nodes(X, onehot, chunk, stacks, nodes):
-    """Search a chunk of nodes padded to the widest one's distinct rows,
-    append the children of every node that splits to ``nodes``, and push
-    those that are not pure onto their tree's stack, left on top.  Each
-    node's features arrive sorted, so ties resolve to the lowest feature
-    index."""
-    widths = np.array([len(c[2]) for c in chunk])
-    held = np.arange(widths.max()) < widths[:, None]
-    rows = np.full(held.shape, len(X) - 1)
-    rows[held] = np.concatenate([c[2] for c in chunk])
-    counts = np.zeros(held.shape)
-    counts[held] = np.concatenate([c[3] for c in chunk])
-    features = np.array([c[5] for c in chunk])
-    (impurity, feature, threshold, cut, sorted_rows, sorted_counts,
-     left_counts, right_counts) = _split_search(X, onehot, rows, counts, features)
-    found = (impurity < np.inf).tolist()
-    grow_left = (np.count_nonzero(left_counts, axis=1) >= 2).tolist()
-    grow_right = (np.count_nonzero(right_counts, axis=1) >= 2).tolist()
-    left_size, right_size = left_counts.sum(axis=1).tolist(), right_counts.sum(axis=1).tolist()
-    feature, threshold, cut = feature.tolist(), threshold.tolist(), cut.tolist()
-    widths = widths.tolist()
-    features_of, thresholds_of, left_of, right_of, counts_of = nodes
-    for b, (t, node, *_) in enumerate(chunk):
-        if not found[b]:
-            continue
-        left_id, right_id = len(counts_of), len(counts_of) + 1
-        features_of[node], thresholds_of[node] = feature[b], threshold[b]
-        left_of[node], right_of[node] = left_id, right_id
-        features_of += [0, 0]
-        thresholds_of += [0.0, 0.0]
-        left_of += [left_id, right_id]
-        right_of += [left_id, right_id]
-        counts_of += [left_counts[b], right_counts[b]]
-        # row order inside a node cannot change its split: thresholds
-        # between equal values are masked, and the counts at every other
-        # threshold depend only on which rows the node holds
-        if grow_right[b]:
-            right = slice(cut[b], widths[b])
-            stacks[t].append((right_id, sorted_rows[b, right], sorted_counts[b, right],
-                              right_size[b]))
-        if grow_left[b]:
-            stacks[t].append((left_id, sorted_rows[b, : cut[b]], sorted_counts[b, : cut[b]],
-                              left_size[b]))
+def _split_nodes(X, onehot, segments, nodes, n_nodes, stacks, trees, chunk, widths, features):
+    """Search the nodes ``chunk``, one of each tree in ``trees``, with the
+    distinct-row ``widths``, padded to the widest one, and return their
+    children's class counts, left then right of each node that splits, in
+    chunk order.
+
+    Each node's segment of the rows and row counts in ``segments`` is
+    written back sorted along its winning feature; the padding sorts last,
+    since the sentinel row's features are +inf.  The children of the i-th node that
+    splits are nodes ``n_nodes + 2i`` (left) and ``n_nodes + 2i + 1``
+    (right), each its part of the segment, and those that are not pure are
+    pushed onto their tree's stack, left on top.  Each node's features
+    arrive sorted, so ties resolve to the lowest feature index."""
+    rows, row_counts = segments
+    feature, threshold, left, start, width, size = nodes
+    stack, top = stacks
+    starts = start[chunk]
+    reach = np.arange(widths.max())
+    at = np.where(reach < widths[:, None], starts[:, None] + reach, len(rows) - 1)
+    (impurity, best, thr, cut, sorted_rows, sorted_counts,
+     left_counts, right_counts) = _split_search(X, onehot, rows[at], row_counts[at], features)
+    # row order inside a node cannot change its split: thresholds between
+    # equal values are masked, and the counts at every other threshold
+    # depend only on which rows the node holds
+    rows[at], row_counts[at] = sorted_rows, sorted_counts
+    found = impurity < np.inf
+    if not found.all():
+        chunk, widths, trees, starts = chunk[found], widths[found], trees[found], starts[found]
+        best, thr, cut = best[found], thr[found], cut[found]
+        left_counts, right_counts = left_counts[found], right_counts[found]
+    end = n_nodes + 2 * len(chunk)
+    ids = np.arange(n_nodes, end, 2)  # the left children; each right one is next
+    feature[chunk], threshold[chunk], left[chunk] = best, thr, ids
+    start[n_nodes:end:2], start[n_nodes + 1:end:2] = starts, starts + cut
+    width[n_nodes:end:2], width[n_nodes + 1:end:2] = cut, widths - cut
+    # (F, 2k) rows read as (2F, k): left, right, left, right, ...
+    children = np.concatenate([left_counts, right_counts], axis=1).reshape(-1, onehot.shape[1])
+    size[n_nodes:end] = children.sum(axis=1)
+    grows = (np.count_nonzero(children, axis=1) >= 2).reshape(-1, 2)
+    # push the right child, then the left one on top of it, or in its slot
+    # when the right one is pure; a slot at or past a stack's height is free
+    height = top[trees]
+    stack[trees, height] = ids + 1
+    height += grows[:, 1]
+    stack[trees, height] = ids
+    top[trees] = height + grows[:, 0]
+    return children
 
 
 def rf_fit(X, y, n_trees: int = 100, rng=None) -> ForestModel:
@@ -479,12 +522,8 @@ def rf_fit(X, y, n_trees: int = 100, rng=None) -> ForestModel:
     weights = np.bincount(boots, minlength=n_trees * n).reshape(n_trees, n).astype(np.float64)
     feature, threshold, left, right, counts = _grow_forest(
         X, onehot, weights, int(math.ceil(math.sqrt(d))), rngs)
-    return ForestModel(
-        roots=np.arange(n_trees), feature=np.array(feature, dtype=np.intp),
-        threshold=np.array(threshold), left=np.array(left, dtype=np.intp),
-        right=np.array(right, dtype=np.intp), counts=np.array(counts),
-        classes=classes, n_features=d,
-    )
+    return ForestModel(roots=np.arange(n_trees), feature=feature, threshold=threshold,
+                       left=left, right=right, counts=counts, classes=classes, n_features=d)
 
 
 def rf_predict_proba(model: ForestModel, X) -> np.ndarray:

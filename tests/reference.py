@@ -27,10 +27,11 @@ every pathway at once.  ``layer0_buckets`` fills each layer-0 bucket's
 gene and weight-row arrays pathway by pathway; ``pathae.models`` fills them
 with one scatter per bucket.
 
-``rf_fit`` grows the forest with today's lockstep grower, but every node
-holds its bootstrap samples with their repeats, as a row list; the search
-sorts, gathers and sums every copy.  ``pathae.classifiers`` holds each node
-as its distinct rows and one bootstrap count per row instead.
+``rf_fit`` grows the forest with a lockstep grower that keeps its nodes
+and stacks in Python lists, and every node holds its bootstrap samples with
+their repeats, as a row list; the search sorts, gathers and sums every copy.
+``pathae.classifiers`` holds each node as a segment of its tree's distinct
+rows, with one bootstrap count per row, in node arrays allocated once.
 """
 
 from __future__ import annotations
