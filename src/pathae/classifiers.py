@@ -21,10 +21,9 @@ children are the two parts of the segment.  All node state lives in arrays
 allocated once at their bound (a tree over d distinct rows has at most
 2d - 1 nodes), and each tree's stack is a row of one node-id array, so a
 step's and a chunk's bookkeeping each take a fixed number of numpy calls,
-however many nodes they hold.  The
-step's nodes are sorted by sample count and packed into chunks padded to
-their widest node: a chunk is cut when the padding the next node adds would
-cost more than one more search call.
+however many nodes they hold.  The step's nodes are sorted by sample count
+and packed into chunks padded to their widest node: a chunk is cut when the
+padding the next node adds would cost more than one more search call.
 Below 8 classes the search counts classes class-major, so its array work
 runs along the long threshold axis.  Node ids follow the order in which nodes
 are searched, so they may differ from earlier versions; the trees and the
@@ -403,7 +402,8 @@ def _grow_forest(X, onehot, weights, m_features, rngs):
     size[:n_trees] = n
     nodes = (feature, threshold, left, start, width, size)
     counts = [weights @ onehot[:n]]  # small integers: exact
-    # a stack never holds more nodes than its tree has rows
+    # the nodes on a stack hold disjoint sets of two or more distinct rows,
+    # so n + 1 slots leave room for the spare slot a push may write
     stack = np.empty((n_trees, n + 1), dtype=np.intp)
     stack[:, 0] = np.arange(n_trees)
     top = (np.count_nonzero(counts[0], axis=1) >= 2).astype(np.intp)  # stack heights
@@ -436,7 +436,8 @@ def _grow_forest(X, onehot, weights, m_features, rngs):
             n_nodes += len(counts[-1])
     left = left[:n_nodes].copy()
     right = left + (left != np.arange(n_nodes))
-    return feature[:n_nodes].copy(), threshold[:n_nodes].copy(), left, right, np.concatenate(counts)
+    counts = np.concatenate(counts)
+    return feature[:n_nodes].copy(), threshold[:n_nodes].copy(), left, right, counts
 
 
 def _pack_by_size(widths, per_row):
@@ -467,11 +468,11 @@ def _split_nodes(X, onehot, segments, nodes, n_nodes, stacks, trees, chunk, widt
 
     Each node's segment of the rows and row counts in ``segments`` is
     written back sorted along its winning feature; the padding sorts last,
-    since the sentinel row's features are +inf.  The children of the i-th node that
-    splits are nodes ``n_nodes + 2i`` (left) and ``n_nodes + 2i + 1``
-    (right), each its part of the segment, and those that are not pure are
-    pushed onto their tree's stack, left on top.  Each node's features
-    arrive sorted, so ties resolve to the lowest feature index."""
+    since the sentinel row's features are +inf.  The children of the i-th
+    node that splits are nodes ``n_nodes + 2i`` (left) and ``n_nodes + 2i
+    + 1`` (right), each its part of the segment, and those that are not
+    pure are pushed onto their tree's stack, left on top.  Each node's
+    features arrive sorted, so ties resolve to the lowest feature index."""
     rows, row_counts = segments
     feature, threshold, left, start, width, size = nodes
     stack, top = stacks
