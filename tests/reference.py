@@ -30,6 +30,9 @@ with one scatter per bucket.
 ``rf_fit`` grows the forest with a lockstep grower that keeps its nodes
 and stacks in Python lists, and every node holds its bootstrap samples with
 their repeats, as a row list; the search sorts, gathers and sums every copy.
+Its randomness is NumPy's own: ``Generator.spawn`` makes the tree streams,
+``integers`` draws each bootstrap, and ``_draw_features`` draws each block
+of candidate features with one ``integers`` call per stream.
 ``pathae.classifiers`` holds each node as a segment of its tree's distinct
 rows, with one bootstrap count per row, in node arrays allocated once.
 """
@@ -380,6 +383,32 @@ _SEARCH_BLOCK = 1 << 18
 _SEARCH_OVERHEAD = 3000
 
 
+def _draw_features(streams, d, m):
+    """The next ``_DRAW_BLOCK`` candidate-feature sets of each stream, sorted:
+    an int64 array of shape (len(streams), _DRAW_BLOCK, m).
+
+    Row j of a stream's block is ``np.sort(stream.choice(d, m,
+    replace=False))`` for the stream's j-th such call, and the stream ends
+    where those calls leave it.  With m = ceil(sqrt(d)) ``choice`` always
+    runs Floyd's sample (its other method needs d > 10000 and m > d // 50),
+    then shuffles it: 2m - 1 bounded draws, in [0, h) for h = d - m
+    + 1 .. d, then h = m .. 2, each one Lemire draw.  ``integers`` with the
+    same bounds as an array makes the same draws, so one call per stream
+    makes a whole block.  Floyd's rule then runs on all rows at once: draw k
+    becomes d - m + k when it is already chosen.  The shuffle draws are
+    dropped, since the rows are sorted."""
+    highs = np.concatenate([np.arange(d - m + 1, d + 1), np.arange(m, 1, -1)])
+    tiled = np.tile(highs, classifiers._DRAW_BLOCK)
+    draws = np.concatenate([s.integers(0, tiled).reshape(classifiers._DRAW_BLOCK, -1)[:, :m]
+                            for s in streams])
+    chosen = np.empty_like(draws)
+    for k in range(m):
+        taken = (chosen[:, :k] == draws[:, k, None]).any(axis=1)
+        chosen[:, k] = np.where(taken, d - m + k, draws[:, k])
+    chosen.sort(axis=1)
+    return chosen.reshape(len(streams), classifiers._DRAW_BLOCK, m)
+
+
 def _split_search(X, onehot, rows, sizes, features):
     """Best split of every node of a batch, node b holding the samples
     ``rows[b, :sizes[b]]`` with repeats and padded with the sentinel row.
@@ -447,8 +476,7 @@ def _grow_forest(X, onehot, boots, m_features, rngs):
         trees = np.array([p[0] for p in popped])
         refill = trees[cursor[trees] == classifiers._DRAW_BLOCK]
         if len(refill):
-            blocks[refill] = classifiers._draw_features([rngs[t] for t in refill.tolist()], d,
-                                                        m_features)
+            blocks[refill] = _draw_features([rngs[t] for t in refill.tolist()], d, m_features)
             cursor[refill] = 0
         features = blocks[trees, cursor[trees]]
         cursor[trees] += 1
