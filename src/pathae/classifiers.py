@@ -8,26 +8,30 @@ fully deterministic tie-breaking so a fixed seed reproduces the forest.  The
 trees of one fit grow in lockstep: each keeps its own depth-first stack and
 its own stream, and on every step batched split searches score every
 (feature, threshold) pair of the nodes that all trees are working on.  A
-tree draws its nodes' candidate features in blocks, one ``integers`` call
-per block, and gets exactly the sets that one ``choice`` call per node
-would give, so the forests are the same bit for bit.  A node holds its
-distinct training rows and one count per row, the row's multiplicity in
-the tree's bootstrap, so a search sorts and sums each bootstrap copy of a
-row once; the sizes and class counts at every threshold are the same
-integers as with the copies, so the node arrays, trees and probabilities
-are unchanged.  Every tree's distinct rows lie in one array, tree after
-tree, and a node is a segment of it that its search sorts in place, so its
-children are the two parts of the segment.  All node state lives in arrays
-allocated once at their bound (a tree over d distinct rows has at most
-2d - 1 nodes), and each tree's stack is a row of one node-id array, so a
-step's and a chunk's bookkeeping each take a fixed number of numpy calls,
-however many nodes they hold.  The step's nodes are sorted by sample count
-and packed into chunks padded to their widest node: a chunk is cut when the
-padding the next node adds would cost more than one more search call.
-Below 8 classes the search counts classes class-major, so its array work
-runs along the long threshold axis.  Node ids follow the order in which nodes
-are searched, so they may differ from earlier versions; the trees and the
-probabilities do not.
+tree draws its nodes' candidate features in blocks and gets exactly the sets
+that one ``choice`` call per node would give, so the forests are the same
+bit for bit.  The trees' streams are the PCG64 streams of the parent's
+spawned seed sequences, read as raw words: the draws ``Generator.integers``
+would make (Lemire's bounded draws over 32-bit halves) are one array
+expression for all trees, so a fit's randomness costs one ``random_raw``
+call per tree and refill, and the forest's bytes rest on SeedSequence and
+raw PCG64 output, which NEP 19 keeps stable.  A node holds its distinct
+training rows and one count per row, the row's multiplicity in the tree's
+bootstrap, so a search sorts and sums each bootstrap copy of a row once; the
+sizes and class counts at every threshold are the same integers as with the
+copies, so the node arrays, trees and probabilities are unchanged.  Every
+tree's distinct rows lie in one array, tree after tree, and a node is a
+segment of it that its search sorts in place, so its children are the two
+parts of the segment.  All node state lives in arrays allocated once at
+their bound (a tree over d distinct rows has at most 2d - 1 nodes), and each
+tree's stack is a row of one node-id array, so a step's and a chunk's
+bookkeeping each take a fixed number of numpy calls, however many nodes they
+hold.  The step's nodes are sorted by sample count and packed into chunks
+padded to their widest node: a chunk is cut when the padding the next node
+adds would cost more than one more search call.  Below 8 classes the search
+counts classes class-major, so its array work runs along the long threshold
+axis.  Node ids follow the order in which nodes are searched, so they may
+differ from earlier versions; the trees and the probabilities do not.
 
 A forest is stored only as flat node arrays, one set for all its trees, and
 prediction runs all trees in lockstep: every row descends every tree at
@@ -41,6 +45,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence, ISpawnableSeedSequence
 
 from .errors import ConfigError, DataError, ShapeError
 from .ndcore import as_stream, require_finite
@@ -219,8 +224,9 @@ _SEARCH_BLOCK = 1 << 15
 # of nodes takes the next node unless the padding it adds, to the chunk or
 # to itself, would be more elements than this.
 _SEARCH_OVERHEAD = 3000
-# Candidate-feature sets drawn per refill of a tree's block: one
-# Generator.integers call per tree and refill (_draw_features)
+# Candidate-feature sets drawn per refill of a tree's block: one random_raw
+# call per tree and refill (_TreeStreams.bounded), and one bounded-draw
+# expression for all trees that refill on a step
 _DRAW_BLOCK = 16
 # Below this many classes the search counts classes class-major
 # (_gini_by_class); from 8 terms on numpy sums pairwise, so there the classes
@@ -264,9 +270,9 @@ def _split_search(X, onehot, rows, counts, features):
     cols = X[rows[:, None, :], features[:, :, None]]  # (B, m, N)
     # the order among equal values is free: no threshold falls between them
     order = cols.argsort(axis=-1)
-    vals = np.take_along_axis(cols, order, axis=-1)
     sorted_rows = rows[batch[:, None, None], order]
     sorted_counts = counts[batch[:, None, None], order]
+    vals = X[sorted_rows, features[:, :, None]]
     nl = sorted_counts.cumsum(axis=-1)  # left size at each threshold
     n = nl[:, :1, -1:]  # the node's sample count, (B, 1, 1)
     nr = n - nl
@@ -277,7 +283,6 @@ def _split_search(X, onehot, rows, counts, features):
             left.cumsum(axis=-1, out=left)
             total = left[:, :, 0, -1]  # (k, B): the node's class counts
             gl, gr = _gini_by_class(left, total[:, :, None, None], nl, nr)
-            left, total = np.moveaxis(left, 0, -1), total.T  # views, (B, m, N, k) and (B, k)
         else:
             left = onehot.take(sorted_rows, axis=0)  # (B, m, N, k)
             left *= sorted_counts[..., None]
@@ -304,7 +309,10 @@ def _split_search(X, onehot, rows, counts, features):
     # the midpoint of two adjacent floats can round up to the upper one, and
     # that of two huge ones overflows; the lower value splits the same rows
     thr = np.where((a <= thr) & (thr < b), thr, a)
-    left_counts = left[batch, fi, ti]
+    if k < _CLASS_MAJOR_BELOW:
+        left_counts, total = left[:, batch, fi, ti].T, total.T  # (B, k)
+    else:
+        left_counts = left[batch, fi, ti]
     return (flat[batch, best], features[batch, fi], thr, ti + 1, sorted_rows[batch, fi],
             sorted_counts[batch, fi], left_counts, total - left_counts)
 
@@ -327,33 +335,158 @@ def _gini_by_class(left, total, nl, nr):
     return 1.0 - sum_left, 1.0 - sum_right
 
 
-def _draw_features(streams, d, m):
-    """The next ``_DRAW_BLOCK`` candidate-feature sets of each stream, sorted:
-    an int64 array of shape (len(streams), _DRAW_BLOCK, m).
+# SeedSequence.generate_state's hash constants (NEP 19 keeps its output
+# stable): word i of a seed is mixed with _SEED_HASH[i] and _SEED_HASH[i + 1]
+_SEED_HASH = np.array([0x8B51F9DD * 0x58F38DED**i % 2**32 for i in range(9)], dtype=np.uint32)
 
-    Row j of a stream's block is ``np.sort(stream.choice(d, m,
-    replace=False))`` for the stream's j-th such call, and the stream ends
-    where those calls leave it.  With m = ceil(sqrt(d)) ``choice`` always
-    runs Floyd's sample (its other method needs d > 10000 and m > d // 50),
-    then shuffles it: 2m - 1 bounded draws, in [0, h) for h = d - m
-    + 1 .. d, then h = m .. 2, each one Lemire draw.  ``integers`` with the
-    same bounds as an array makes the same draws, so one call per stream
-    makes a whole block.  Floyd's rule then runs on all rows at once: draw k
-    becomes d - m + k when it is already chosen.  The shuffle draws are
-    dropped, since the rows are sorted."""
+
+def _seed_words(kids):
+    """Each kid's PCG64 seed, ``kid.generate_state(4, np.uint64)``, as one
+    (len(kids), 4) uint64 array.
+
+    For SeedSequence kids the words come from their entropy pools at once:
+    the hash takes the pool words in a cycle, eight uint32 words, and reads
+    them as four little-endian uint64."""
+    if type(kids[0]) is not np.random.SeedSequence:
+        return np.array([kid.generate_state(4, np.uint64) for kid in kids])
+    pools = np.array([kid.pool for kid in kids])
+    words = pools[:, np.arange(8) % pools.shape[1]] ^ _SEED_HASH[:8]
+    words *= _SEED_HASH[1:]
+    words ^= words >> 16
+    return words.astype("<u4", order="C", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+class _SeedWords(ISeedSequence):
+    """A seed sequence that hands its bit generator fixed words: a PCG64
+    asks for ``generate_state(4, np.uint64)`` once, when it is made."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _lemire(halves, highs, limits):
+    """Lemire's bounded draws in [0, h): each 32-bit half times its bound
+    ``highs``, as uint64.  Returns the products' high 32 bits and where a
+    product's low 32 bits fall below ``limits``, (2^32 - h) mod h, so the
+    draw is rejected."""
+    products = halves.astype(np.uint64) * highs
+    return products >> 32, (products & 0xFFFFFFFF) < limits
+
+
+class _TreeStreams:
+    """The private random streams of one fit's trees, read as NumPy's
+    ``Generator.integers`` reads a PCG64 stream.
+
+    Tree t's stream is a PCG64 seeded from the t-th child of the parent's
+    seed sequence, whatever the parent's bit generator: for a PCG64 parent
+    it is the stream ``Generator.spawn`` gives, and a parent whose seed
+    sequence cannot spawn is a TypeError, as there.  All children's seeds
+    are hashed at once (``_seed_words``).  ``integers(0, highs)`` takes the stream's
+    32-bit halves in order, the low half of each word first, and makes
+    Lemire's draw from each: ``bounded`` does so for many trees in one array
+    expression over raw words (``random_raw``).  The forest's bytes thus
+    rest on SeedSequence and raw PCG64 output, which NEP 19 keeps stable."""
+
+    def __init__(self, rng, n_trees):
+        seed_seq = as_stream(rng).bit_generator.seed_seq
+        if not isinstance(seed_seq, ISpawnableSeedSequence):
+            raise TypeError("rf_fit: the rng's seed sequence cannot spawn the trees' streams")
+        words = _seed_words(seed_seq.spawn(n_trees))
+        self.bits = [np.random.PCG64(_SeedWords(w)) for w in words]
+        self.spare = np.zeros(n_trees, dtype=np.uint32)  # a word's unused high half
+        self.has_spare = np.zeros(n_trees, dtype=bool)
+
+    def _halves(self, trees, count):
+        """The next ``count`` 32-bit halves of each of ``trees``' streams, a
+        (len(trees), count) uint32 array: the tree's spare half, if it has
+        one, then the halves of new words.  A half left over is its new
+        spare."""
+        out = np.empty((len(trees), count + 1), dtype=np.uint32)
+        has_spare = self.has_spare[trees]
+        for spare in (False, True):
+            group = np.flatnonzero(has_spare == spare)
+            if not len(group):
+                continue
+            at = trees[group]
+            n_words = (count - spare + 1) // 2
+            words = np.array([self.bits[t].random_raw(n_words) for t in at.tolist()])
+            halves = words.astype("<u8", copy=False).view("<u4")
+            if spare:
+                halves = np.concatenate([self.spare[at, None], halves], axis=1)
+            out[group, :halves.shape[1]] = halves
+            self.has_spare[at] = halves.shape[1] > count
+            if halves.shape[1] > count:
+                self.spare[at] = halves[:, -1]
+        return out[:, :count]
+
+    def bounded(self, trees, highs):
+        """Each of ``trees``' next draws in [0, h) for the bounds ``highs``,
+        a (len(trees), len(highs)) int64 array: row i equals
+        ``Generator.integers(0, highs)`` on tree ``trees[i]``'s stream, and
+        leaves it where that call would.  A bound of 1 takes nothing.  Every
+        tree's draws are one array expression; a tree with a rejected
+        product is redone alone (``_redo``)."""
+        drawn = highs > 1
+        highs = highs[drawn].astype(np.uint64)
+        limits = ((1 << 32) - highs) % highs
+        halves = self._halves(trees, len(highs))
+        draws, rejected = _lemire(halves, highs, limits)
+        for i in np.flatnonzero(rejected.any(axis=1)).tolist():
+            draws[i] = self._redo(trees[i], halves[i], highs, limits)
+        out = np.zeros((len(trees), len(drawn)), dtype=np.int64)
+        out[:, drawn] = draws
+        return out
+
+    def _redo(self, t, halves, highs, limits):
+        """Tree t's draws for ``highs`` from its ``halves``, taking its later
+        halves for every rejected product."""
+        draws = np.empty(len(highs), dtype=np.uint64)
+        done = 0
+        while done < len(highs):
+            short = len(highs) - done - len(halves)
+            if short > 0:
+                halves = np.concatenate([halves, self._halves(np.array([t]), short)[0]])
+            got, rejected = _lemire(halves, highs[done:], limits[done:])
+            kept = rejected.argmax() if rejected.any() else len(got)
+            draws[done:done + kept] = got[:kept]
+            done += kept
+            halves = halves[kept + 1:]  # past the rejected half
+        return draws
+
+
+def _feature_highs(d, m):
+    """The bounds of one block's draws (``_draw_features``), set after set."""
     highs = np.concatenate([np.arange(d - m + 1, d + 1), np.arange(m, 1, -1)])
-    tiled = np.tile(highs, _DRAW_BLOCK)
-    draws = np.concatenate([s.integers(0, tiled).reshape(_DRAW_BLOCK, -1)[:, :m]
-                            for s in streams])
+    return np.tile(highs, _DRAW_BLOCK)
+
+
+def _draw_features(draws, d, m):
+    """A block of ``_DRAW_BLOCK`` sorted candidate-feature sets per row of
+    ``draws``, the row's draws for ``_feature_highs(d, m)``: an int64 array
+    of shape (len(draws), _DRAW_BLOCK, m).
+
+    Set j of a stream's block is ``np.sort(stream.choice(d, m,
+    replace=False))`` for the stream's j-th such call.  With m =
+    ceil(sqrt(d)) ``choice`` always runs Floyd's sample (its other method
+    needs d > 10000 and m > d // 50), then shuffles it: 2m - 1 bounded
+    draws, in [0, h) for h = d - m + 1 .. d, then h = m .. 2, each one
+    Lemire draw, as ``integers`` with the same bounds makes them.  Floyd's
+    rule runs on all sets at once: draw k becomes d - m + k when it is
+    already chosen.  The shuffle draws are dropped, since the sets are
+    sorted."""
+    draws = draws.reshape(-1, 2 * m - 1)[:, :m]
     chosen = np.empty_like(draws)
     for k in range(m):
         taken = (chosen[:, :k] == draws[:, k, None]).any(axis=1)
         chosen[:, k] = np.where(taken, d - m + k, draws[:, k])
     chosen.sort(axis=1)
-    return chosen.reshape(len(streams), _DRAW_BLOCK, m)
+    return chosen.reshape(-1, _DRAW_BLOCK, m)
 
 
-def _grow_forest(X, onehot, weights, m_features, rngs):
+def _grow_forest(X, onehot, weights, blocks, streams):
     """Grow one tree per row of bootstrap counts, all trees in lockstep, and
     return the node arrays (feature, threshold, left, right, counts); tree
     t's root is node t.
@@ -372,18 +505,20 @@ def _grow_forest(X, onehot, weights, m_features, rngs):
     Each tree keeps a depth-first stack of the nodes it has still to
     search, left child on top, as a row of one node-id array with a pointer
     per tree.  On every step, each unfinished tree pops one node and takes
-    the next row of its block of candidate-feature draws
-    (``_draw_features``), so every tree draws in pre-order, as a recursive
-    grower would.  A tree's block is refilled from its own stream only when
-    it is used up, and all trees that need a refill on a step are refilled
-    at once.  The step's nodes are sorted by sample count and searched in
-    chunks (``_pack_by_size``, ``_split_nodes``).
+    the next set of its block of candidate features (``_draw_features``),
+    so every tree draws in pre-order, as a recursive grower would.
+    ``blocks`` holds each tree's first block.  A tree's block is refilled
+    from its own stream in ``streams`` only when it is used up, and all
+    trees that need a refill on a step are refilled at once.  The step's
+    nodes are sorted by sample count and searched in chunks
+    (``_pack_by_size``, ``_split_nodes``).
 
-    Each stream in ``rngs`` is private to one fit and has already drawn its
-    bootstrap sample, so the draws left in a block when its tree is done
-    change nothing."""
+    The streams are private to one fit, so the draws left in a block when
+    its tree is done change nothing."""
     d, k = X.shape[1], onehot.shape[1]
     n_trees, n = weights.shape
+    m_features = blocks.shape[2]
+    highs = _feature_highs(d, m_features)
     X = np.vstack([X, np.full(d, np.inf)])  # the sentinel row, last
     onehot = np.vstack([onehot, np.zeros(k)])
     tree_of, seg_rows = np.nonzero(weights)
@@ -409,8 +544,7 @@ def _grow_forest(X, onehot, weights, m_features, rngs):
     top = (np.count_nonzero(counts[0], axis=1) >= 2).astype(np.intp)  # stack heights
     stacks = (stack, top)
     n_nodes = n_trees
-    blocks = np.empty((n_trees, _DRAW_BLOCK, m_features), dtype=np.int64)
-    cursor = np.full(n_trees, _DRAW_BLOCK)  # every block starts used up
+    cursor = np.zeros(n_trees, dtype=np.intp)
     while True:
         trees = top.nonzero()[0]
         if not len(trees):
@@ -421,7 +555,7 @@ def _grow_forest(X, onehot, weights, m_features, rngs):
         at = cursor[trees]
         refill = at == _DRAW_BLOCK
         if refill.any():
-            blocks[trees[refill]] = _draw_features([rngs[t] for t in trees[refill].tolist()],
+            blocks[trees[refill]] = _draw_features(streams.bounded(trees[refill], highs),
                                                    d, m_features)
             at[refill] = 0
         features = blocks[trees, at]
@@ -511,18 +645,25 @@ def _split_nodes(X, onehot, segments, nodes, n_nodes, stacks, trees, chunk, widt
 
 def rf_fit(X, y, n_trees: int = 100, rng=None) -> ForestModel:
     """Bootstrap-aggregated CART trees, grown until pure or fewer than two
-    samples, with ceil(sqrt(d)) candidate features per node."""
+    samples, with ceil(sqrt(d)) candidate features per node.
+
+    Tree t draws from the t-th child stream of ``rng`` (``_TreeStreams``):
+    first its bootstrap, n draws in [0, n), then its first block of
+    candidate features, all trees in one expression."""
     X, classes, codes = _fit_inputs(X, y, "rf_fit")
     if isinstance(n_trees, bool) or not isinstance(n_trees, (int, np.integer)) or n_trees < 1:
         raise ValueError(f"n_trees must be an integer of at least 1, got {n_trees!r}")
     n, d = X.shape
+    m_features = int(math.ceil(math.sqrt(d)))
     onehot = np.eye(len(classes))[codes]
-    rngs = as_stream(rng).spawn(n_trees)
-    boots = np.concatenate([tree_rng.integers(0, n, size=n) for tree_rng in rngs])
-    boots += np.repeat(np.arange(0, n_trees * n, n), n)  # tree * n + row
-    weights = np.bincount(boots, minlength=n_trees * n).reshape(n_trees, n).astype(np.float64)
+    streams = _TreeStreams(rng, n_trees)
+    draws = streams.bounded(np.arange(n_trees),
+                            np.concatenate([np.full(n, n), _feature_highs(d, m_features)]))
+    boots = draws[:, :n] + np.arange(0, n_trees * n, n)[:, None]  # tree * n + row
+    weights = np.bincount(boots.ravel(), minlength=n_trees * n).reshape(n_trees, n)
+    blocks = _draw_features(draws[:, n:], d, m_features)
     feature, threshold, left, right, counts = _grow_forest(
-        X, onehot, weights, int(math.ceil(math.sqrt(d))), rngs)
+        X, onehot, weights.astype(np.float64), blocks, streams)
     return ForestModel(roots=np.arange(n_trees), feature=feature, threshold=threshold,
                        left=left, right=right, counts=counts, classes=classes, n_features=d)
 

@@ -503,22 +503,132 @@ def test_forest_arrays_own_their_data():
 @given(d=st.sampled_from([1, 2, 3, 16, 320, 12000]), seed=st.integers(0, 2**32 - 1),
        n_streams=st.integers(1, 3), blocks=st.integers(2, 3), skip=st.integers(0, 3))
 def test_feature_blocks_match_successive_choice_calls(d, seed, n_streams, blocks, skip):
-    """Each block row is a sorted ``choice(d, ceil(sqrt(d)), replace=False)``
-    of its own stream, and every stream ends where those calls leave it.
-    d = 12000 is past ``choice``'s switch at 10,000, where it still runs
-    Floyd's sample because m <= d // 50."""
+    """Each block set is a sorted ``choice(d, ceil(sqrt(d)), replace=False)``
+    of its tree's stream, and the helper's next draws are the native
+    stream's next draws.  d = 12000 is past ``choice``'s switch at 10,000,
+    where it still runs Floyd's sample because m <= d // 50."""
     m = math.ceil(math.sqrt(d))
-    got_rngs, want_rngs = RngStream(seed).spawn(n_streams), RngStream(seed).spawn(n_streams)
-    for rng in got_rngs + want_rngs:
-        rng.integers(0, 7, size=skip)  # an odd count leaves half a 64-bit draw
-    got = np.concatenate([classifiers._draw_features(got_rngs, d, m) for _ in range(blocks)],
-                         axis=1)
+    streams = classifiers._TreeStreams(RngStream(seed), n_streams)
+    want_rngs = RngStream(seed).spawn(n_streams)
+    trees = np.arange(n_streams)
+    streams.bounded(trees, np.full(skip, 7))  # an odd count leaves half a 64-bit draw
+    for rng in want_rngs:
+        rng.integers(0, 7, size=skip)
+    highs = classifiers._feature_highs(d, m)
+    got = np.concatenate([classifiers._draw_features(streams.bounded(trees, highs), d, m)
+                          for _ in range(blocks)], axis=1)
     assert got.dtype == np.int64
-    for got_rng, want_rng, rows in zip(got_rngs, want_rngs, got):
+    for want_rng, rows in zip(want_rngs, got):
         want = [np.sort(want_rng.choice(d, size=m, replace=False))
                 for _ in range(blocks * classifiers._DRAW_BLOCK)]
         assert rows.tolist() == np.array(want).tolist()
-        assert got_rng.integers(0, 1 << 40) == want_rng.integers(0, 1 << 40)
+    big = 3 << 30  # a quarter of the products rejected
+    assert (streams.bounded(trees, np.full(5, big)).tolist()
+            == [rng.integers(0, big, size=5).tolist() for rng in want_rngs])
+
+
+_BOUNDS = st.one_of(st.just(1), st.integers(2, 60), st.integers(2**31 + 1, 2**32 - 1))
+
+
+@settings(max_examples=40)
+@given(seed=st.integers(0, 2**32 - 1),
+       calls=st.lists(st.tuples(st.lists(_BOUNDS, max_size=9),
+                                st.sets(st.integers(0, 2), min_size=1)), max_size=8))
+def test_bounded_draws_equal_successive_integers_calls(seed, calls):
+    """``_TreeStreams.bounded`` draws what successive ``integers(0, highs)``
+    calls draw on each tree's own stream: over odd and even counts, so a
+    spare half carries from call to call; over a bound of 1, which takes
+    nothing; and over bounds in (2^31, 2^32), where about half of the
+    products are rejected, so trees with and without a spare half meet in
+    one call.  Each call draws for a subset of the trees."""
+    streams = classifiers._TreeStreams(RngStream(seed), 3)
+    want_rngs = RngStream(seed).spawn(3)
+    for highs, trees in calls:
+        highs, trees = np.array(highs, dtype=np.int64), np.array(sorted(trees))
+        got = streams.bounded(trees, highs)
+        assert got.dtype == np.int64 and got.shape == (len(trees), len(highs))
+        assert got.tolist() == [want_rngs[t].integers(0, highs).tolist() for t in trees]
+
+
+@settings(max_examples=25)
+@given(entropy=st.integers(0, 2**128 - 1), key=st.lists(st.integers(0, 2**40), max_size=3),
+       pool_size=st.sampled_from([4, 8]), n=st.integers(1, 5))
+def test_seed_words_equal_generate_state(entropy, key, pool_size, n):
+    """The seed words hashed from the kids' pools at once are each kid's
+    ``generate_state(4, np.uint64)``, for entropy of several pool words and
+    nested spawn keys."""
+    kids = np.random.SeedSequence(entropy, spawn_key=key, pool_size=pool_size).spawn(n)
+    want = np.array([kid.generate_state(4, np.uint64) for kid in kids])
+    got = classifiers._seed_words(kids)
+    assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def test_tree_streams_are_the_spawned_streams():
+    """Tree t's stream is the raw PCG64 output of ``Generator.spawn``'s t-th
+    child, and the parent's seed sequence has spawned as many children."""
+    parent, native = RngStream(3), RngStream(3)
+    parent.spawn(2)
+    native.spawn(2)
+    streams = classifiers._TreeStreams(parent, 4)
+    kids = native.spawn(4)
+    assert [bits.random_raw(6).tolist() for bits in streams.bits] == [
+        kid.bit_generator.random_raw(6).tolist() for kid in kids]
+    assert parent.bit_generator.seed_seq.n_children_spawned == 6
+
+
+def test_non_pcg64_parent_grows_the_pcg64_parent_forest():
+    """The tree streams are PCG64 whatever the parent's bit generator, so an
+    MT19937 parent over a seed sequence grows the forest a PCG64 parent over
+    the same seed sequence grows, and grows it again on a repeat fit."""
+    X, y = _workload_forest_data()
+
+    def fit(bit_generator):
+        rng = np.random.Generator(bit_generator(np.random.SeedSequence(5)))
+        return rf_fit(X, y, n_trees=20, rng=rng)
+
+    want = fit(np.random.PCG64)
+    for got in (fit(np.random.MT19937), fit(np.random.MT19937)):
+        for name in ("feature", "threshold", "left", "right", "counts"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def test_unspawnable_parent_rejected():
+    """A parent whose seed sequence cannot spawn is a TypeError, as for
+    ``Generator.spawn``."""
+
+    class Fixed(np.random.bit_generator.ISeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return np.arange(n_words, dtype=dtype)
+
+    X, y = _workload_forest_data()
+    rng = np.random.Generator(np.random.PCG64(Fixed()))
+    with pytest.raises(TypeError):
+        rng.spawn(2)
+    with pytest.raises(TypeError):
+        rf_fit(X, y, n_trees=2, rng=rng)
+
+
+def test_rejected_draw_forest_equals_repeat_row_grower(monkeypatch):
+    """At d = 12,000 (m = 110) a few tree blocks in a thousand hold a
+    rejected product; with this seed one tree's does, and the forest is
+    still the bytes of the reference grower's native draws."""
+    redo = classifiers._TreeStreams._redo
+    redone = []
+
+    def spy(self, t, *args):
+        redone.append(t)
+        return redo(self, t, *args)
+
+    monkeypatch.setattr(classifiers._TreeStreams, "_redo", spy)
+    rng = RngStream(32)
+    X = np.round(rng.normal(size=(24, 12000)), 1)
+    y = rng.integers(0, 3, size=24)
+    got = rf_fit(X, y, n_trees=10, rng=RngStream(33))
+    assert redone
+    want = reference.rf_fit(X, y, n_trees=10, rng=RngStream(33))
+    for name in ("roots", "feature", "threshold", "left", "right", "counts", "classes"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
 
 
 @settings(max_examples=25)
