@@ -563,6 +563,19 @@ def test_seed_words_equal_generate_state(entropy, key, pool_size, n):
     assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
+def test_seed_words_of_another_seed_sequence_class():
+    """Kids of a SeedSequence subclass are seeded by their own
+    ``generate_state``, as ``Generator.spawn`` seeds them."""
+
+    class Reversed(np.random.SeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            return super().generate_state(n_words, dtype)[::-1].copy()
+
+    kids = Reversed(7).spawn(3)
+    want = np.array([kid.generate_state(4, np.uint64) for kid in kids])
+    assert classifiers._seed_words(kids).tobytes() == want.tobytes()
+
+
 def test_tree_streams_are_the_spawned_streams():
     """Tree t's stream is the raw PCG64 output of ``Generator.spawn``'s t-th
     child, and the parent's seed sequence has spawned as many children."""
